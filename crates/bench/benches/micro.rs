@@ -3,11 +3,15 @@
 //! the kernel rework, also recorded by `--bin kernel_bench` into
 //! `BENCH_kernel.json`), the stable priority queue, the samplers, the
 //! histogram and priority assignment. These are the operations executed
-//! millions of times per Figure 2 cell.
+//! millions of times per Figure 2 cell. The `workload` group times what
+//! a sweep pays once per seed instead: the playlist catalog build (the
+//! unscaled 1M-track / 100k-playlist shape and `scale_catalog`'s 500k /
+//! 50k) and the per-cell trace draw from a built catalog.
 
 use brb_metrics::Histogram;
 use brb_sched::{PolicyKind, Priority, PriorityPolicy, PriorityQueue, RequestQueue, TaskView};
-use brb_sim::{Calendar, HeapCalendar, SimTime};
+use brb_sim::{Calendar, HeapCalendar, RngFactory, SimTime};
+use brb_workload::soundcloud::{SoundCloudConfig, SoundCloudModel};
 use brb_workload::{FanoutDist, GeneralizedPareto, PoissonProcess, Zipf};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -153,6 +157,40 @@ fn bench_samplers(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_workload(c: &mut Criterion) {
+    let shape = |num_tracks, num_playlists| SoundCloudConfig {
+        num_tracks,
+        num_playlists,
+        playlist_zipf: 0.8,
+        ..Default::default()
+    };
+    let factory = RngFactory::new(1);
+    let mut g = c.benchmark_group("workload");
+    // One build is ~0.1 s: three measured iterations, not ten.
+    g.sample_size(30);
+    for (name, num_tracks, num_playlists) in [
+        ("catalog_build_1m_100k", 1_000_000, 100_000),
+        ("catalog_build_500k_50k", 500_000, 50_000),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                SoundCloudModel::build(
+                    shape(num_tracks, num_playlists),
+                    &mut factory.stream("catalog"),
+                )
+            });
+        });
+    }
+    // A capacity-sweep cell: 2000 tasks at the paper's 70 % task rate.
+    const TASKS: usize = 2_000;
+    g.throughput(Throughput::Elements(TASKS as u64));
+    g.bench_function("trace_draw_2k_tasks", |b| {
+        let model = SoundCloudModel::build(shape(500_000, 50_000), &mut factory.stream("catalog"));
+        b.iter(|| model.generate_trace(TASKS, 10_255.0, &mut factory.stream("workload")));
+    });
+    g.finish();
+}
+
 fn bench_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("histogram");
     g.throughput(Throughput::Elements(1));
@@ -213,6 +251,7 @@ criterion_group!(
     bench_calendar,
     bench_priority_queue,
     bench_samplers,
+    bench_workload,
     bench_histogram,
     bench_policies
 );

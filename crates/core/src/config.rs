@@ -138,7 +138,7 @@ impl ClusterConfig {
 }
 
 /// How tasks are generated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadKind {
     /// Independent sampling: fan-out distribution × Zipf keys.
     Synthetic {

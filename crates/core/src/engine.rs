@@ -25,7 +25,8 @@
 //!   network latency; idle server cores work-pull with zero coordination
 //!   cost.
 
-use crate::config::{ExperimentConfig, SelectorKind, Strategy, TimeoutConfig, WorkloadKind};
+use crate::config::{ExperimentConfig, SelectorKind, Strategy, TimeoutConfig};
+use crate::plan::WorkloadPlan;
 use crate::slab::Slab;
 use crate::task::TaskBuilder;
 use crate::timeline::{Timeline, TimelineSample};
@@ -44,10 +45,7 @@ use brb_store::cost::CostModel;
 use brb_store::ids::{GroupId, ServerId};
 use brb_store::partition::Ring;
 use brb_store::service::ServiceModel;
-use brb_workload::keyspace::{KeySpace, Popularity};
-use brb_workload::soundcloud::{SoundCloudConfig, SoundCloudModel};
-use brb_workload::taskgen::{TaskGenerator, TaskSpec};
-use brb_workload::PoissonProcess;
+use brb_workload::taskgen::TaskSpec;
 use std::sync::Arc;
 
 /// Slab key of a pooled [`InFlight`] record. Calendar events carry this
@@ -402,61 +400,19 @@ impl EngineWorld {
         Self::with_trace(cfg, trace)
     }
 
-    /// Generates the workload trace a configuration implies. Only the
+    /// Generates the workload trace a configuration implies: the
+    /// config's [`WorkloadPlan`] built, then drawn from once. Only the
     /// seed and the workload section matter — the strategy does not —
-    /// so sweep runners generate each seed's trace **once** and share it
-    /// across the strategies of that seed (the paper's common-random-
-    /// numbers methodology, now also an optimization: the same trace is
-    /// not re-derived per strategy cell).
+    /// so sweep runners never call this per run: they build each seed's
+    /// plan once, draw each distinct trace once and share it across the
+    /// runs it serves (the paper's common-random-numbers methodology,
+    /// also an optimization).
     ///
     /// # Panics
     /// Panics if the configuration fails validation.
     pub fn generate_trace(cfg: &ExperimentConfig) -> Vec<TaskSpec> {
         cfg.validate().expect("invalid experiment config");
-        let factory = RngFactory::new(cfg.seed);
-        let task_rate = cfg.workload.task_rate(&cfg.cluster);
-        match &cfg.workload.kind {
-            WorkloadKind::Synthetic {
-                fanout,
-                num_keys,
-                zipf_exponent,
-            } => {
-                let pop = if *zipf_exponent == 0.0 {
-                    Popularity::Uniform
-                } else {
-                    Popularity::Zipf(*zipf_exponent)
-                };
-                let mut gen = TaskGenerator::new(
-                    PoissonProcess::new(task_rate),
-                    fanout.clone(),
-                    KeySpace::new(*num_keys, pop),
-                    cfg.workload.sizes,
-                    factory.stream("workload"),
-                );
-                gen.take(cfg.workload.num_tasks)
-            }
-            WorkloadKind::Playlist {
-                num_tracks,
-                num_playlists,
-                playlist_zipf,
-            } => {
-                let sc = SoundCloudConfig {
-                    num_tracks: *num_tracks,
-                    num_playlists: *num_playlists,
-                    playlist_zipf: *playlist_zipf,
-                    sizes: cfg.workload.sizes,
-                    ..Default::default()
-                };
-                let model = SoundCloudModel::build(sc, &mut factory.stream("catalog"));
-                model
-                    .generate_trace(
-                        cfg.workload.num_tasks,
-                        task_rate,
-                        &mut factory.stream("workload"),
-                    )
-                    .tasks
-            }
-        }
+        WorkloadPlan::build(cfg).draw(cfg)
     }
 
     /// Builds the world around an externally-supplied trace — replay a

@@ -1,20 +1,26 @@
-//! Experiment runners: single seeded runs and the paper's multi-seed
-//! averaged comparisons.
+//! Experiment runners: single seeded runs and the sweep-grid executor
+//! behind the paper's multi-seed averaged comparisons.
 //!
-//! [`run_strategies_multi_seed`] fans its (strategy × seed) cells out
-//! across OS threads — each cell is an independent deterministic
-//! simulation, so the sweep scales with cores while producing results
-//! byte-identical to the sequential path (guarded by a test). Worker
-//! count comes from [`worker_count`] (`BRB_THREADS` overrides the
-//! detected parallelism).
+//! [`run_grid`] is the one sweep path. It takes a whole grid — cells ×
+//! strategies × seeds — and runs it **seed-major**: a seed's workload
+//! plan ([`WorkloadPlan`], the expensive half of trace generation) is
+//! built once, each *distinct* trace of that seed is drawn from it once,
+//! and every run the trace serves shares it behind an `Arc`. Runs fan
+//! out across OS threads — each is an independent deterministic
+//! simulation, so results are byte-identical for every worker count
+//! (guarded by tests). [`run_strategies_multi_seed`] and friends are its
+//! one-cell case. Worker count comes from [`worker_count`]
+//! (`BRB_THREADS` overrides the detected parallelism).
 
 use crate::config::{ExperimentConfig, Strategy};
 use crate::engine::{Counters, EngineWorld};
+use crate::plan::{same_trace, WorkloadPlan};
 use brb_metrics::{Percentiles, SeedSummary};
 use brb_sim::Simulation;
 use brb_workload::taskgen::TaskSpec;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Overload-lane outcomes of one run, present only when any overload
@@ -186,26 +192,52 @@ impl Deserialize for RunResult {
     }
 }
 
+/// A run that resolved every task yet has no result to report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// No task completed after the warm-up window (an unbounded retry
+    /// storm past saturation fails every late task), so there is no task
+    /// latency to take percentiles of.
+    NoMeasuredTasks,
+    /// No request completed after the warm-up window.
+    NoMeasuredRequests,
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let what = match self {
+            RunError::NoMeasuredTasks => "task",
+            RunError::NoMeasuredRequests => "request",
+        };
+        write!(
+            f,
+            "no {what} completed after the warm-up window, so there is no {what} latency to report"
+        )
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// Runs one strategy once and collects its metrics.
 ///
 /// # Panics
-/// Panics if the configuration is invalid or the run fails to complete
-/// every task (which would indicate an engine bug, not a config problem).
+/// Panics if the configuration is invalid, the run fails to complete
+/// every task (which would indicate an engine bug, not a config problem)
+/// or no task completes after warm-up ([`RunError`]; [`run_grid`]
+/// reports that one typed instead).
 pub fn run_experiment(cfg: ExperimentConfig) -> RunResult {
-    let world = EngineWorld::new(cfg);
-    run_world(world)
+    run_world(EngineWorld::new(cfg)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one strategy over an externally-supplied trace (replay mode).
-pub fn run_experiment_on_trace(
-    cfg: ExperimentConfig,
-    trace: Vec<brb_workload::taskgen::TaskSpec>,
-) -> RunResult {
-    let world = EngineWorld::with_trace(cfg, trace);
-    run_world(world)
+///
+/// # Panics
+/// As for [`run_experiment`], and if the trace is empty or unordered.
+pub fn run_experiment_on_trace(cfg: ExperimentConfig, trace: Vec<TaskSpec>) -> RunResult {
+    run_world(EngineWorld::with_trace(cfg, trace)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn run_world(world: EngineWorld) -> RunResult {
+fn run_world(world: EngineWorld) -> Result<RunResult, RunError> {
     let strategy = world.config().strategy.name();
     let seed = world.config().seed;
     let mut sim = Simulation::new(world);
@@ -241,13 +273,13 @@ fn run_world(world: EngineWorld) -> RunResult {
             })
             .collect()
     });
-    RunResult {
+    Ok(RunResult {
         strategy,
         seed,
         task_latency_ms: Percentiles::from_histogram_ns(&w.task_latency)
-            .expect("no measured tasks"),
+            .ok_or(RunError::NoMeasuredTasks)?,
         request_latency_ms: Percentiles::from_histogram_ns(&w.request_latency)
-            .expect("no measured requests"),
+            .ok_or(RunError::NoMeasuredRequests)?,
         hold_time_ms: Percentiles::from_histogram_ns(&w.hold_time),
         utilization: w.mean_utilization(stats.end_time.as_nanos()),
         completed_tasks: w.completed_tasks(),
@@ -261,7 +293,7 @@ fn run_world(world: EngineWorld) -> RunResult {
         duplicate_responses: counters.duplicate_responses,
         overload,
         priority_classes,
-    }
+    })
 }
 
 /// A strategy's metrics aggregated across seeds: the paper's reporting
@@ -426,121 +458,368 @@ pub fn worker_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Generates one seed's workload trace from the sweep's base config.
-fn trace_of(base: &ExperimentConfig, seed: u64) -> Vec<TaskSpec> {
-    let mut cfg = base.clone();
-    cfg.seed = seed;
-    EngineWorld::generate_trace(&cfg)
+/// One cell of a sweep grid: a base configuration and the strategies
+/// compared on it. [`run_grid`] overrides `strategy` and `seed` per run.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'a> {
+    /// Everything but the strategy and the seed.
+    pub base: &'a ExperimentConfig,
+    /// Strategies under comparison (common random numbers per seed).
+    pub strategies: &'a [Strategy],
 }
 
-/// Runs one cell against its seed's shared trace.
-fn run_cell(cfg: ExperimentConfig, trace: Arc<Vec<TaskSpec>>) -> RunResult {
-    run_world(EngineWorld::with_shared_trace(cfg, trace))
+/// A (cell, strategy, seed) run of a grid that produced no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GridError {
+    /// Index of the cell in the grid.
+    pub cell: usize,
+    /// Display name of the strategy.
+    pub strategy: String,
+    /// Master seed of the run.
+    pub seed: u64,
+    /// Why the run has nothing to report.
+    pub cause: RunError,
 }
 
-/// Runs independent experiment cells across scoped threads, returning
-/// results in strategy-major input order. Work-stealing via an atomic
-/// cursor: cells differ wildly in cost (credits machinery vs. direct
-/// dispatch), so static chunking would leave cores idle.
-///
-/// Traces are generated once per seed — they depend only on
-/// `(seed, workload)`, never on the strategy, so the strategies of a
-/// seed share one allocation behind an `Arc` (the paper's
-/// common-random-numbers setup, now also an optimization). Cells
-/// *execute* seed-major: a seed's trace is generated lazily by the
-/// first worker that needs it and dropped as soon as its last strategy
-/// cell completes, so live traces are bounded by the worker count (a
-/// figure2-scale trace is tens of megabytes; a sweep must not pin one
-/// per seed for its whole duration).
-fn run_cells_with(
-    base: &ExperimentConfig,
-    strategies: &[Strategy],
+impl fmt::Display for GridError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cell {} × {} × seed {}: {}",
+            self.cell, self.strategy, self.seed, self.cause
+        )
+    }
+}
+
+impl std::error::Error for GridError {}
+
+/// What one [`run_grid`] execution built and shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GridStats {
+    /// Workload plans built: one per (seed, group of cells whose
+    /// workloads are [`WorkloadPlan::shared_by`] each other).
+    pub plans_built: usize,
+    /// Traces drawn: one per (seed, group of cells with the
+    /// [`same_trace`]).
+    pub traces_drawn: usize,
+    /// Most plans alive at any instant; never more than the worker count.
+    pub peak_live_plans: usize,
+}
+
+/// A completed grid.
+#[derive(Debug, Clone)]
+pub struct GridOutcome {
+    /// `summaries[cell][strategy]`, each across all seeds, in input order.
+    pub summaries: Vec<Vec<StrategySummary>>,
+    /// Sharing bookkeeping of this execution.
+    pub stats: GridStats,
+}
+
+/// [`run_grid_with`] with the drawn traces used as they are and nobody
+/// watching progress.
+pub fn run_grid(
+    cells: &[GridCell<'_>],
     seeds: &[u64],
     threads: usize,
-) -> Vec<RunResult> {
-    let num_cells = strategies.len() * seeds.len();
-    let threads = threads.min(num_cells);
-    let cell_cfg = |si: usize, ti: usize| {
-        let mut cfg = base.clone();
-        cfg.strategy = strategies[si].clone();
-        cfg.seed = seeds[ti];
-        cfg
-    };
-    if threads <= 1 {
-        // Seed-major execution, strategy-major result order.
-        let mut slots: Vec<Option<RunResult>> = (0..num_cells).map(|_| None).collect();
-        for ti in 0..seeds.len() {
-            let trace = Arc::new(trace_of(base, seeds[ti]));
-            for si in 0..strategies.len() {
-                slots[si * seeds.len() + ti] = Some(run_cell(cell_cfg(si, ti), Arc::clone(&trace)));
+) -> Result<GridOutcome, GridError> {
+    run_grid_with(cells, seeds, threads, |trace| trace, |_, _| {})
+}
+
+/// A run's coordinates: indices into the grid, the seed list, and the
+/// executor's plan and trace slots.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    cell: usize,
+    strategy: usize,
+    seed: usize,
+    plan_slot: usize,
+    trace_slot: usize,
+    result_slot: usize,
+}
+
+/// A lazily-built value shared by a known number of users, freed when
+/// the last one is done — what bounds live plans and traces by the
+/// worker count instead of the grid size.
+struct Shared<T> {
+    value: Mutex<Option<Arc<T>>>,
+    users_left: AtomicUsize,
+}
+
+impl<T> Shared<T> {
+    fn new(users: usize) -> Self {
+        Shared {
+            value: Mutex::new(None),
+            users_left: AtomicUsize::new(users),
+        }
+    }
+
+    /// The value, made by `make` if this is the first request. Later
+    /// requesters wait on the slot's lock while it is being made.
+    fn get_or_make(&self, make: impl FnOnce() -> T) -> Arc<T> {
+        let mut slot = self.value.lock().expect("shared slot poisoned");
+        match &*slot {
+            Some(value) => Arc::clone(value),
+            None => {
+                let value = Arc::new(make());
+                *slot = Some(Arc::clone(&value));
+                value
             }
         }
-        return slots
-            .into_iter()
-            .map(|r| r.expect("every cell runs"))
-            .collect();
     }
-    // Seed-major work order (the result slot index stays strategy-major).
-    let order: Vec<(usize, usize)> = (0..seeds.len())
-        .flat_map(|ti| (0..strategies.len()).map(move |si| (si, ti)))
-        .collect();
-    // Lazily-generated shared traces plus a per-seed countdown of
-    // outstanding cells; the slot is emptied when the count hits zero.
-    let traces: Vec<Mutex<Option<Arc<Vec<TaskSpec>>>>> =
-        seeds.iter().map(|_| Mutex::new(None)).collect();
-    let remaining: Vec<AtomicUsize> = seeds
+
+    /// Gives back one user's handle; the last one empties the slot, so
+    /// the value is freed here. Returns whether it was.
+    fn release(&self, handle: Arc<T>) -> bool {
+        drop(handle);
+        let last = self.users_left.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last {
+            self.value.lock().expect("shared slot poisoned").take();
+        }
+        last
+    }
+}
+
+/// A grid laid out for execution.
+struct Schedule {
+    /// Every run, in claim order: seed-major, then plan group, trace
+    /// group, cell, strategy.
+    runs: Vec<Run>,
+    /// Per seed, one still-empty slot per plan group.
+    plans: Vec<Shared<WorkloadPlan>>,
+    /// Per seed, one still-empty slot per trace group.
+    traces: Vec<Shared<Vec<TaskSpec>>>,
+}
+
+fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
+    // groups[p][t] = the cells of plan group p's trace group t, all in
+    // order of first appearance.
+    let mut groups: Vec<Vec<Vec<usize>>> = Vec::new();
+    for (c, cell) in cells.iter().enumerate() {
+        let first_of = |members: &Vec<usize>| cells[members[0]].base;
+        let plan_group = match groups
+            .iter()
+            .position(|g| WorkloadPlan::shared_by(&first_of(&g[0]).workload, &cell.base.workload))
+        {
+            Some(p) => &mut groups[p],
+            None => {
+                groups.push(Vec::new());
+                groups.last_mut().expect("just pushed")
+            }
+        };
+        match plan_group
+            .iter()
+            .position(|members| same_trace(first_of(members), cell.base))
+        {
+            Some(t) => plan_group[t].push(c),
+            None => plan_group.push(vec![c]),
+        }
+    }
+
+    // Where each cell's (strategy × seed) results start, strategy-major.
+    let result_base: Vec<usize> = cells
         .iter()
-        .map(|_| AtomicUsize::new(strategies.len()))
+        .scan(0, |next, cell| {
+            let base = *next;
+            *next += cell.strategies.len() * num_seeds;
+            Some(base)
+        })
         .collect();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = (0..num_cells).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(si, ti)) = order.get(j) else { break };
-                let trace = {
-                    let mut slot = traces[ti].lock().expect("trace slot poisoned");
-                    match &*slot {
-                        Some(t) => Arc::clone(t),
-                        None => {
-                            let t = Arc::new(trace_of(base, seeds[ti]));
-                            *slot = Some(Arc::clone(&t));
-                            t
-                        }
+    let mut runs: Vec<Run> = Vec::new();
+    let mut plans: Vec<Shared<WorkloadPlan>> = Vec::new();
+    let mut traces: Vec<Shared<Vec<TaskSpec>>> = Vec::new();
+    for seed in 0..num_seeds {
+        for plan_group in &groups {
+            // A plan's users are the draws of its traces.
+            plans.push(Shared::new(plan_group.len()));
+            for members in plan_group {
+                let before = runs.len();
+                for &cell in members {
+                    for strategy in 0..cells[cell].strategies.len() {
+                        runs.push(Run {
+                            cell,
+                            strategy,
+                            seed,
+                            plan_slot: plans.len() - 1,
+                            trace_slot: traces.len(),
+                            result_slot: result_base[cell] + strategy * num_seeds + seed,
+                        });
                     }
-                };
-                let result = run_cell(cell_cfg(si, ti), trace);
-                if remaining[ti].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last cell of this seed: release the trace.
-                    traces[ti].lock().expect("trace slot poisoned").take();
                 }
-                *slots[si * seeds.len() + ti]
-                    .lock()
-                    .expect("result slot poisoned") = Some(result);
+                traces.push(Shared::new(runs.len() - before));
+            }
+        }
+    }
+    Schedule {
+        runs,
+        plans,
+        traces,
+    }
+}
+
+/// Runs a whole sweep grid — every cell × its strategies × every seed —
+/// and summarizes each (cell, strategy) across seeds.
+///
+/// Execution is **seed-major**. Cells whose workloads share a plan
+/// ([`WorkloadPlan::shared_by`]: same catalog numbers and size model,
+/// whatever the load) form a plan group; within it, cells that imply the
+/// [`same_trace`] (they differ only on strategy-side axes such as a
+/// hedge delay or a shed watermark) form a trace group. Per seed, each
+/// plan group's plan is built once — lazily, by the first worker that
+/// needs it — each trace group's trace is drawn from it once, and the
+/// plan is freed the moment its last trace is drawn, the trace the
+/// moment its last run completes. Runs are claimed in that order off an
+/// atomic cursor (they differ wildly in cost, so static chunking would
+/// leave cores idle), which keeps live memory at one plan and one trace
+/// per worker however large the grid: the next seed's plan is not built
+/// before this seed's is done with, and a seed with a single distinct
+/// trace frees its catalog before the first simulation starts.
+///
+/// Every run is a self-contained deterministic simulation (its own RNG
+/// streams, its own calendar) and plan and draw use separate labelled
+/// streams, so the output is byte-identical for every `threads` and
+/// equal to running each cell on its own.
+///
+/// `retrace` maps each drawn trace to the one actually simulated
+/// (identity, or a round trip through the on-disk format). `progress`
+/// is called after each run completes with `(runs done, runs in total)`:
+/// strictly increasing, ending at the total.
+///
+/// # Errors
+/// The first run, in execution order, that resolved but has nothing to
+/// report (see [`RunError`]); later runs are not started.
+///
+/// # Panics
+/// Panics if `seeds` is empty, a cell has no strategies or an invalid
+/// configuration, or a run fails to resolve (an engine bug).
+pub fn run_grid_with(
+    cells: &[GridCell<'_>],
+    seeds: &[u64],
+    threads: usize,
+    retrace: impl Fn(Vec<TaskSpec>) -> Vec<TaskSpec> + Sync,
+    progress: impl FnMut(usize, usize) + Send,
+) -> Result<GridOutcome, GridError> {
+    assert!(!seeds.is_empty(), "need at least one seed");
+    for cell in cells {
+        assert!(!cell.strategies.is_empty(), "need at least one strategy");
+        cell.base.validate().expect("invalid experiment config");
+    }
+
+    let Schedule {
+        runs,
+        plans,
+        traces,
+    } = schedule(cells, seeds.len());
+
+    let config_of = |run: &Run| {
+        let mut cfg = cells[run.cell].base.clone();
+        cfg.strategy = cells[run.cell].strategies[run.strategy].clone();
+        cfg.seed = seeds[run.seed];
+        cfg
+    };
+    let results: Vec<Mutex<Option<Result<RunResult, RunError>>>> =
+        runs.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let plans_built = AtomicUsize::new(0);
+    let traces_drawn = AtomicUsize::new(0);
+    let live_plans = AtomicUsize::new(0);
+    let peak_live_plans = AtomicUsize::new(0);
+    let progress = Mutex::new((0usize, progress));
+    let worker = || {
+        while !failed.load(Ordering::Relaxed) {
+            let Some(run) = runs.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let cfg = config_of(run);
+            let trace = traces[run.trace_slot].get_or_make(|| {
+                let plan = plans[run.plan_slot].get_or_make(|| {
+                    plans_built.fetch_add(1, Ordering::Relaxed);
+                    let live = live_plans.fetch_add(1, Ordering::Relaxed) + 1;
+                    peak_live_plans.fetch_max(live, Ordering::Relaxed);
+                    WorkloadPlan::build(&cfg)
+                });
+                let trace = plan.draw(&cfg);
+                traces_drawn.fetch_add(1, Ordering::Relaxed);
+                if plans[run.plan_slot].release(plan) {
+                    live_plans.fetch_sub(1, Ordering::Relaxed);
+                }
+                retrace(trace)
+            });
+            let result = run_world(EngineWorld::with_shared_trace(cfg, Arc::clone(&trace)));
+            traces[run.trace_slot].release(trace);
+            failed.fetch_or(result.is_err(), Ordering::Relaxed);
+            *results[run.result_slot]
+                .lock()
+                .expect("result slot poisoned") = Some(result);
+            let (done, callback) = &mut *progress.lock().expect("progress callback poisoned");
+            *done += 1;
+            callback(*done, runs.len());
+        }
+    };
+    let threads = threads.min(runs.len());
+    if threads <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
+            }
+        });
+    }
+
+    // Runs are claimed in order, so everything before the first failure
+    // (in that order) completed: which error is reported does not depend
+    // on thread timing.
+    let mut results: Vec<Option<Result<RunResult, RunError>>> = results
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("result slot poisoned"))
+        .collect();
+    for run in &runs {
+        if let Some(Err(cause)) = results[run.result_slot] {
+            return Err(GridError {
+                cell: run.cell,
+                strategy: cells[run.cell].strategies[run.strategy].name(),
+                seed: seeds[run.seed],
+                cause,
             });
         }
+    }
+    let mut results = results.iter_mut().map(|slot| match slot.take() {
+        Some(Ok(result)) => result,
+        _ => unreachable!("no run failed, so every run completed"),
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell completes")
+    let summaries = cells
+        .iter()
+        .map(|cell| {
+            cell.strategies
+                .iter()
+                .map(|_| StrategySummary::from_runs(results.by_ref().take(seeds.len()).collect()))
+                .collect()
         })
-        .collect()
+        .collect();
+    Ok(GridOutcome {
+        summaries,
+        stats: GridStats {
+            plans_built: plans_built.into_inner(),
+            traces_drawn: traces_drawn.into_inner(),
+            peak_live_plans: peak_live_plans.into_inner(),
+        },
+    })
 }
 
 /// Runs every strategy over every seed with the same base configuration —
-/// the harness behind Figure 2 and the ablation sweeps. The same seed is
-/// reused across strategies (common random numbers), so the workload trace
-/// is identical for every strategy under a given seed.
+/// the harness behind Figure 2 and the ablation sweeps, and the one-cell
+/// case of [`run_grid`]. The same seed is reused across strategies
+/// (common random numbers), so the workload trace is identical for every
+/// strategy under a given seed.
 ///
-/// Cells run in parallel across [`worker_count`] threads; each cell is a
-/// self-contained deterministic simulation (its own RNG streams, its own
-/// calendar), so the output is byte-identical to
-/// [`run_strategies_multi_seed_sequential`] regardless of thread count
-/// or interleaving.
+/// Runs fan out across [`worker_count`] threads; the output is
+/// byte-identical to [`run_strategies_multi_seed_sequential`] regardless
+/// of thread count or interleaving.
+///
+/// # Panics
+/// As for [`run_grid_with`], and if a run has nothing to report
+/// ([`RunError`]).
 pub fn run_strategies_multi_seed(
     base: &ExperimentConfig,
     strategies: &[Strategy],
@@ -558,11 +837,13 @@ pub fn run_strategies_multi_seed_with_threads(
     seeds: &[u64],
     threads: usize,
 ) -> Vec<StrategySummary> {
-    let results = run_cells_with(base, strategies, seeds, threads);
-    summarize(results, seeds.len())
+    run_grid(&[GridCell { base, strategies }], seeds, threads)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .summaries
+        .remove(0)
 }
 
-/// The single-threaded reference path: identical results to
+/// The single-threaded reference: identical results to
 /// [`run_strategies_multi_seed`], kept for differential tests and as the
 /// wall-clock baseline in `--bin kernel_bench`.
 pub fn run_strategies_multi_seed_sequential(
@@ -570,21 +851,7 @@ pub fn run_strategies_multi_seed_sequential(
     strategies: &[Strategy],
     seeds: &[u64],
 ) -> Vec<StrategySummary> {
-    let results = run_cells_with(base, strategies, seeds, 1);
-    summarize(results, seeds.len())
-}
-
-/// Groups flat per-cell results (strategy-major order) into summaries.
-fn summarize(results: Vec<RunResult>, seeds_per_strategy: usize) -> Vec<StrategySummary> {
-    assert!(seeds_per_strategy > 0, "need at least one seed");
-    assert_eq!(results.len() % seeds_per_strategy, 0);
-    let mut out = Vec::with_capacity(results.len() / seeds_per_strategy);
-    let mut iter = results.into_iter();
-    while iter.len() > 0 {
-        let runs: Vec<RunResult> = iter.by_ref().take(seeds_per_strategy).collect();
-        out.push(StrategySummary::from_runs(runs));
-    }
-    out
+    run_strategies_multi_seed_with_threads(base, strategies, seeds, 1)
 }
 
 #[cfg(test)]
@@ -675,6 +942,249 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn at_load(load: f64) -> ExperimentConfig {
+        let mut cfg = small(Strategy::c3(), 0);
+        cfg.workload.load = load;
+        cfg
+    }
+
+    fn synthetic(mean_fanout: u32) -> ExperimentConfig {
+        let mut cfg = small(Strategy::c3(), 0);
+        cfg.workload.kind = crate::config::WorkloadKind::Synthetic {
+            fanout: brb_workload::FanoutDist::Geometric {
+                p: 1.0 / mean_fanout as f64,
+            },
+            num_keys: 30_000,
+            zipf_exponent: 0.9,
+        };
+        cfg
+    }
+
+    fn json(summaries: &[StrategySummary]) -> Vec<String> {
+        summaries
+            .iter()
+            .flat_map(|s| &s.runs)
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect()
+    }
+
+    /// Every cell of `bases` run through one grid must equal the cell
+    /// run alone (no sharing possible), for every worker count.
+    fn assert_grid_matches_cells_run_alone(
+        bases: &[ExperimentConfig],
+        strategies: &[Strategy],
+        seeds: &[u64],
+    ) -> GridStats {
+        let cells: Vec<GridCell<'_>> = bases
+            .iter()
+            .map(|base| GridCell { base, strategies })
+            .collect();
+        let alone: Vec<Vec<String>> = bases
+            .iter()
+            .map(|base| {
+                json(&run_strategies_multi_seed_sequential(
+                    base, strategies, seeds,
+                ))
+            })
+            .collect();
+        let mut stats = None;
+        for threads in [1usize, 2, 4] {
+            let out = run_grid(&cells, seeds, threads).unwrap();
+            let got: Vec<Vec<String>> = out.summaries.iter().map(|s| json(s)).collect();
+            assert_eq!(got, alone, "grid diverged at {threads} threads");
+            assert!(
+                (1..=threads).contains(&out.stats.peak_live_plans),
+                "{} plans alive on {threads} workers",
+                out.stats.peak_live_plans
+            );
+            let counts = (out.stats.plans_built, out.stats.traces_drawn);
+            let first = *stats.get_or_insert(out.stats);
+            assert_eq!(counts, (first.plans_built, first.traces_drawn));
+        }
+        stats.unwrap()
+    }
+
+    /// The point of the executor: a load sweep builds each seed's
+    /// catalog once, not once per load cell — and nothing else changes.
+    #[test]
+    fn load_sweep_builds_one_catalog_per_seed() {
+        let bases: Vec<_> = [0.3, 0.5, 0.7, 0.85, 0.95, 1.05]
+            .into_iter()
+            .map(at_load)
+            .collect();
+        let stats = assert_grid_matches_cells_run_alone(
+            &bases,
+            &[Strategy::c3(), Strategy::equal_max_model()],
+            &[1, 2],
+        );
+        assert_eq!(stats.plans_built, 2, "one catalog per seed");
+        assert_eq!(stats.traces_drawn, 12, "one trace per (load, seed)");
+        // One worker never holds two plans.
+        let cells: Vec<_> = bases
+            .iter()
+            .map(|base| GridCell {
+                base,
+                strategies: &[Strategy::Direct {
+                    selector: crate::config::SelectorKind::Random,
+                    policy: brb_sched::PolicyKind::Fifo,
+                    priority_queues: false,
+                }],
+            })
+            .collect();
+        let stats = run_grid(&cells, &[1, 2, 3], 1).unwrap().stats;
+        assert_eq!((stats.plans_built, stats.peak_live_plans), (3, 1));
+    }
+
+    /// Cells that differ only on strategy-side axes — a hedge delay (in
+    /// the cell's strategy set) or a shed watermark (in its overload
+    /// knobs) — share the trace itself.
+    #[test]
+    fn strategy_side_axes_draw_one_trace_per_seed() {
+        let hedged = |delay_us| {
+            [Strategy::Hedged {
+                selector: crate::config::SelectorKind::LeastOutstanding,
+                delay_us,
+            }]
+        };
+        let base = at_load(0.7);
+        let delays = [hedged(500), hedged(2_000), hedged(8_000)];
+        let cells: Vec<_> = delays
+            .iter()
+            .map(|strategies| GridCell {
+                base: &base,
+                strategies,
+            })
+            .collect();
+        let out = run_grid(&cells, &[1, 2], 2).unwrap();
+        assert_eq!(out.stats.plans_built, 2);
+        assert_eq!(out.stats.traces_drawn, 2, "one trace per seed");
+        for (summaries, strategies) in out.summaries.iter().zip(&delays) {
+            let alone = run_strategies_multi_seed_sequential(&base, strategies, &[1, 2]);
+            assert_eq!(json(summaries), json(&alone));
+        }
+
+        let watermarks: Vec<_> = [16usize, 32, 48]
+            .into_iter()
+            .map(|shed_above| {
+                let mut cfg = at_load(1.1);
+                cfg.overload.queue = Some(crate::config::QueueConfig {
+                    capacity: 64,
+                    shed_above: Some(shed_above),
+                    codel: None,
+                    priority_stats: false,
+                });
+                cfg
+            })
+            .collect();
+        let stats = assert_grid_matches_cells_run_alone(&watermarks, &[Strategy::c3()], &[1, 2]);
+        assert_eq!((stats.plans_built, stats.traces_drawn), (2, 2));
+    }
+
+    /// A grid mixing workload kinds (what a `mean_fanout` axis does to a
+    /// playlist scenario) keeps them apart: the synthetic cells never
+    /// draw from the playlist catalog. They do share their own key
+    /// table, since a fan-out distribution belongs to the draw.
+    #[test]
+    fn mixed_kinds_do_not_share_a_plan() {
+        let bases = [at_load(0.5), synthetic(4), at_load(0.8), synthetic(9)];
+        let stats = assert_grid_matches_cells_run_alone(&bases, &[Strategy::c3()], &[1, 2]);
+        assert_eq!(stats.plans_built, 4, "a catalog and a key table per seed");
+        assert_eq!(stats.traces_drawn, 8);
+
+        let mut other_keys = synthetic(4);
+        if let crate::config::WorkloadKind::Synthetic { num_keys, .. } =
+            &mut other_keys.workload.kind
+        {
+            *num_keys = 20_000;
+        }
+        let mut other_sizes = at_load(0.5);
+        other_sizes.workload.sizes.cap_bytes = 4_096;
+        let workload = |cfg: &ExperimentConfig| cfg.workload.clone();
+        assert!(!WorkloadPlan::shared_by(
+            &workload(&bases[1]),
+            &workload(&other_keys)
+        ));
+        assert!(!WorkloadPlan::shared_by(
+            &workload(&bases[0]),
+            &workload(&other_sizes)
+        ));
+        assert!(!same_trace(&bases[0], &bases[2]));
+    }
+
+    /// The executor against code that shares nothing with it: one
+    /// `run_experiment` per (cell, strategy, seed), each generating its
+    /// own trace from scratch.
+    #[test]
+    fn grid_matches_independent_single_runs() {
+        let bases = [at_load(0.4), at_load(0.9)];
+        let strategies = [Strategy::c3(), Strategy::equal_max_credits()];
+        let seeds = [3u64, 4];
+        let cells: Vec<_> = bases
+            .iter()
+            .map(|base| GridCell {
+                base,
+                strategies: &strategies,
+            })
+            .collect();
+        let out = run_grid(&cells, &seeds, 2).unwrap();
+        for (base, summaries) in bases.iter().zip(&out.summaries) {
+            for (strategy, summary) in strategies.iter().zip(summaries) {
+                for (&seed, run) in seeds.iter().zip(&summary.runs) {
+                    let mut cfg = base.clone();
+                    cfg.strategy = strategy.clone();
+                    cfg.seed = seed;
+                    assert_eq!(
+                        serde_json::to_string(run).unwrap(),
+                        serde_json::to_string(&run_experiment(cfg)).unwrap()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A run in which nothing completes after warm-up used to panic in
+    /// the percentile extraction; the grid names the run instead, the
+    /// same one whatever the worker count.
+    #[test]
+    fn a_run_with_nothing_to_report_is_a_typed_error() {
+        let mut hopeless = at_load(0.7);
+        // Shorter than one network hop: every attempt times out.
+        hopeless.overload.timeout = Some(crate::config::TimeoutConfig {
+            timeout_us: 10,
+            max_retries: 0,
+            backoff_base_us: 0,
+            backoff_cap_us: 0,
+            retry_budget_percent: None,
+        });
+        let fine = at_load(0.7);
+        let strategies = [Strategy::c3(), Strategy::equal_max_model()];
+        let cells = [&fine, &hopeless, &hopeless].map(|base| GridCell {
+            base,
+            strategies: &strategies,
+        });
+        let mut reports = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let mut calls = 0;
+            let err = run_grid_with(&cells, &[5, 6], threads, |t| t, |_, _| calls += 1)
+                .expect_err("the hopeless cells cannot be summarized");
+            assert_eq!(
+                err,
+                GridError {
+                    cell: 1,
+                    strategy: "C3".into(),
+                    seed: 5,
+                    cause: RunError::NoMeasuredTasks,
+                },
+                "{threads} threads"
+            );
+            reports.push(calls);
+        }
+        // Later runs are not started: the single worker stops right there.
+        assert_eq!(reports[0], 3);
+        let text = run_grid(&cells, &[5, 6], 1).unwrap_err().to_string();
+        assert!(text.contains("cell 1") && text.contains("C3") && text.contains("seed 5"));
     }
 
     // Note: `BRB_THREADS` itself is exercised end-to-end by the

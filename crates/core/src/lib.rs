@@ -23,6 +23,7 @@
 pub mod config;
 pub mod engine;
 pub mod experiment;
+pub mod plan;
 pub mod slab;
 pub mod task;
 pub mod timeline;

@@ -7,6 +7,7 @@
 //! engine (or not at all).
 
 use crate::spec::MAX_OFFERED_LOAD;
+use brb_core::experiment::GridError;
 use std::fmt;
 
 /// Everything that can be wrong with a scenario description.
@@ -138,6 +139,12 @@ pub enum ScenarioError {
         /// The live runtime's error rendering.
         cause: String,
     },
+    /// A simulator run resolved every task yet has nothing to report —
+    /// no task completed after the warm-up window, so there are no
+    /// latencies to take percentiles of (an unbudgeted retry storm far
+    /// past saturation does this). Names the cell, strategy and seed;
+    /// the sweep stops at the first such run.
+    RunFailed(GridError),
     /// A structural invariant checked by the core config layer failed
     /// (carries the core error message).
     Config(String),
@@ -145,6 +152,12 @@ pub enum ScenarioError {
     Parse(String),
     /// A spec file could not be read.
     Io(String),
+}
+
+impl From<GridError> for ScenarioError {
+    fn from(e: GridError) -> Self {
+        ScenarioError::RunFailed(e)
+    }
 }
 
 impl fmt::Display for ScenarioError {
@@ -238,6 +251,7 @@ impl fmt::Display for ScenarioError {
             RtUnsupported { what } => {
                 write!(f, "the live rt backend cannot honor {what}")
             }
+            RunFailed(e) => write!(f, "a run has no result — {e}"),
             RtRunFailed { cause } => {
                 write!(f, "a live rt run failed: {cause}")
             }

@@ -279,15 +279,7 @@ fn cmd_run(rest: &[String]) -> Result<(), CliError> {
         );
     }
     let start = std::time::Instant::now();
-    let progress = |i: usize, n: usize| {
-        if !quiet && n > 1 {
-            eprintln!("  cell {}/{n} ...", i + 1);
-        }
-    };
-    let results = match backend {
-        Backend::Sim => runner::run_spec_with_progress(&spec, progress)?,
-        Backend::Rt => rt_backend::run_spec_rt_with_progress(&spec, progress)?,
-    };
+    let results = run_backend(&spec, backend, quiet)?;
     if !quiet {
         eprintln!("completed in {:.1?}\n", start.elapsed());
         eprint!("{}", report::render_table(&results));
@@ -446,14 +438,20 @@ fn run_backend(
     backend: Backend,
     quiet: bool,
 ) -> Result<Vec<CellResult>, CliError> {
-    let progress = |i: usize, n: usize| {
-        if !quiet && n > 1 {
-            eprintln!("  cell {}/{n} ...", i + 1);
-        }
-    };
     Ok(match backend {
-        Backend::Sim => runner::run_spec_with_progress(spec, progress)?,
-        Backend::Rt => rt_backend::run_spec_rt_with_progress(spec, progress)?,
+        // The simulator runs the grid seed-major, so its unit of progress
+        // is the (cell × strategy × seed) run, reported as each completes.
+        Backend::Sim => runner::run_spec_with_progress(spec, |done, total| {
+            if !quiet && total > 1 {
+                eprintln!("  run {done}/{total} done");
+            }
+        })?,
+        // The live backend runs cell after cell, reported as each starts.
+        Backend::Rt => rt_backend::run_spec_rt_with_progress(spec, |i, n| {
+            if !quiet && n > 1 {
+                eprintln!("  cell {}/{n} ...", i + 1);
+            }
+        })?,
     })
 }
 

@@ -164,33 +164,47 @@ impl AliasTable {
     /// Builds the table from unnormalized weights.
     ///
     /// # Panics
+    /// As for [`Self::from_weights`].
+    pub fn new(weights: &[f64]) -> Self {
+        Self::from_weights(weights.to_vec())
+    }
+
+    /// [`Self::new`] over an owned weight vector, which becomes the
+    /// table's retention column in place — a million-slot Zipf table
+    /// never holds a second copy of its weights.
+    ///
+    /// # Panics
     /// Panics if `weights` is empty, longer than `u32::MAX`, or contains
     /// a negative/non-finite entry, or if all weights are zero.
-    pub fn new(weights: &[f64]) -> Self {
+    pub fn from_weights(weights: Vec<f64>) -> Self {
         assert!(!weights.is_empty(), "alias table needs at least one slot");
         assert!(
             weights.len() <= u32::MAX as usize,
             "alias table too large for u32 aliases"
         );
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "alias weights must be finite and non-negative"
-        );
-        let total: f64 = weights.iter().sum();
+        let mut total = 0.0;
+        for &w in &weights {
+            assert!(
+                w.is_finite() && w >= 0.0,
+                "alias weights must be finite and non-negative"
+            );
+            total += w;
+        }
         assert!(total > 0.0, "alias weights must not all be zero");
 
         let n = weights.len();
         // Scale so the average slot weight is exactly 1.
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+        let mut prob = weights;
         let mut alias: Vec<u32> = (0..n as u32).collect();
 
         // Index worklists; filled in slot order so construction is
         // deterministic for a given weight vector.
         let mut small: Vec<u32> = Vec::new();
         let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
+        for (i, p) in prob.iter_mut().enumerate() {
+            *p *= scale;
+            if *p < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);

@@ -77,7 +77,14 @@ impl KeySpace {
     /// bijection `rank ↦ rank·m + b (mod n)` with `gcd(m, n) = 1`.
     pub fn key_for_rank(&self, rank: u64) -> u64 {
         debug_assert!(rank < self.num_keys);
-        (rank.wrapping_mul(self.multiplier) % self.num_keys + self.offset) % self.num_keys
+        // Both terms are < n, so one conditional subtraction is the
+        // second reduction (a 64-bit division per drawn key otherwise).
+        let sum = rank.wrapping_mul(self.multiplier) % self.num_keys + self.offset;
+        if sum >= self.num_keys {
+            sum - self.num_keys
+        } else {
+            sum
+        }
     }
 
     /// Draws a key according to the popularity model.
@@ -113,6 +120,11 @@ mod tests {
             let keys: HashSet<u64> = (0..n).map(|r| ks.key_for_rank(r)).collect();
             assert_eq!(keys.len() as u64, n, "collision for n={n}");
             assert!(keys.iter().all(|&k| k < n));
+            // The single conditional subtraction is the second modulo.
+            for r in 0..n {
+                let twice = (r.wrapping_mul(ks.multiplier) % n + ks.offset) % n;
+                assert_eq!(ks.key_for_rank(r), twice, "n={n} rank {r}");
+            }
         }
     }
 

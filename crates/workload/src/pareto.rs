@@ -22,7 +22,7 @@ pub const ETC_SHAPE: f64 = 0.348238;
 /// For shape `k ≠ 0`:  `x = θ + σ·((1-u)^(-k) − 1)/k`;
 /// for `k = 0` it degenerates to the (shifted) exponential
 /// `x = θ − σ·ln(1-u)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GeneralizedPareto {
     /// Location parameter θ (minimum of the support).
     pub location: f64,

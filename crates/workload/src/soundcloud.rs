@@ -18,13 +18,11 @@
 use crate::fanout::{FanoutDist, FanoutSampler};
 use crate::keyspace::{KeySpace, Popularity};
 use crate::poisson::PoissonProcess;
-use crate::taskgen::{RequestSpec, SizeModel, TaskSpec};
+use crate::taskgen::{push_distinct, KeySet, RequestSpec, SizeModel, TaskSpec};
 use crate::trace::Trace;
 use crate::zipf::Zipf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-// brb-lint: allow(D002) — membership-only dedup set below; never iterated
-use std::collections::HashSet;
 
 /// Configuration for the playlist-model trace builder.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,52 +54,64 @@ impl Default for SoundCloudConfig {
     }
 }
 
+/// Slots of the build's direct-mapped `key → size` cache (1 MiB). Over
+/// half of a million-track catalog's size derivations hit it; a full
+/// per-track table would catch two thirds, but its 4 MB would sit in
+/// the heap under every trace drawn afterwards and raise the peak
+/// footprint of the simulations that follow.
+const SIZE_CACHE_SLOTS: usize = 1 << 16;
+
 /// A generated playlist catalog plus popularity models; reusable across
-/// traces (e.g. the six seeds of Figure 2 share one catalog shape).
+/// traces (every load cell of a sweep draws from its seed's one catalog).
 #[derive(Debug, Clone)]
 pub struct SoundCloudModel {
     config: SoundCloudConfig,
-    /// Requests per playlist, value sizes resolved at build time: tracks
-    /// are distinct within a playlist and a track's byte size is a fixed
-    /// property of its key, so trace generation can reuse these verbatim
-    /// instead of re-deriving sizes for every fetching task.
-    playlists: Vec<Vec<RequestSpec>>,
+    /// Every playlist's requests back to back, value sizes resolved at
+    /// build time: tracks are distinct within a playlist and a track's
+    /// byte size is a fixed property of its key, so trace generation can
+    /// reuse these verbatim instead of re-deriving sizes for every
+    /// fetching task. One allocation, not one per playlist.
+    requests: Vec<RequestSpec>,
+    /// Playlist `i` is `requests[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
     playlist_pop: Zipf,
 }
 
 impl SoundCloudModel {
     /// Builds the catalog and playlist population from `config`, using
-    /// `rng` (a dedicated labelled stream) for all structural randomness.
+    /// `rng` (a dedicated labelled stream) for all structural randomness:
+    /// per playlist one length draw, then one track draw per membership
+    /// attempt — the consumption order traces are pinned to.
     pub fn build<R: Rng>(config: SoundCloudConfig, rng: &mut R) -> Self {
         assert!(config.num_playlists > 0, "need at least one playlist");
         let lengths = FanoutSampler::new(config.length_dist.clone());
         let tracks = KeySpace::new(config.num_tracks, Popularity::Zipf(config.track_zipf));
-        let mut playlists = Vec::with_capacity(config.num_playlists as usize);
-        for _ in 0..config.num_playlists {
+        let num_playlists = config.num_playlists as usize;
+        let mut requests: Vec<RequestSpec> = Vec::new();
+        let mut offsets = Vec::with_capacity(num_playlists + 1);
+        offsets.push(0);
+        let mut seen = KeySet::new();
+        // A track's size is a pure function of its key, and hot tracks sit
+        // in many playlists: a million-track catalog resolves ~860k
+        // memberships over ~280k distinct tracks.
+        let mut size_cache = vec![(u64::MAX, 0u64); SIZE_CACHE_SLOTS];
+        for _ in 0..num_playlists {
             let want = lengths.sample(rng) as usize;
             let len = want.min(config.num_tracks as usize);
-            let mut members = Vec::with_capacity(len);
-            // Insert/contains only: playlist membership dedup;
-            // iteration order is never observed.
-            // brb-lint: allow(D002) — membership-only dedup, never iterated
-            let mut seen = HashSet::with_capacity(len);
-            let mut attempts = 0usize;
-            while members.len() < len {
-                let key = tracks.sample_key(rng);
-                attempts += 1;
-                if seen.insert(key) || attempts > len * 64 {
-                    members.push(RequestSpec {
-                        key,
-                        value_bytes: config.sizes.size_of(key),
-                    });
+            push_distinct(&mut requests, len, &tracks, rng, &mut seen, |key| {
+                let slot = &mut size_cache[key as usize % SIZE_CACHE_SLOTS];
+                if slot.0 != key {
+                    *slot = (key, config.sizes.size_of(key));
                 }
-            }
-            playlists.push(members);
+                slot.1
+            });
+            offsets.push(requests.len());
         }
         let playlist_pop = Zipf::new(config.num_playlists, config.playlist_zipf);
         SoundCloudModel {
             config,
-            playlists,
+            requests,
+            offsets,
             playlist_pop,
         }
     }
@@ -113,19 +123,18 @@ impl SoundCloudModel {
 
     /// Number of playlists in the population.
     pub fn num_playlists(&self) -> usize {
-        self.playlists.len()
+        self.offsets.len() - 1
     }
 
     /// The requests (track key + resolved value size) of playlist `i`.
     pub fn playlist(&self, i: usize) -> &[RequestSpec] {
-        &self.playlists[i]
+        &self.requests[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Mean playlist length of the *built* population (sampled lengths, not
     /// the theoretical distribution mean).
     pub fn mean_playlist_len(&self) -> f64 {
-        let total: usize = self.playlists.iter().map(|p| p.len()).sum();
-        total as f64 / self.playlists.len() as f64
+        self.requests.len() as f64 / self.num_playlists() as f64
     }
 
     /// Generates a trace of `num_tasks` playlist-fetch tasks with Poisson
@@ -146,7 +155,7 @@ impl SoundCloudModel {
                 arrival_ns,
                 // Sizes were resolved once at build time; a fetch is a
                 // straight copy of the playlist's request list.
-                requests: self.playlists[pl].clone(),
+                requests: self.playlist(pl).to_vec(),
             });
         }
         Trace::new(tasks)
@@ -158,6 +167,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn small_model(seed: u64) -> SoundCloudModel {
         let config = SoundCloudConfig {
@@ -168,13 +178,124 @@ mod tests {
         SoundCloudModel::build(config, &mut StdRng::seed_from_u64(seed))
     }
 
+    /// The build as it stood before the flat layout — one `Vec` and one
+    /// freshly allocated hash set per playlist, a size derivation per
+    /// membership — kept verbatim as the oracle the fast build must match
+    /// playlist for playlist, draw for draw.
+    fn build_oracle<R: Rng>(config: &SoundCloudConfig, rng: &mut R) -> Vec<Vec<RequestSpec>> {
+        let lengths = FanoutSampler::new(config.length_dist.clone());
+        let tracks = KeySpace::new(config.num_tracks, Popularity::Zipf(config.track_zipf));
+        let mut playlists = Vec::with_capacity(config.num_playlists as usize);
+        for _ in 0..config.num_playlists {
+            let want = lengths.sample(rng) as usize;
+            let len = want.min(config.num_tracks as usize);
+            let mut members = Vec::with_capacity(len);
+            let mut seen = HashSet::with_capacity(len);
+            let mut attempts = 0usize;
+            while members.len() < len {
+                let key = tracks.sample_key(rng);
+                attempts += 1;
+                if seen.insert(key) || attempts > len * 64 {
+                    members.push(RequestSpec {
+                        key,
+                        value_bytes: config.sizes.size_of(key),
+                    });
+                }
+            }
+            playlists.push(members);
+        }
+        playlists
+    }
+
+    fn has_repeat(playlist: &[RequestSpec]) -> bool {
+        let distinct: HashSet<u64> = playlist.iter().map(|r| r.key).collect();
+        distinct.len() < playlist.len()
+    }
+
+    #[test]
+    fn flat_build_matches_the_per_playlist_oracle() {
+        let shapes = [
+            // The calibrated mixture on a roomy catalog: scan dedup only.
+            (
+                "default",
+                SoundCloudConfig {
+                    num_tracks: 5_000,
+                    num_playlists: 1_000,
+                    ..Default::default()
+                },
+                false,
+            ),
+            // Fewer tracks than a long playlist wants, and a popularity
+            // so steep the tail tracks are never drawn in `len * 64`
+            // attempts: the duplicate escape hatch on the scan path.
+            (
+                "exhausted",
+                SoundCloudConfig {
+                    num_tracks: 40,
+                    num_playlists: 400,
+                    track_zipf: 3.0,
+                    ..Default::default()
+                },
+                true,
+            ),
+            // Playlists longer than the scan limit: hash-set dedup.
+            (
+                "long",
+                SoundCloudConfig {
+                    num_tracks: 5_000,
+                    num_playlists: 60,
+                    length_dist: FanoutDist::Uniform { min: 100, max: 400 },
+                    ..Default::default()
+                },
+                false,
+            ),
+            // Both at once: the escape hatch through the hash set.
+            (
+                "long-exhausted",
+                SoundCloudConfig {
+                    num_tracks: 150,
+                    num_playlists: 30,
+                    length_dist: FanoutDist::Fixed(200),
+                    track_zipf: 2.5,
+                    ..Default::default()
+                },
+                true,
+            ),
+        ];
+        for (name, config, expect_repeats) in shapes {
+            let mut repeats = false;
+            for seed in 1..=8u64 {
+                let mut fast_rng = StdRng::seed_from_u64(seed);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let fast = SoundCloudModel::build(config.clone(), &mut fast_rng);
+                let oracle = build_oracle(&config, &mut oracle_rng);
+                assert_eq!(fast.num_playlists(), oracle.len(), "{name} seed {seed}");
+                for (i, want) in oracle.iter().enumerate() {
+                    assert_eq!(
+                        fast.playlist(i),
+                        &want[..],
+                        "{name} seed {seed} playlist {i}"
+                    );
+                    repeats |= has_repeat(want);
+                }
+                // Same stream position afterwards: whatever draws from
+                // this stream next sees the same numbers.
+                assert_eq!(
+                    fast_rng.random::<u64>(),
+                    oracle_rng.random::<u64>(),
+                    "{name} seed {seed}: RNG consumption diverged"
+                );
+            }
+            assert_eq!(repeats, expect_repeats, "{name}: escape hatch coverage");
+        }
+    }
+
     #[test]
     fn playlists_have_distinct_tracks() {
         let m = small_model(1);
         for i in 0..m.num_playlists() {
             let p = m.playlist(i);
-            let distinct: HashSet<u64> = p.iter().map(|r| r.key).collect();
-            assert_eq!(distinct.len(), p.len(), "playlist {i} repeats a track");
+            assert!(!has_repeat(p), "playlist {i} repeats a track");
             assert!(!p.is_empty());
             // Build-time sizes match the key-deterministic size model.
             for r in p {

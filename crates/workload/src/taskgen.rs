@@ -16,8 +16,7 @@ use crate::pareto::GeneralizedPareto;
 use crate::poisson::PoissonProcess;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-// brb-lint: allow(D002) — membership-only dedup set below; never iterated
-use std::collections::HashSet;
+use std::borrow::Borrow;
 
 /// One read request within a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,7 +51,7 @@ impl TaskSpec {
 }
 
 /// Deterministic mapping from keys to value sizes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SizeModel {
     /// The value-size distribution.
     pub dist: GeneralizedPareto,
@@ -95,25 +94,79 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Streams [`TaskSpec`]s from composed distributions.
+/// Longest batch deduplicated by scanning its own members. The
+/// calibrated fan-out mixture tops out here, so the paper's workloads
+/// never hash a key; longer batches (custom distributions) use the hash
+/// set, where a scan would go quadratic.
+const SCAN_DEDUP_MAX: usize = 128;
+
+/// Dedup scratch of [`push_distinct`]: insert and clear only, so the
+/// hasher's iteration order is never observed.
+// brb-lint: allow(D002) — membership-only dedup scratch, never iterated
+pub(crate) type KeySet = std::collections::HashSet<u64>;
+
+/// Appends `len` requests to `out`, their keys drawn from `keyspace` and
+/// distinct within the batch whenever the key space allows it (a playlist
+/// lists each track once). Exactly one key draw per attempt, nothing
+/// else, is taken from `rng` — the consumption traces are pinned to.
+/// `seen` is scratch, reused across batches so only the first long batch
+/// allocates.
+pub(crate) fn push_distinct<R: Rng + ?Sized>(
+    out: &mut Vec<RequestSpec>,
+    len: usize,
+    keyspace: &KeySpace,
+    rng: &mut R,
+    seen: &mut KeySet,
+    mut size_of: impl FnMut(u64) -> u64,
+) {
+    let start = out.len();
+    let scan = len <= SCAN_DEDUP_MAX;
+    if !scan {
+        seen.clear();
+    }
+    let mut attempts = 0usize;
+    while out.len() - start < len {
+        let key = keyspace.sample_key(rng);
+        attempts += 1;
+        let fresh = if scan {
+            out[start..].iter().all(|r| r.key != key)
+        } else {
+            seen.insert(key)
+        };
+        // Hot Zipf keys repeat often; bound the resampling work and
+        // accept a duplicate only if the space is effectively exhausted.
+        if fresh || attempts > len * 64 {
+            out.push(RequestSpec {
+                key,
+                value_bytes: size_of(key),
+            });
+        }
+    }
+}
+
+/// Streams [`TaskSpec`]s from composed distributions. The key space is
+/// held as `K` — owned by default, `&KeySpace` when one popularity table
+/// (12 MB at a million keys) serves many generators, as it does across
+/// the cells of a sweep.
 #[derive(Debug)]
-pub struct TaskGenerator<R: Rng> {
+pub struct TaskGenerator<R: Rng, K: Borrow<KeySpace> = KeySpace> {
     arrivals: PoissonProcess,
     fanout: FanoutSampler,
-    keyspace: KeySpace,
+    keyspace: K,
     sizes: SizeModel,
     rng: R,
     next_id: u64,
+    seen: KeySet,
 }
 
-impl<R: Rng> TaskGenerator<R> {
+impl<R: Rng, K: Borrow<KeySpace>> TaskGenerator<R, K> {
     /// Creates a generator. `rng` should be a dedicated labelled stream
     /// (see `brb_sim::RngFactory`) so workload randomness is independent of
     /// everything else in an experiment.
     pub fn new(
         arrivals: PoissonProcess,
         fanout: FanoutDist,
-        keyspace: KeySpace,
+        keyspace: K,
         sizes: SizeModel,
         rng: R,
     ) -> Self {
@@ -126,6 +179,7 @@ impl<R: Rng> TaskGenerator<R> {
             sizes,
             rng,
             next_id: 0,
+            seen: KeySet::new(),
         }
     }
 
@@ -139,25 +193,18 @@ impl<R: Rng> TaskGenerator<R> {
     pub fn next_task(&mut self) -> TaskSpec {
         let arrival_ns = self.arrivals.next_arrival_ns(&mut self.rng);
         let want = self.fanout.sample(&mut self.rng) as usize;
-        let fanout = want.min(self.keyspace.num_keys() as usize);
-        // Insert/contains only: rejection-samples distinct keys;
-        // iteration order is never observed.
-        // brb-lint: allow(D002) — membership-only dedup, never iterated
-        let mut seen = HashSet::with_capacity(fanout);
+        let keyspace = self.keyspace.borrow();
+        let fanout = want.min(keyspace.num_keys() as usize);
         let mut requests = Vec::with_capacity(fanout);
-        let mut attempts = 0usize;
-        while requests.len() < fanout {
-            let key = self.keyspace.sample_key(&mut self.rng);
-            attempts += 1;
-            // Hot Zipf keys repeat often; bound the resampling work and
-            // accept a duplicate only if the space is effectively exhausted.
-            if seen.insert(key) || attempts > fanout * 64 {
-                requests.push(RequestSpec {
-                    key,
-                    value_bytes: self.sizes.size_of(key),
-                });
-            }
-        }
+        let sizes = self.sizes;
+        push_distinct(
+            &mut requests,
+            fanout,
+            keyspace,
+            &mut self.rng,
+            &mut self.seen,
+            |key| sizes.size_of(key),
+        );
         let id = self.next_id;
         self.next_id += 1;
         TaskSpec {
@@ -179,6 +226,7 @@ mod tests {
     use crate::keyspace::Popularity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn gen(seed: u64) -> TaskGenerator<StdRng> {
         TaskGenerator::new(

@@ -5,9 +5,11 @@
 //! `P(rank = r) ∝ r^(−s)` through a Vose **alias table**
 //! ([`brb_sim::AliasTable`]): exact, O(1) per draw and O(n) to build —
 //! replacing the old cumulative-table binary search, whose O(log n)
-//! pointer-chasing per draw dominated trace generation. The explicit pmf
-//! is kept alongside the table, so correctness stays trivially checkable
-//! (differential tests reconstruct the pmf from the alias structure).
+//! pointer-chasing per draw dominated trace generation. The pmf is not
+//! stored beside the table (8 MB at a million ranks, read only by tests
+//! and diagnostics): [`Zipf::pmf`] re-derives a rank's probability from
+//! `(s, normaliser)` with the very operations the build used, so it stays
+//! bit-equal to the weights the table was built from (test-pinned).
 
 use brb_sim::AliasTable;
 use rand::Rng;
@@ -17,9 +19,9 @@ use rand::Rng;
 pub struct Zipf {
     n: u64,
     exponent: f64,
-    /// pmf[i] = P(rank = i), normalized.
-    pmf: Vec<f64>,
-    /// O(1) sampler over `pmf`.
+    /// `Σ r^(−s)` over ranks `1..=n`, summed in rank order.
+    normaliser: f64,
+    /// O(1) sampler over the normalized pmf.
     alias: AliasTable,
 }
 
@@ -32,17 +34,22 @@ impl Zipf {
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf needs a non-empty universe");
         assert!(s >= 0.0 && s.is_finite(), "Zipf exponent must be >= 0");
-        let mut pmf: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-s)).collect();
-        let total: f64 = pmf.iter().sum();
+        let mut normaliser = 0.0;
+        let mut pmf: Vec<f64> = (1..=n)
+            .map(|r| {
+                let w = (r as f64).powf(-s);
+                normaliser += w;
+                w
+            })
+            .collect();
         for p in pmf.iter_mut() {
-            *p /= total;
+            *p /= normaliser;
         }
-        let alias = AliasTable::new(&pmf);
         Zipf {
             n,
             exponent: s,
-            pmf,
-            alias,
+            normaliser,
+            alias: AliasTable::from_weights(pmf),
         }
     }
 
@@ -59,7 +66,7 @@ impl Zipf {
     /// Probability of a given rank (0-based).
     pub fn pmf(&self, rank: u64) -> f64 {
         assert!(rank < self.n, "rank out of range");
-        self.pmf[rank as usize]
+        ((rank + 1) as f64).powf(-self.exponent) / self.normaliser
     }
 
     /// Draws a rank in `0..n` (0 = most popular) in O(1).
@@ -159,6 +166,34 @@ mod tests {
                 assert!(
                     (got - want).abs() < 1e-12,
                     "Zipf({n},{s}) rank {r}: alias {got} vs pmf {want}"
+                );
+            }
+        }
+    }
+
+    /// `pmf()` is derived on demand; it must stay bit-equal to the
+    /// normalized vector the sampler used to store (and still builds its
+    /// table from).
+    #[test]
+    fn on_demand_pmf_is_bit_equal_to_the_stored_vector_it_replaced() {
+        for (n, s) in [
+            (1u64, 1.0),
+            (7, 0.0),
+            (100, 0.99),
+            (1000, 1.2),
+            (50_000, 0.8),
+        ] {
+            let mut stored: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-s)).collect();
+            let total: f64 = stored.iter().sum();
+            for p in stored.iter_mut() {
+                *p /= total;
+            }
+            let z = Zipf::new(n, s);
+            for (r, want) in stored.iter().enumerate() {
+                assert_eq!(
+                    z.pmf(r as u64).to_bits(),
+                    want.to_bits(),
+                    "Zipf({n},{s}) rank {r}"
                 );
             }
         }
