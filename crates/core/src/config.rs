@@ -11,6 +11,8 @@
 
 use brb_net::{LatencyModel, PlanMode};
 use brb_sched::{CoDelConfig, CreditsConfig, PolicyKind, QueueBound};
+// The timeout/retry knobs live beside the policy that reads them.
+pub use brb_sched::TimeoutConfig;
 use brb_store::cost::ForecastQuality;
 use brb_store::service::{ServiceModel, ServiceNoise};
 use brb_workload::taskgen::SizeModel;
@@ -509,53 +511,6 @@ impl QueueConfig {
         self.bound().validate()?;
         if let Some(codel) = &self.codel {
             codel.validate()?;
-        }
-        Ok(())
-    }
-}
-
-/// Client-side request timeout and retry knobs (the overload lane).
-/// Clients never time out when absent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeoutConfig {
-    /// Per-attempt timeout in microseconds, measured dispatch → response.
-    pub timeout_us: u64,
-    /// Retries allowed after the first attempt (0 = a single timeout is
-    /// terminal).
-    pub max_retries: u32,
-    /// First-retry backoff in microseconds; doubles per retry (capped
-    /// exponential backoff). 0 retries immediately — the retry-storm
-    /// configuration.
-    #[serde(default)]
-    pub backoff_base_us: u64,
-    /// Cap on the exponential backoff in microseconds.
-    #[serde(default)]
-    pub backoff_cap_us: u64,
-    /// Retry budget: a client stops retrying once its retries reach this
-    /// percentage of its dispatches (`None` = unbudgeted).
-    #[serde(default)]
-    pub retry_budget_percent: Option<u32>,
-}
-
-impl TimeoutConfig {
-    /// Validates structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.timeout_us == 0 {
-            return Err("timeout must be positive".into());
-        }
-        if self.max_retries > 16 {
-            return Err(format!("max_retries {} above cap 16", self.max_retries));
-        }
-        if self.backoff_cap_us < self.backoff_base_us {
-            return Err(format!(
-                "backoff cap {}us below base {}us",
-                self.backoff_cap_us, self.backoff_base_us
-            ));
-        }
-        if let Some(p) = self.retry_budget_percent {
-            if p == 0 || p > 100 {
-                return Err(format!("retry budget {p}% out of (0, 100]"));
-            }
         }
         Ok(())
     }

@@ -16,14 +16,19 @@
 //!
 //! * **Direct** (C3 & ablations): the client's [`ReplicaSelector`] picks a
 //!   replica (and may rate-limit); servers run FIFO or priority queues.
-//! * **Credits**: dispatch spends a token from the per-server
-//!   [`CreditBucket`]; held requests wait (that wait counts toward task
+//! * **Credits**: dispatch spends a token from the client's
+//!   [`CreditClient`]; held requests wait (that wait counts toward task
 //!   latency); servers run priority queues; a controller re-allocates
 //!   grant rates every adaptation interval from demand reports and
 //!   congestion signals.
 //! * **Model**: requests flow into the global priority queue after normal
 //!   network latency; idle server cores work-pull with zero coordination
 //!   cost.
+//!
+//! The decisions themselves — credit admission and demand estimation,
+//! congestion detection, retry / hedge budgets, backoff and terminal
+//! classification — are `brb-sched`'s; this engine only drives them from
+//! the calendar (`brb-rt` drives the same code from threads).
 
 use crate::config::{ExperimentConfig, SelectorKind, Strategy, TimeoutConfig};
 use crate::plan::WorkloadPlan;
@@ -32,9 +37,11 @@ use crate::task::TaskBuilder;
 use crate::timeline::{Timeline, TimelineSample};
 use brb_metrics::Histogram;
 use brb_net::{Fabric, FabricPlan, NetNodeId};
+pub use brb_sched::TaskFailure;
 use brb_sched::{
-    CoDel, CreditBucket, CreditController, CreditsConfig, DropReason, EnqueueOutcome, GlobalQueue,
-    GrantTable, PolicyKind, Priority, PriorityQueue, QueueBound, RequestQueue,
+    AttemptFailure, CoDel, CongestionDetector, CreditClient, CreditController, CreditsConfig,
+    DispatchBudget, DropReason, EnqueueOutcome, GlobalQueue, GrantTable, PolicyKind, Priority,
+    PriorityQueue, QueueBound, RequestQueue, Verdict,
 };
 use brb_select::{
     C3Config, C3Selector, LeastOutstandingSelector, OracleSelector, RandomSelector,
@@ -185,42 +192,24 @@ struct ServerState {
     service_rng: DetRng,
     busy_ns: u64,
     served: u64,
-    last_congestion_ns: u64,
     peak_queue: usize,
-    /// Arrivals in the current congestion-detection window (credits).
-    arrivals_in_window: u64,
-    /// Start of the current congestion-detection window (ns).
-    window_start_ns: u64,
+    /// Congestion detection (credits realization only).
+    congestion: Option<CongestionDetector>,
     /// CoDel controller for this server's queue (overload lane).
     codel: Option<CoDel>,
 }
 
 struct ClientState {
     selector: Option<Box<dyn ReplicaSelector>>,
-    /// Token buckets per server (credits realization).
-    buckets: Vec<CreditBucket>,
+    /// Token admission, replica choice and demand estimation (credits
+    /// realization only).
+    credits: Option<CreditClient>,
     /// Held requests per replica group, priority-ordered.
     hold: Vec<PriorityQueue<ReqId>>,
     held: usize,
-    /// This client's in-flight count per server.
-    outstanding: Vec<u64>,
-    /// Dispatches per server since the last measurement tick.
-    dispatched_since_measure: Vec<u64>,
-    /// Smoothed per-server demand (rps). Reports send
-    /// `max(instantaneous, smoothed)` so one quiet measurement window
-    /// cannot collapse next epoch's grant (grants are frozen for a full
-    /// adaptation interval; underestimates starve the client).
-    demand_ewma: Vec<f64>,
-    /// EWMA of piggybacked server queue lengths (credits realization):
-    /// replica choice weighs observed queues, narrowing the gap to the
-    /// model's late binding.
-    queue_ewma: Vec<f64>,
-    /// Originals dispatched (hedging budget denominator).
-    dispatched_total: u64,
-    /// Hedges issued (hedging budget numerator).
-    hedged_total: u64,
-    /// Retries issued (retry budget numerator, overload lane).
-    retried_total: u64,
+    /// Dispatch counters the retry and hedge budgets are measured
+    /// against.
+    budget: DispatchBudget,
     /// Earliest currently-scheduled pump, to damp duplicate events.
     pump_at: Option<u64>,
 }
@@ -272,24 +261,6 @@ pub struct Counters {
     pub tasks_timed_out: u64,
 }
 
-/// Typed terminal failure of a task (overload lane). Every task ends in
-/// exactly one of {completed} ∪ these — the conservation invariant
-/// `completed + dropped + shed + timed_out == issued` is test-enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskFailure {
-    /// A required request was tail-dropped or AQM-dropped with no retry
-    /// left.
-    Dropped,
-    /// A required request was shed by admission control with no retry
-    /// left.
-    Shed,
-    /// A required attempt timed out with no retries configured.
-    TimedOut,
-    /// A required attempt timed out after its retries (or the client's
-    /// retry budget) ran out.
-    RetriesExhausted,
-}
-
 /// The complete simulation model for one seeded run of one strategy.
 pub struct EngineWorld {
     cfg: ExperimentConfig,
@@ -331,8 +302,6 @@ pub struct EngineWorld {
     payload_pool: Vec<Vec<(u16, f64)>>,
     /// Spent per-task completion-flag vectors awaiting reuse.
     done_pool: Vec<Vec<bool>>,
-    /// Per-server rate scratch for `handle_measure_tick`.
-    rate_scratch: Vec<f64>,
     /// Pooled grant table refilled by `CreditController::allocate_into`
     /// each adaptation tick — the tick chain allocates nothing once the
     /// table's rows are warm.
@@ -484,10 +453,9 @@ impl EngineWorld {
         // Clients.
         let n_servers = cluster.num_servers as usize;
         let server_cap = cluster.server_capacity_rps();
-        let fair_rate = server_cap / cluster.num_clients as f64;
-        let burst_secs = match &realization {
-            Realization::Credits(c) => c.burst_secs,
-            _ => 0.05,
+        let credits_cfg = match &realization {
+            Realization::Credits(cc) => Some(*cc),
+            _ => None,
         };
         let clients: Vec<ClientState> = (0..cluster.num_clients as usize)
             .map(|c| {
@@ -511,20 +479,19 @@ impl EngineWorld {
                     });
                 ClientState {
                     selector,
-                    buckets: (0..n_servers)
-                        .map(|_| CreditBucket::new(fair_rate, (fair_rate * burst_secs).max(1.0)))
-                        .collect(),
+                    credits: credits_cfg.map(|cc| {
+                        CreditClient::new(
+                            n_servers,
+                            cluster.num_clients as usize,
+                            server_cap,
+                            cc.burst_secs,
+                        )
+                    }),
                     hold: (0..num_groups)
                         .map(|_| PriorityQueue::with_capacity(32))
                         .collect(),
                     held: 0,
-                    outstanding: vec![0; n_servers],
-                    dispatched_since_measure: vec![0; n_servers],
-                    demand_ewma: vec![0.0; n_servers],
-                    queue_ewma: vec![0.0; n_servers],
-                    dispatched_total: 0,
-                    hedged_total: 0,
-                    retried_total: 0,
+                    budget: DispatchBudget::default(),
                     pump_at: None,
                 }
             })
@@ -564,10 +531,14 @@ impl EngineWorld {
                 service_rng: factory.indexed_stream("service", s as u64),
                 busy_ns: 0,
                 served: 0,
-                last_congestion_ns: 0,
                 peak_queue: 0,
-                arrivals_in_window: 0,
-                window_start_ns: 0,
+                congestion: credits_cfg.map(|cc| {
+                    CongestionDetector::new(
+                        cfg.congestion_queue_threshold,
+                        server_cap,
+                        cc.measurement_interval_ns,
+                    )
+                }),
                 codel: codel_cfg.map(CoDel::new),
             })
             .collect();
@@ -576,12 +547,8 @@ impl EngineWorld {
             Realization::Model => Some(GlobalQueue::new(ring.num_groups())),
             _ => None,
         };
-        let controller = match &realization {
-            Realization::Credits(cc) => {
-                Some(CreditController::new(vec![server_cap; n_servers], *cc))
-            }
-            _ => None,
-        };
+        let controller =
+            credits_cfg.map(|cc| CreditController::new(vec![server_cap; n_servers], cc));
 
         let tasks: Vec<TaskState> = trace
             .iter()
@@ -620,7 +587,6 @@ impl EngineWorld {
             payloads: Slab::with_capacity(num_clients * 2),
             payload_pool: Vec::with_capacity(num_clients * 2),
             done_pool: Vec::with_capacity(64),
-            rate_scratch: Vec::new(),
             grant_table: GrantTable::new(),
             grant_scratch: vec![Vec::new(); num_clients],
             builder: TaskBuilder::default(),
@@ -897,73 +863,53 @@ impl EngineWorld {
                         None => break,
                     }
                 };
-                match self.admit(now_ns, client, g, &head) {
-                    Admission::Dispatch(server) => {
-                        let cs = &mut self.clients[client as usize];
-                        let (_, id) = cs.hold[g].pop().expect("head vanished");
-                        debug_assert_eq!(id, head_id);
-                        cs.held -= 1;
-                        cs.outstanding[server.index()] += 1;
-                        cs.dispatched_since_measure[server.index()] += 1;
-                        cs.dispatched_total += 1;
-                        self.requests.get_mut(id).0.dispatched_ns = now_ns;
-                        self.counters.dispatched += 1;
-                        // Hold time is a per-task metric: only the first
-                        // attempt's wait measures arrival → dispatch.
-                        if head.attempt == 0
-                            && self.tasks[head.task_idx as usize].arrival_ns >= self.warmup_ns
-                        {
-                            self.hold_time
-                                .record(now_ns - self.tasks[head.task_idx as usize].arrival_ns);
-                        }
-                        let delay = self.hop_delay(
-                            Hop::ClientToServer {
-                                client,
-                                server: server.raw() as u16,
-                            },
-                            head.value_bytes as u64,
-                        );
-                        ctx.schedule_in(delay, Ev::ReqAtServer(server.raw() as u16, id));
-                        if let Some(hedge_ns) = self.hedge_ns {
-                            // The pending hedge timer holds a second
-                            // reference to the record.
-                            self.requests.get_mut(id).1 += 1;
-                            ctx.schedule_in(SimDuration::from_nanos(hedge_ns), Ev::HedgeFire(id));
-                        }
-                        self.arm_timeout(ctx, id);
-                    }
-                    Admission::ToGlobal => {
-                        let cs = &mut self.clients[client as usize];
-                        let (_, id) = cs.hold[g].pop().expect("head vanished");
-                        debug_assert_eq!(id, head_id);
-                        cs.held -= 1;
-                        self.requests.get_mut(id).0.dispatched_ns = now_ns;
-                        self.counters.dispatched += 1;
-                        if head.attempt == 0
-                            && self.tasks[head.task_idx as usize].arrival_ns >= self.warmup_ns
-                        {
-                            self.hold_time
-                                .record(now_ns - self.tasks[head.task_idx as usize].arrival_ns);
-                        }
-                        // The request still crosses the network to reach
-                        // the (magic) shared queue.
-                        let delay = self.hop_delay(
-                            Hop::ClientToServer {
-                                client,
-                                server: self.group_replicas[g][0].raw() as u16,
-                            },
-                            head.value_bytes as u64,
-                        );
-                        ctx.schedule_in(delay, Ev::ReqAtGlobal(id));
-                        self.arm_timeout(ctx, id);
-                    }
-                    Admission::Denied { retry_in_ns } => {
+                let dest = match self.admit(now_ns, client, g, &head) {
+                    Ok(dest) => dest,
+                    Err(retry_in_ns) => {
                         self.counters.rate_limited += 1;
                         let at = now_ns.saturating_add(retry_in_ns.max(1));
                         earliest_retry = Some(earliest_retry.map_or(at, |e: u64| e.min(at)));
                         break;
                     }
+                };
+                let cs = &mut self.clients[client as usize];
+                let (_, id) = cs.hold[g].pop().expect("head vanished");
+                debug_assert_eq!(id, head_id);
+                cs.held -= 1;
+                // ROADMAP ledger finding "Model retries": the Global branch must count too; fixed with the next re-baseline.
+                cs.budget.dispatched += u64::from(dest.is_some());
+                self.requests.get_mut(id).0.dispatched_ns = now_ns;
+                self.counters.dispatched += 1;
+                // Hold time is a per-task metric: only the first
+                // attempt's wait measures arrival → dispatch.
+                if head.attempt == 0
+                    && self.tasks[head.task_idx as usize].arrival_ns >= self.warmup_ns
+                {
+                    self.hold_time
+                        .record(now_ns - self.tasks[head.task_idx as usize].arrival_ns);
                 }
+                // A request for the (magic) shared queue still crosses
+                // the network, as if to the group's primary.
+                let wire_to = dest.unwrap_or(self.group_replicas[g][0]).raw() as u16;
+                let delay = self.hop_delay(
+                    Hop::ClientToServer {
+                        client,
+                        server: wire_to,
+                    },
+                    head.value_bytes as u64,
+                );
+                let arrival = match dest {
+                    Some(_) => Ev::ReqAtServer(wire_to, id),
+                    None => Ev::ReqAtGlobal(id),
+                };
+                ctx.schedule_in(delay, arrival);
+                if let Some(hedge_ns) = self.hedge_ns {
+                    // The pending hedge timer holds a second reference
+                    // to the record.
+                    self.requests.get_mut(id).1 += 1;
+                    ctx.schedule_in(SimDuration::from_nanos(hedge_ns), Ev::HedgeFire(id));
+                }
+                self.arm_timeout(ctx, id);
             }
         }
 
@@ -983,9 +929,26 @@ impl EngineWorld {
         }
     }
 
-    fn admit(&mut self, now_ns: u64, client: u16, group: usize, req: &InFlight) -> Admission {
+    /// The strategy's admission rule for `req` at the head of `client`'s
+    /// hold queue: `Ok(Some(server))` dispatches to that replica,
+    /// `Ok(None)` to the model realization's global queue, and
+    /// `Err(retry_in_ns)` leaves it held.
+    fn admit(
+        &mut self,
+        now_ns: u64,
+        client: u16,
+        group: usize,
+        req: &InFlight,
+    ) -> Result<Option<ServerId>, u64> {
+        let candidates = &self.group_replicas[group];
         match &self.realization {
-            Realization::Model => Admission::ToGlobal,
+            Realization::Model => Ok(None),
+            Realization::Credits(_) => self.clients[client as usize]
+                .credits
+                .as_mut()
+                .expect("credits realization")
+                .admit(now_ns, candidates)
+                .map(Some),
             Realization::Direct => {
                 // Fill the oracle's true queue depths only when needed.
                 let use_oracle = matches!(
@@ -995,7 +958,6 @@ impl EngineWorld {
                         ..
                     }
                 );
-                let candidates = &self.group_replicas[group];
                 if use_oracle {
                     self.oracle_scratch.clear();
                     for s in candidates {
@@ -1019,113 +981,55 @@ impl EngineWorld {
                     .as_mut()
                     .expect("direct strategy has a selector");
                 match selector.select(&sel_ctx) {
-                    Selection::Dispatch(s) => Admission::Dispatch(s),
-                    Selection::RateLimited { retry_in_ns } => Admission::Denied { retry_in_ns },
-                }
-            }
-            Realization::Credits(_) => {
-                let cs = &mut self.clients[client as usize];
-                // Among replicas with an available credit, pick the one
-                // with the lowest estimated load: piggybacked queue EWMA
-                // plus the concurrency-compensated in-flight count (the
-                // C3 trick — weighting own outstanding by the client
-                // population suppresses herding on stale queue info).
-                let w = self.cfg.cluster.num_clients as f64;
-                let mut best: Option<(f64, u64, ServerId)> = None;
-                let mut min_wait = u64::MAX;
-                for s in &self.group_replicas[group] {
-                    let b = &mut cs.buckets[s.index()];
-                    if b.tokens_at(now_ns) >= 1.0 {
-                        let load = cs.queue_ewma[s.index()] + cs.outstanding[s.index()] as f64 * w;
-                        let better = match best {
-                            None => true,
-                            Some((bl, br, _)) => load < bl || (load == bl && s.raw() < br),
-                        };
-                        if better {
-                            best = Some((load, s.raw(), *s));
-                        }
-                    } else {
-                        min_wait = min_wait.min(b.ns_until_token(now_ns));
-                    }
-                }
-                match best {
-                    Some((_, _, s)) => {
-                        let taken = cs.buckets[s.index()].try_take(now_ns);
-                        debug_assert!(taken, "token vanished between check and take");
-                        Admission::Dispatch(s)
-                    }
-                    None => Admission::Denied {
-                        retry_in_ns: if min_wait == u64::MAX {
-                            1_000_000 // all rates zero: re-probe in 1ms
-                        } else {
-                            min_wait
-                        },
-                    },
+                    Selection::Dispatch(s) => Ok(Some(s)),
+                    Selection::RateLimited { retry_in_ns } => Err(retry_in_ns),
                 }
             }
         }
     }
 
-    fn handle_req_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId) {
-        let now_ns = ctx.now().as_nanos();
-        // Overload lane: bounded admission. Shed (watermark) and
-        // tail-drop (capacity) NACK back to the client instead of
-        // queueing — the queue length itself stays bounded.
-        if let Some(bound) = self.queue_bound {
-            let depth = self.servers[server as usize].queue.len();
-            if let EnqueueOutcome::Dropped(reason) = bound.admit(depth) {
-                match reason {
-                    DropReason::Shed => self.counters.requests_shed += 1,
-                    DropReason::QueueFull | DropReason::Sojourn => {
-                        self.counters.requests_dropped += 1
-                    }
-                }
-                self.send_nack(ctx, server, id, reason);
-                return;
+    /// Bounded admission (overload lane) for a request arriving at a
+    /// queue holding `depth`: shed (watermark) and tail-drop (capacity)
+    /// NACK back from `server` instead of queueing — the queue length
+    /// itself stays bounded. Returns whether the request may be queued.
+    fn admit_or_nack(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        depth: usize,
+        server: u16,
+        id: ReqId,
+    ) -> bool {
+        let Some(bound) = self.queue_bound else {
+            return true;
+        };
+        if let EnqueueOutcome::Dropped(reason) = bound.admit(depth) {
+            match reason {
+                DropReason::Shed => self.counters.requests_shed += 1,
+                DropReason::QueueFull | DropReason::Sojourn => self.counters.requests_dropped += 1,
             }
-            // Feed the AQM's sojourn clock.
-            self.requests.get_mut(id).0.enqueued_ns = now_ns;
+            self.send_nack(ctx, server, id, reason);
+            return false;
+        }
+        // Feed the AQM's sojourn clock.
+        self.requests.get_mut(id).0.enqueued_ns = ctx.now().as_nanos();
+        true
+    }
+
+    fn handle_req_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId) {
+        let depth = self.servers[server as usize].queue.len();
+        if !self.admit_or_nack(ctx, depth, server, id) {
+            return;
         }
         let priority = self.req(id).priority;
-        let congested = {
-            let srv = &mut self.servers[server as usize];
-            srv.queue.push(priority, id);
-            srv.peak_queue = srv.peak_queue.max(srv.queue.len());
-            match &self.realization {
-                // "once demand exceeds server capacity, a congestion
-                // signal is sent to the controller": detect by comparing
-                // the arrival rate over a measurement window against the
-                // server's capacity, with a deep queue as a fallback
-                // trigger.
-                Realization::Credits(cc) => {
-                    srv.arrivals_in_window += 1;
-                    let window_ns = cc.measurement_interval_ns;
-                    let elapsed = now_ns.saturating_sub(srv.window_start_ns);
-                    let mut congested = srv.queue.len() >= self.cfg.congestion_queue_threshold;
-                    if elapsed >= window_ns {
-                        let rate = srv.arrivals_in_window as f64 / (elapsed as f64 / 1e9);
-                        let capacity = self.cfg.cluster.server_capacity_rps();
-                        if rate > capacity * 1.05 {
-                            congested = true;
-                        }
-                        srv.arrivals_in_window = 0;
-                        srv.window_start_ns = now_ns;
-                    }
-                    // Rate-limit signals to one per measurement interval.
-                    if congested
-                        && (srv.last_congestion_ns == 0
-                            || now_ns.saturating_sub(srv.last_congestion_ns) >= window_ns)
-                    {
-                        srv.last_congestion_ns = now_ns;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                _ => false,
-            }
-        };
-        if congested {
+        let srv = &mut self.servers[server as usize];
+        srv.queue.push(priority, id);
+        let queue_len = srv.queue.len();
+        srv.peak_queue = srv.peak_queue.max(queue_len);
+        if srv
+            .congestion
+            .as_mut()
+            .is_some_and(|c| c.on_arrival(ctx.now().as_nanos(), queue_len))
+        {
             self.counters.congestion_signals += 1;
             let delay = self.hop_delay(Hop::ServerToController { server }, 64);
             ctx.schedule_in(delay, Ev::CongestionAtController(server));
@@ -1133,34 +1037,42 @@ impl EngineWorld {
         self.start_service(ctx, server);
     }
 
-    /// Starts service on every idle core that has queued work.
+    /// Starts service on every idle core of `server` that can get work:
+    /// from the server's own queue, or — model realization — by pulling
+    /// the highest-priority request it may serve from the global queue.
     fn start_service(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16) {
         loop {
             let srv = &mut self.servers[server as usize];
             if srv.busy_cores >= srv.cores {
                 return;
             }
-            let Some((_, id)) = srv.queue.pop() else {
+            let (next, codel) = match self.global.as_mut() {
+                Some(global) => (
+                    global
+                        .pull_for(ServerId::new(server as u64), &self.ring)
+                        .map(|(_, _, id)| id),
+                    self.global_codel.as_mut(),
+                ),
+                None => (srv.queue.pop().map(|(_, id)| id), srv.codel.as_mut()),
+            };
+            let Some(id) = next else {
                 return;
             };
             // CoDel head-drop: measure the departing head's sojourn;
             // once the queue has stood above target for a full interval,
             // drop at inverse-sqrt cadence until it drains below target.
-            if self.servers[server as usize].codel.is_some() {
+            if let Some(codel) = codel {
                 let now_ns = ctx.now().as_nanos();
-                let enq = self.requests.get(id).0.enqueued_ns;
-                let sojourn = now_ns.saturating_sub(enq);
-                let srv = &mut self.servers[server as usize];
-                if srv.codel.as_mut().unwrap().on_dequeue(now_ns, sojourn) {
+                let sojourn = now_ns.saturating_sub(self.requests.get(id).0.enqueued_ns);
+                if codel.on_dequeue(now_ns, sojourn) {
                     self.counters.requests_dropped += 1;
                     self.send_nack(ctx, server, id, DropReason::Sojourn);
                     continue;
                 }
             }
-            let srv = &mut self.servers[server as usize];
-            srv.busy_cores += 1;
             let value_bytes = self.requests.get(id).0.value_bytes;
             let srv = &mut self.servers[server as usize];
+            srv.busy_cores += 1;
             let service = self
                 .service
                 .sample(value_bytes as u64, &mut srv.service_rng)
@@ -1186,11 +1098,7 @@ impl EngineWorld {
             req.value_bytes as u64,
         );
         ctx.schedule_in(delay, Ev::RespAtClient(id, server, queue_len, service_ns));
-
-        match self.realization {
-            Realization::Model => self.model_pull(ctx, server),
-            _ => self.start_service(ctx, server),
-        }
+        self.start_service(ctx, server);
     }
 
     fn handle_req_at_global(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
@@ -1198,20 +1106,10 @@ impl EngineWorld {
         // The model realization's single queue honors the same bound:
         // the NACK travels back from the replica the request was
         // addressed to, so the client pays a symmetric network delay.
-        if let Some(bound) = self.queue_bound {
-            let depth = self.global.as_ref().expect("model realization").len();
-            if let EnqueueOutcome::Dropped(reason) = bound.admit(depth) {
-                match reason {
-                    DropReason::Shed => self.counters.requests_shed += 1,
-                    DropReason::QueueFull | DropReason::Sojourn => {
-                        self.counters.requests_dropped += 1
-                    }
-                }
-                let server = self.group_replicas[req.group as usize][0].raw() as u16;
-                self.send_nack(ctx, server, id, reason);
-                return;
-            }
-            self.requests.get_mut(id).0.enqueued_ns = ctx.now().as_nanos();
+        let depth = self.global.as_ref().expect("model realization").len();
+        let addressed = self.group_replicas[req.group as usize][0].raw() as u16;
+        if !self.admit_or_nack(ctx, depth, addressed, id) {
+            return;
         }
         let group = GroupId::new(req.group as u64);
         self.global
@@ -1232,51 +1130,7 @@ impl EngineWorld {
             })
             .copied();
         if let Some(s) = candidate {
-            self.model_pull(ctx, s.raw() as u16);
-        }
-    }
-
-    /// Work-pulling: the server takes the highest-priority request it may
-    /// serve from the global queue, for every idle core.
-    fn model_pull(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16) {
-        loop {
-            {
-                let srv = &self.servers[server as usize];
-                if srv.busy_cores >= srv.cores {
-                    return;
-                }
-            }
-            let pulled = self
-                .global
-                .as_mut()
-                .expect("model realization")
-                .pull_for(ServerId::new(server as u64), &self.ring);
-            let Some((_, _, id)) = pulled else {
-                return;
-            };
-            if self.global_codel.is_some() {
-                let now_ns = ctx.now().as_nanos();
-                let enq = self.requests.get(id).0.enqueued_ns;
-                let sojourn = now_ns.saturating_sub(enq);
-                if self
-                    .global_codel
-                    .as_mut()
-                    .unwrap()
-                    .on_dequeue(now_ns, sojourn)
-                {
-                    self.counters.requests_dropped += 1;
-                    self.send_nack(ctx, server, id, DropReason::Sojourn);
-                    continue;
-                }
-            }
-            let value_bytes = self.requests.get(id).0.value_bytes;
-            let srv = &mut self.servers[server as usize];
-            srv.busy_cores += 1;
-            let service = self
-                .service
-                .sample(value_bytes as u64, &mut srv.service_rng)
-                .mul_f64(1.0 / srv.speed);
-            ctx.schedule_in(service, Ev::SvcDone(server, id, service.as_nanos()));
+            self.start_service(ctx, s.raw() as u16);
         }
     }
 
@@ -1300,25 +1154,23 @@ impl EngineWorld {
             service_time_ns: service_ns,
         };
         {
+            let from = ServerId::new(from as u64);
             let cs = &mut self.clients[c];
-            cs.outstanding[from as usize] = cs.outstanding[from as usize].saturating_sub(1);
-            // Track piggybacked queue lengths for credit replica choice.
-            let q = &mut cs.queue_ewma[from as usize];
-            *q = 0.3 * feedback.queue_len as f64 + 0.7 * *q;
+            if let Some(credits) = cs.credits.as_mut() {
+                credits.on_response(from, feedback.queue_len);
+            }
             if let Some(sel) = cs.selector.as_mut() {
-                sel.on_response(ServerId::new(from as u64), now_ns, &feedback);
+                sel.on_response(from, now_ns, &feedback);
             }
         }
 
-        let task = &mut self.tasks[req.task_idx as usize];
-        // A recycled (empty) `done` vector means the task already
-        // completed — only a hedge duplicate can arrive that late.
-        if task.done.get(req.req_idx as usize).copied().unwrap_or(true) {
+        if self.request_done(&req) {
             // Late duplicate under hedging: the work was wasted but the
             // response must not double-complete the request.
             self.counters.duplicate_responses += 1;
             return;
         }
+        let task = &mut self.tasks[req.task_idx as usize];
         task.done[req.req_idx as usize] = true;
         task.pending -= 1;
         let post_warmup = task.arrival_ns >= self.warmup_ns;
@@ -1351,67 +1203,59 @@ impl EngineWorld {
         }
     }
 
-    /// Hedging timer fired: if the request is still pending, re-issue it
-    /// (once) to whichever replica the selector now prefers.
-    ///
-    /// Requests whose *forecast service time* exceeds the trigger are
-    /// never hedged: they are intrinsically expensive, not straggling —
-    /// their duplicate would be just as slow and, under a heavy-tailed
-    /// size distribution, doubling the biggest requests alone can push
-    /// the cluster past saturation (a runaway we reproduce in the
-    /// ablation by disabling this gate via a sub-service-time trigger).
+    /// Whether `req`'s logical request has already resolved — answered,
+    /// or its task completed or failed. A recycled (empty) `done` vector
+    /// means the whole task did.
+    fn request_done(&self, req: &InFlight) -> bool {
+        self.tasks[req.task_idx as usize]
+            .done
+            .get(req.req_idx as usize)
+            .copied()
+            .unwrap_or(true)
+    }
+
+    /// Hedging timer fired: if the request is still pending and the
+    /// shared hedge gate allows it ([`DispatchBudget::can_hedge`]: not
+    /// forecast slower than the trigger — the runaway the ablation
+    /// reproduces with a sub-service-time trigger — and within the
+    /// duplicate budget), re-issue it (once) to whichever replica the
+    /// selector now prefers.
     fn handle_hedge_fire(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
         let req = self.requests.get(id).0;
         // The timer's reference is consumed whatever happens next.
         self.deref_req(id);
         debug_assert!(!req.is_hedge, "hedges are never re-hedged");
-        let done = self.tasks[req.task_idx as usize]
-            .done
-            .get(req.req_idx as usize)
-            .copied()
-            .unwrap_or(true); // recycled vector ⇒ task completed
-        if done {
+        if self.request_done(&req) {
             return; // answered in time — no duplicate needed
         }
         let hedge_ns = self.hedge_ns.expect("hedge timer without hedging");
-        if self.cost.forecast_ns(req.value_bytes as u64) >= hedge_ns {
-            return; // intrinsically slow, not straggling
-        }
-        // Dean & Barroso's safeguard: cap hedges at ~5% of issued traffic.
-        // Without the budget, hedges add load, load adds latency, latency
-        // fires more hedges — the runaway the ablation demonstrates with
-        // an aggressive trigger.
+        let forecast_ns = self.cost.forecast_ns(req.value_bytes as u64);
+        if !self.clients[req.client as usize]
+            .budget
+            .can_hedge(forecast_ns, hedge_ns)
         {
-            let cs = &self.clients[req.client as usize];
-            if cs.hedged_total * 20 >= cs.dispatched_total {
-                return;
-            }
+            return;
         }
         let now_ns = ctx.now().as_nanos();
-        match self.admit(now_ns, req.client, req.group as usize, &req) {
-            Admission::Dispatch(server) => {
-                let mut dup = req;
-                dup.is_hedge = true;
-                dup.dispatched_ns = now_ns;
-                let dup_id = self.alloc_req(dup, 1);
-                let cs = &mut self.clients[req.client as usize];
-                cs.outstanding[server.index()] += 1;
-                cs.dispatched_since_measure[server.index()] += 1;
-                cs.hedged_total += 1;
-                self.counters.hedges_issued += 1;
-                self.counters.dispatched += 1;
-                let delay = self.hop_delay(
-                    Hop::ClientToServer {
-                        client: req.client,
-                        server: server.raw() as u16,
-                    },
-                    dup.value_bytes as u64,
-                );
-                ctx.schedule_in(delay, Ev::ReqAtServer(server.raw() as u16, dup_id));
-            }
-            // Rate-limited or non-direct realization: skip the hedge
-            // rather than queueing duplicate work.
-            Admission::Denied { .. } | Admission::ToGlobal => {}
+        // Rate-limited (or a non-direct realization): skip the hedge
+        // rather than queueing duplicate work.
+        if let Ok(Some(server)) = self.admit(now_ns, req.client, req.group as usize, &req) {
+            let mut dup = req;
+            dup.is_hedge = true;
+            dup.dispatched_ns = now_ns;
+            let dup_id = self.alloc_req(dup, 1);
+            self.clients[req.client as usize].budget.hedged += 1;
+            self.counters.hedges_issued += 1;
+            self.counters.dispatched += 1;
+            let server = server.raw() as u16;
+            let delay = self.hop_delay(
+                Hop::ClientToServer {
+                    client: req.client,
+                    server,
+                },
+                dup.value_bytes as u64,
+            );
+            ctx.schedule_in(delay, Ev::ReqAtServer(server, dup_id));
         }
     }
 
@@ -1421,10 +1265,7 @@ impl EngineWorld {
     fn arm_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
         if let Some(tc) = self.timeout {
             self.requests.get_mut(id).1 += 1;
-            ctx.schedule_in(
-                SimDuration::from_nanos(tc.timeout_us * 1_000),
-                Ev::ReqTimeout(id),
-            );
+            ctx.schedule_in(SimDuration::from_nanos(tc.timeout_ns()), Ev::ReqTimeout(id));
         }
     }
 
@@ -1437,42 +1278,48 @@ impl EngineWorld {
         ctx.schedule_in(delay, Ev::Nack(id, server, reason));
     }
 
-    /// Whether a failed attempt may be retried: retries are configured,
-    /// the per-request cap has room, and the client-wide retry budget
-    /// (retries as a percentage of originals dispatched) is not spent —
-    /// the budget is what keeps a retry storm from amplifying itself.
-    fn can_retry(&self, req: &InFlight) -> bool {
-        let Some(tc) = self.timeout else {
-            return false;
-        };
-        if req.attempt as u32 >= tc.max_retries {
-            return false;
-        }
-        if let Some(p) = tc.retry_budget_percent {
-            let cs = &self.clients[req.client as usize];
-            if cs.retried_total * 100 >= cs.dispatched_total.max(1) * p as u64 {
-                return false;
+    /// The current attempt `id` of a still-unresolved request failed for
+    /// `cause`: on the shared verdict ([`DispatchBudget::on_attempt_failed`])
+    /// either allocate the next attempt and schedule its re-dispatch
+    /// after the backoff, or fail the task terminally. Consumes the
+    /// caller's reference to `id`.
+    fn retry_or_fail(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId, cause: AttemptFailure) {
+        let req = self.requests.get(id).0;
+        let budget = &mut self.clients[req.client as usize].budget;
+        match budget.on_attempt_failed(self.timeout.as_ref(), u32::from(req.attempt), cause) {
+            Verdict::Retry { backoff_ns } => {
+                budget.retried += 1;
+                // Whichever of this attempt's events still fire must not
+                // retry or fail the task again: after a NACK its timeout
+                // timer is still pending (retries imply a timeout
+                // config); after a timeout its chain reference is still
+                // live (no response or NACK has arrived — the request is
+                // not done), so the record survives this release.
+                self.requests.get_mut(id).0.superseded = true;
+                self.deref_req(id);
+                let next = InFlight {
+                    attempt: req.attempt + 1,
+                    dispatched_ns: 0,
+                    enqueued_ns: 0,
+                    is_hedge: false,
+                    superseded: false,
+                    ..req
+                };
+                let next_id = self.alloc_req(next, 1);
+                self.counters.retries_issued += 1;
+                ctx.schedule_in(
+                    SimDuration::from_nanos(backoff_ns),
+                    Ev::RetryDispatch(next_id),
+                );
+            }
+            Verdict::Fail(failure) => {
+                self.deref_req(id);
+                self.fail_task(req.task_idx, failure, req.priority);
+                if self.clients[req.client as usize].held > 0 {
+                    self.pump(ctx, req.client);
+                }
             }
         }
-        true
-    }
-
-    /// Allocates the next attempt of a logical request and schedules its
-    /// re-dispatch after capped exponential backoff. The caller has
-    /// already marked the previous attempt superseded.
-    fn issue_retry(&mut self, ctx: &mut Ctx<'_, Ev>, prev: InFlight) {
-        let tc = self.timeout.expect("retry without timeout config");
-        let mut next = prev;
-        next.attempt = prev.attempt + 1;
-        next.dispatched_ns = 0;
-        next.enqueued_ns = 0;
-        next.is_hedge = false;
-        next.superseded = false;
-        let id = self.alloc_req(next, 1);
-        self.clients[prev.client as usize].retried_total += 1;
-        self.counters.retries_issued += 1;
-        let backoff_ns = retry_backoff_ns(&tc, next.attempt);
-        ctx.schedule_in(SimDuration::from_nanos(backoff_ns), Ev::RetryDispatch(id));
     }
 
     /// A drop/shed notice reached the owning client: the attempt never
@@ -1480,42 +1327,18 @@ impl EngineWorld {
     /// otherwise the task fails terminally.
     fn handle_nack(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId, from: u16, reason: DropReason) {
         let req = self.requests.get(id).0;
-        // The attempt is no longer in flight toward `from`. The model
-        // realization never counted it (requests go to the magic shared
-        // queue, not a replica).
-        if !matches!(self.realization, Realization::Model) {
-            let cs = &mut self.clients[req.client as usize];
-            cs.outstanding[from as usize] = cs.outstanding[from as usize].saturating_sub(1);
+        // The attempt is no longer in flight toward `from`.
+        if let Some(credits) = self.clients[req.client as usize].credits.as_mut() {
+            credits.on_abandon(ServerId::new(from as u64));
         }
-        let done = self.tasks[req.task_idx as usize]
-            .done
-            .get(req.req_idx as usize)
-            .copied()
-            .unwrap_or(true); // recycled vector ⇒ task already resolved
-        if req.is_hedge || req.superseded || done {
+        if req.is_hedge || req.superseded || self.request_done(&req) {
             // An optional duplicate, an attempt a retry already
             // replaced, or a request that already resolved: nothing
             // further to do.
             self.deref_req(id);
             return;
         }
-        if self.can_retry(&req) {
-            // The attempt's timeout timer is still pending (retries
-            // imply a timeout config); it must not retry again.
-            self.requests.get_mut(id).0.superseded = true;
-            self.deref_req(id);
-            self.issue_retry(ctx, req);
-        } else {
-            self.deref_req(id);
-            let failure = match reason {
-                DropReason::QueueFull | DropReason::Sojourn => TaskFailure::Dropped,
-                DropReason::Shed => TaskFailure::Shed,
-            };
-            self.fail_task(req.task_idx, failure, req.priority);
-            if self.clients[req.client as usize].held > 0 {
-                self.pump(ctx, req.client);
-            }
-        }
+        self.retry_or_fail(ctx, id, AttemptFailure::Nack(reason));
     }
 
     /// A per-attempt timeout fired. If the attempt is still unanswered
@@ -1523,48 +1346,19 @@ impl EngineWorld {
     /// first response completes the request) or fail the task.
     fn handle_req_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
         let req = self.requests.get(id).0;
-        let done = self.tasks[req.task_idx as usize]
-            .done
-            .get(req.req_idx as usize)
-            .copied()
-            .unwrap_or(true);
-        if req.superseded || done {
+        if req.superseded || self.request_done(&req) {
             self.deref_req(id);
             return;
         }
         self.counters.timeouts_fired += 1;
-        if self.can_retry(&req) {
-            // The original attempt's chain reference is still live (its
-            // response or NACK has not arrived — the request is not
-            // done), so the record survives this timer's release.
-            self.requests.get_mut(id).0.superseded = true;
-            self.deref_req(id);
-            self.issue_retry(ctx, req);
-        } else {
-            self.deref_req(id);
-            let tc = self.timeout.expect("timeout event without config");
-            let failure = if tc.max_retries == 0 {
-                TaskFailure::TimedOut
-            } else {
-                TaskFailure::RetriesExhausted
-            };
-            self.fail_task(req.task_idx, failure, req.priority);
-            if self.clients[req.client as usize].held > 0 {
-                self.pump(ctx, req.client);
-            }
-        }
+        self.retry_or_fail(ctx, id, AttemptFailure::Timeout);
     }
 
     /// A retry's backoff elapsed: re-enter the client's hold queue and
     /// pump — the attempt flows through normal admission from here.
     fn handle_retry_dispatch(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
         let req = self.requests.get(id).0;
-        let done = self.tasks[req.task_idx as usize]
-            .done
-            .get(req.req_idx as usize)
-            .copied()
-            .unwrap_or(true);
-        if done {
+        if self.request_done(&req) {
             // The request resolved (a late original response won, or the
             // task failed through a sibling) while this retry backed off.
             self.deref_req(id);
@@ -1613,44 +1407,22 @@ impl EngineWorld {
         };
         let interval_ns = cc.measurement_interval_ns;
         let dt_secs = interval_ns as f64 / 1e9;
-        let replication = self.cfg.cluster.replication as f64;
-        let n_servers = self.cfg.cluster.num_servers as usize;
 
         for c in 0..self.clients.len() {
             let mut demands = self.take_payload();
-            {
-                self.rate_scratch.clear();
-                self.rate_scratch.resize(n_servers, 0.0);
-                let cs = &mut self.clients[c];
-                let rates = &mut self.rate_scratch;
-                for (s, rate) in rates.iter_mut().enumerate() {
-                    *rate = cs.dispatched_since_measure[s] as f64 / dt_secs;
-                    cs.dispatched_since_measure[s] = 0;
-                }
-                // Held requests are demand too: attribute them equally to
-                // the replicas of their group.
-                for (g, q) in cs.hold.iter().enumerate() {
-                    let held = q.len() as f64;
-                    if held > 0.0 {
-                        for s in &self.group_replicas[g] {
-                            rates[s.index()] += held / (replication * dt_secs);
-                        }
-                    }
-                }
-                for (s, &inst) in rates.iter().enumerate() {
-                    // Fast-attack, slow-decay smoothing: react instantly
-                    // to demand growth, forget old demand over ~3 windows.
-                    let ewma = &mut cs.demand_ewma[s];
-                    *ewma = if inst > *ewma {
-                        inst
-                    } else {
-                        0.3 * inst + 0.7 * *ewma
-                    };
-                    if *ewma > 0.0 {
-                        demands.push((s as u16, *ewma));
-                    }
-                }
-            }
+            let cs = &mut self.clients[c];
+            // Held requests are demand too, attributed equally to the
+            // replicas of their group.
+            let backlog = cs
+                .hold
+                .iter()
+                .zip(&self.group_replicas)
+                .map(|(q, replicas)| (q.len() as f64, replicas.as_slice()));
+            cs.credits.as_mut().expect("credits realization").measure(
+                dt_secs,
+                backlog,
+                &mut demands,
+            );
             if demands.is_empty() {
                 self.recycle_payload(demands);
             } else {
@@ -1703,17 +1475,13 @@ impl EngineWorld {
 
     fn handle_grant(&mut self, ctx: &mut Ctx<'_, Ev>, client: u16, payload: PayloadId) {
         let grants = self.payloads.remove(payload);
-        let Realization::Credits(cc) = &self.realization else {
-            self.recycle_payload(grants);
-            return;
-        };
-        let burst_secs = cc.burst_secs;
         let now_ns = ctx.now().as_nanos();
-        {
-            let cs = &mut self.clients[client as usize];
-            for &(s, rate) in &grants {
-                cs.buckets[s as usize].set_rate(now_ns, rate, burst_secs);
-            }
+        let credits = self.clients[client as usize]
+            .credits
+            .as_mut()
+            .expect("credits realization");
+        for &(s, rate) in &grants {
+            credits.set_grant(now_ns, ServerId::new(s as u64), rate);
         }
         self.recycle_payload(grants);
         self.counters.grants_delivered += 1;
@@ -1721,27 +1489,6 @@ impl EngineWorld {
             self.pump(ctx, client);
         }
     }
-}
-
-enum Admission {
-    Dispatch(ServerId),
-    ToGlobal,
-    Denied { retry_in_ns: u64 },
-}
-
-/// Capped exponential backoff before retry `attempt` (1-based):
-/// `min(base · 2^(attempt-1), cap)`, in nanoseconds. A zero base means
-/// immediate retry; a zero cap means uncapped.
-fn retry_backoff_ns(tc: &TimeoutConfig, attempt: u8) -> u64 {
-    if tc.backoff_base_us == 0 {
-        return 0;
-    }
-    let shift = u32::from(attempt).saturating_sub(1).min(32);
-    let mut us = tc.backoff_base_us.saturating_mul(1u64 << shift);
-    if tc.backoff_cap_us > 0 {
-        us = us.min(tc.backoff_cap_us);
-    }
-    us.saturating_mul(1_000)
 }
 
 /// The engine's message classes: every directed hop a message can take
@@ -2303,32 +2050,6 @@ mod tests {
             a.world().counters.retries_issued,
             b.world().counters.retries_issued
         );
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential() {
-        let tc = TimeoutConfig {
-            timeout_us: 1_000,
-            max_retries: 16,
-            backoff_base_us: 100,
-            backoff_cap_us: 800,
-            retry_budget_percent: None,
-        };
-        assert_eq!(retry_backoff_ns(&tc, 1), 100_000);
-        assert_eq!(retry_backoff_ns(&tc, 2), 200_000);
-        assert_eq!(retry_backoff_ns(&tc, 4), 800_000);
-        assert_eq!(retry_backoff_ns(&tc, 10), 800_000, "cap must hold");
-        let immediate = TimeoutConfig {
-            backoff_base_us: 0,
-            ..tc
-        };
-        assert_eq!(retry_backoff_ns(&immediate, 3), 0);
-        let uncapped = TimeoutConfig {
-            backoff_cap_us: 0,
-            ..tc
-        };
-        assert_eq!(retry_backoff_ns(&uncapped, 4), 800_000);
-        assert_eq!(retry_backoff_ns(&uncapped, 5), 1_600_000);
     }
 
     /// Past saturation an unbounded queue's peak depth is the excess

@@ -65,7 +65,7 @@ use brb_core::experiment::{OverloadStats, RunResult, StrategySummary};
 use brb_net::LatencyModel;
 use brb_rt::{
     try_run_load, LoadGenConfig, LoadMode, RtCluster, RtClusterConfig, RtCreditsConfig,
-    RtQueueConfig, RtQueueMode, RtTimeoutConfig, SpikeModel, WorkModel,
+    RtQueueConfig, RtQueueMode, SpikeModel, WorkModel,
 };
 use brb_sched::{CreditsConfig, PolicyKind};
 use brb_select::SelectorSpec;
@@ -216,13 +216,6 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
         bound: q.bound(),
         codel: q.codel,
     });
-    let timeout = base.overload.timeout.map(|t| RtTimeoutConfig {
-        timeout_ns: t.timeout_us * 1_000,
-        max_retries: t.max_retries,
-        backoff_base_ns: t.backoff_base_us * 1_000,
-        backoff_cap_ns: t.backoff_cap_us * 1_000,
-        retry_budget_percent: t.retry_budget_percent,
-    });
     // Nominal-speed clusters keep the empty vector (the legacy shape);
     // degraded ones hand the factors to the live workers, which divide
     // service times by them exactly like the simulator does.
@@ -249,7 +242,7 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
         credits: None,                      // overridden per strategy
         hedge_delay_ns: None,               // overridden per strategy
         queue,
-        timeout,
+        timeout: base.overload.timeout,
         speed_factors,
         spike,
         panic_on_key: None,

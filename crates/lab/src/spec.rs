@@ -9,8 +9,8 @@
 
 use crate::error::ScenarioError;
 use brb_core::config::{
-    ClusterConfig, ExperimentConfig, OverloadConfig, QueueConfig, Strategy, TimeoutConfig,
-    WorkloadConfig, WorkloadKind,
+    ClusterConfig, ExperimentConfig, OverloadConfig, QueueConfig, Strategy, WorkloadConfig,
+    WorkloadKind,
 };
 use brb_net::{LatencyModel, PlanMode};
 use brb_sched::CoDelConfig;
@@ -214,40 +214,9 @@ impl QueueSpec {
 }
 
 /// Client-side request timeouts with capped-exponential retries for the
-/// overload lane (all durations in microseconds).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
-pub struct TimeoutSpec {
-    /// Per-attempt timeout, dispatch → response.
-    pub timeout_us: u64,
-    /// Retries allowed after the first attempt (0 = a single timeout is
-    /// terminal).
-    #[serde(default)]
-    pub max_retries: u32,
-    /// First-retry backoff; doubles per retry. 0 retries immediately —
-    /// the retry-storm configuration.
-    #[serde(default)]
-    pub backoff_base_us: u64,
-    /// Cap on the exponential backoff (must be ≥ the base).
-    #[serde(default)]
-    pub backoff_cap_us: u64,
-    /// Retry budget: a client stops retrying once its retries reach
-    /// this percentage of its dispatches (`None` = unbudgeted).
-    #[serde(default)]
-    pub retry_budget_percent: Option<u32>,
-}
-
-impl TimeoutSpec {
-    /// Lowers to the core engine's timeout knobs.
-    pub fn lower(&self) -> TimeoutConfig {
-        TimeoutConfig {
-            timeout_us: self.timeout_us,
-            max_retries: self.max_retries,
-            backoff_base_us: self.backoff_base_us,
-            backoff_cap_us: self.backoff_cap_us,
-            retry_budget_percent: self.retry_budget_percent,
-        }
-    }
-}
+/// overload lane (all durations in microseconds): the spec carries the
+/// policy's own knob struct, so there is nothing to lower.
+pub use brb_core::config::TimeoutConfig as TimeoutSpec;
 
 /// A complete declarative scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -670,16 +639,15 @@ impl ScenarioSpec {
             q.lower().validate().map_err(ScenarioError::BadQueueSpec)?;
         }
         if let Some(t) = &self.timeout {
-            t.lower()
-                .validate()
-                .map_err(ScenarioError::BadTimeoutSpec)?;
+            t.validate().map_err(ScenarioError::BadTimeoutSpec)?;
         }
         Ok(())
     }
 
-    /// Lowers the overload-lane specs (µs-denominated) to the core
-    /// config's ns-denominated knobs. A `shed_above` axis value
-    /// overrides the queue spec's watermark in that cell.
+    /// Lowers the overload-lane specs: the queue's µs-denominated knobs
+    /// to the core config's ns-denominated ones (a `shed_above` axis
+    /// value overrides the queue spec's watermark in that cell); the
+    /// timeout knobs pass through as they are.
     fn lower_overload(&self, axes: &CellAxes) -> OverloadConfig {
         OverloadConfig {
             queue: self.queue.as_ref().map(|q| {
@@ -689,7 +657,7 @@ impl ScenarioSpec {
                 }
                 queue.lower()
             }),
-            timeout: self.timeout.as_ref().map(TimeoutSpec::lower),
+            timeout: self.timeout,
         }
     }
 

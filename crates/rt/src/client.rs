@@ -7,21 +7,24 @@
 //! feedback mechanism), replacing the load-oblivious global round-robin
 //! counter this client started with.
 //!
-//! The overload lane adds the client half of the sim's contract: when
-//! the cluster carries a timeout config, every attempt gets a wall-clock
-//! deadline; a timeout or a server NACK triggers a capped-exponential
-//! retry with a *fresh attempt id* (stale replies stay distinguishable)
-//! under a per-client retry budget, and exhaustion resolves the task
-//! into a typed [`TaskOutcome::Failed`] instead of a hang. Semantics —
-//! retry counting, backoff shifts, the budget inequality, late-original
-//! wins — mirror the simulator's engine so sim-vs-rt goodput numbers
-//! compare like for like.
+//! The overload lane adds the client half of the overload contract:
+//! when the cluster carries a timeout config, every attempt gets a
+//! wall-clock deadline; a timeout or a server NACK triggers a
+//! capped-exponential retry with a *fresh attempt id* (stale replies
+//! stay distinguishable) under a per-client retry budget, and
+//! exhaustion resolves the task into a typed [`TaskOutcome::Failed`]
+//! instead of a hang. Whether to retry, how long to back off and how a
+//! failure is classified are [`DispatchBudget::on_attempt_failed`]'s
+//! call — the same code the simulator's engine calls, so sim-vs-rt
+//! goodput numbers compare like for like; this module supplies the
+//! timers and, as in the simulator, lets a late original still win.
 //!
 //! The hedging lane (safe duplication): when the cluster carries a
 //! hedge delay, each request arms a hedge timer at dispatch; if no
 //! response arrived by then, the client duplicates the request to a
-//! selector-chosen replica under the sim's gates (no hedging of
-//! requests forecast longer than the delay, ≤5% of dispatches). The
+//! selector-chosen replica if [`DispatchBudget::can_hedge`] allows (no
+//! hedging of requests forecast longer than the delay, duplicates ≤5%
+//! of dispatches). The
 //! first response wins; the loser is *purged* — its selector slot is
 //! released (`on_abandon`, the PR 5 contract) and an `RtCancel` chases
 //! it to the router, which de-queues it if still queued. An in-service
@@ -29,10 +32,10 @@
 //! duplicate response.
 
 use crate::error::RtError;
-use crate::server::RtTimeoutConfig;
 use crate::timing;
 use crate::transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};
-use brb_sched::overload::DropReason;
+pub use brb_sched::overload::TaskFailure;
+use brb_sched::overload::{AttemptFailure, DispatchBudget, TimeoutConfig, Verdict};
 use brb_sched::{PolicyKind, Priority, PriorityPolicy, TaskView};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
 use brb_store::cost::CostModel;
@@ -66,23 +69,6 @@ pub struct TaskResponse {
     pub request_ns: Vec<u64>,
 }
 
-/// Why a task failed under the overload lane. Matches the simulator's
-/// terminal `TaskFailure` classification so both backends bucket the
-/// same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskFailureKind {
-    /// A request was tail-dropped or CoDel-dropped with no retry left.
-    Dropped,
-    /// A request was shed by admission control with no retry left.
-    Shed,
-    /// A request's deadline passed and retries are disabled
-    /// (`max_retries == 0`).
-    TimedOut,
-    /// A request's deadline passed after the last permitted retry (or
-    /// the retry budget ran dry).
-    RetriesExhausted,
-}
-
 /// How a task resolved.
 #[derive(Debug)]
 pub enum TaskOutcome {
@@ -90,8 +76,8 @@ pub enum TaskOutcome {
     Completed(TaskResponse),
     /// A request failed terminally; the task counts against goodput.
     Failed {
-        /// The terminal failure (first one wins, as in the simulator).
-        failure: TaskFailureKind,
+        /// The terminal failure (first one wins).
+        failure: TaskFailure,
     },
 }
 
@@ -120,22 +106,6 @@ fn feedback_of(resp: &RtResponse, rtt_ns: u64) -> ResponseFeedback {
     }
 }
 
-/// Backoff before retry attempt `attempt` (1-based), the simulator's
-/// curve exactly: base 0 retries immediately; otherwise the base doubles
-/// per retry (shift saturated at 32) under an optional cap (0 = uncapped).
-fn backoff_ns(tc: &RtTimeoutConfig, attempt: u32) -> u64 {
-    if tc.backoff_base_ns == 0 {
-        return 0;
-    }
-    let shift = attempt.saturating_sub(1).min(32);
-    let raw = ((tc.backoff_base_ns as u128) << shift).min(u64::MAX as u128) as u64;
-    if tc.backoff_cap_ns > 0 {
-        raw.min(tc.backoff_cap_ns)
-    } else {
-        raw
-    }
-}
-
 /// State shared by a client and its tickets (tickets must redispatch
 /// retries through the same selector, budget and senders the client
 /// uses).
@@ -150,13 +120,12 @@ pub(crate) struct ClientInner {
     /// [`crate::RtClusterConfig::network_rtt_ns`]).
     rtt_ns: u64,
     /// Deadline/retry knobs (`None` = wait forever, the legacy path).
-    timeout: Option<RtTimeoutConfig>,
+    timeout: Option<TimeoutConfig>,
     /// Hedge delay (`None` = hedging off): a request unanswered this
     /// long after dispatch is duplicated to a second replica.
     hedge_ns: Option<u64>,
-    /// Requests this client dispatched (originals, retries and hedges)
-    /// — the denominator of the retry and hedge budgets, as in the
-    /// sim's `ClientState`.
+    /// Requests this client dispatched, hedge duplicates excluded — the
+    /// denominator of the retry and hedge budgets.
     dispatched_total: AtomicU64,
     /// Retries this client issued — the budget numerator.
     retried_total: AtomicU64,
@@ -171,21 +140,25 @@ pub(crate) struct ClientInner {
 }
 
 impl ClientInner {
-    /// Runs the selector over a request's replica group. A rate-limiting
-    /// selector (C3) may refuse every candidate; the live client then
-    /// waits out the earliest token (bounded per iteration so a clock
-    /// hiccup cannot park the submission thread for long).
+    /// One pass of the selector over a request's replica group.
+    fn try_select(&self, candidates: &[ServerId], value_bytes: u64) -> Selection {
+        let ctx = SelectionCtx {
+            now_ns: self.epoch.elapsed().as_nanos() as u64,
+            candidates,
+            value_bytes,
+            oracle_queue_depths: None,
+        };
+        self.selector.lock().select(&ctx)
+    }
+
+    /// Runs the selector until it names a replica. A rate-limiting
+    /// selector (C3, credits) may refuse every candidate; the live
+    /// client then waits out the earliest token (bounded per iteration
+    /// so a clock hiccup cannot park the submission thread for long).
     fn select_replica(&self, candidates: &[ServerId], value_bytes: u64) -> ServerId {
         const MAX_PAUSE: Duration = Duration::from_millis(1);
         loop {
-            let ctx = SelectionCtx {
-                now_ns: self.epoch.elapsed().as_nanos() as u64,
-                candidates,
-                value_bytes,
-                oracle_queue_depths: None,
-            };
-            let decision = self.selector.lock().select(&ctx);
-            match decision {
+            match self.try_select(candidates, value_bytes) {
                 Selection::Dispatch(server) => return server,
                 Selection::RateLimited { retry_in_ns } => {
                     timing::wait_for(Duration::from_nanos(retry_in_ns).min(MAX_PAUSE));
@@ -194,24 +167,14 @@ impl ClientInner {
         }
     }
 
-    /// Whether one more retry fits — the simulator's gate verbatim:
-    /// attempts bounded by `max_retries`, then the per-client budget
-    /// (`retried · 100 ≥ dispatched · percent` means dry).
-    fn can_retry(&self, attempt: u32) -> bool {
-        let Some(tc) = self.timeout else {
-            return false;
-        };
-        if attempt >= tc.max_retries {
-            return false;
+    /// A snapshot of this client's dispatch counters for the shared
+    /// retry and hedge gates.
+    fn budget(&self) -> DispatchBudget {
+        DispatchBudget {
+            dispatched: self.dispatched_total.load(Ordering::Relaxed),
+            retried: self.retried_total.load(Ordering::Relaxed),
+            hedged: self.hedged_total.load(Ordering::Relaxed),
         }
-        if let Some(percent) = tc.retry_budget_percent {
-            let retried = self.retried_total.load(Ordering::Relaxed);
-            let dispatched = self.dispatched_total.load(Ordering::Relaxed).max(1);
-            if retried * 100 >= dispatched * percent as u64 {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -284,7 +247,7 @@ pub struct TaskTicket {
     /// Slots served (not terminally failed).
     served: usize,
     retries: u32,
-    failure: Option<TaskFailureKind>,
+    failure: Option<TaskFailure>,
     /// Set once an outcome has been taken (poll path).
     taken: bool,
 }
@@ -535,16 +498,7 @@ impl TaskTicket {
         if !current {
             return Ok(());
         }
-        if self.inner.can_retry(nack.attempt) {
-            self.begin_retry(i, nack.attempt + 1)
-        } else {
-            self.failure = Some(match nack.reason {
-                DropReason::Shed => TaskFailureKind::Shed,
-                DropReason::QueueFull | DropReason::Sojourn => TaskFailureKind::Dropped,
-            });
-            self.slots[i] = SlotState::Settled;
-            Ok(())
-        }
+        self.on_attempt_failed(i, nack.attempt, AttemptFailure::Nack(nack.reason))
     }
 
     fn fire_timers(&mut self, now: Instant) -> Result<(), RtError> {
@@ -559,7 +513,7 @@ impl TaskTicket {
                 SlotState::Pending {
                     attempt,
                     deadline: Some(d),
-                } if d <= now => self.on_attempt_timeout(i, attempt)?,
+                } if d <= now => self.on_attempt_failed(i, attempt, AttemptFailure::Timeout)?,
                 SlotState::Backoff { next_attempt, at } if at <= now => {
                     self.redispatch(i, next_attempt)?
                 }
@@ -570,98 +524,63 @@ impl TaskTicket {
     }
 
     /// The hedge timer for request `i` expired with no response yet.
-    /// Duplicate it to a second replica under the sim's gates: skip
-    /// requests *forecast* slower than the delay (their silence is not
-    /// evidence of trouble — Dean & Barroso's "don't hedge the big
-    /// ones"), keep duplicates under the 5% budget, and skip rather
-    /// than block when the selector rate-limits. The timer disarms
-    /// either way: one hedge per request, never re-armed.
+    /// Duplicate it to a second replica if the shared hedge gate allows
+    /// (their silence is not evidence of trouble for requests *forecast*
+    /// slower than the delay; duplicates stay within their budget), and
+    /// skip rather than block when the selector rate-limits. The timer
+    /// disarms either way: one hedge per request, never re-armed.
     fn fire_hedge(&mut self, i: usize) -> Result<(), RtError> {
         self.hedge_at[i] = None;
         let hedge_ns = self.inner.hedge_ns.expect("hedge fired without config");
         if matches!(self.slots[i], SlotState::Settled) {
             return Ok(());
         }
-        let key = self.keys[i];
-        let size = self.inner.sizes.size_of(key);
-        if self.inner.cost.forecast_ns(size) >= hedge_ns {
-            return Ok(());
-        }
-        let hedged = self.inner.hedged_total.load(Ordering::Relaxed);
-        let dispatched = self.inner.dispatched_total.load(Ordering::Relaxed);
-        if hedged * 20 >= dispatched {
+        let size = self.inner.sizes.size_of(self.keys[i]);
+        let forecast_ns = self.inner.cost.forecast_ns(size);
+        if !self.inner.budget().can_hedge(forecast_ns, hedge_ns) {
             return Ok(());
         }
         let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
-        let ctx = SelectionCtx {
-            now_ns: self.inner.epoch.elapsed().as_nanos() as u64,
-            candidates: &replicas,
-            value_bytes: size,
-            oracle_queue_depths: None,
-        };
-        let server = match self.inner.selector.lock().select(&ctx) {
-            Selection::Dispatch(server) => server,
-            Selection::RateLimited { .. } => return Ok(()),
-        };
-        let tx = self.reply_tx.as_ref().expect("hedge without reply sender");
-        self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
-        self.inner.hedged_total.fetch_add(1, Ordering::Relaxed);
         // No deadline: the original attempt's timer still owns the
         // slot's timeout; the hedge only races it to a response.
-        let sent = self.inner.senders[server.index()].send(RtMessage::Request(RtRequest {
-            key,
-            priority: self.priorities[i],
-            req_idx: i as u32,
-            task_id: self.task_id,
-            attempt: HEDGE_ATTEMPT,
-            submitted: Instant::now(),
-            reply: tx.clone(),
-        }));
-        if sent.is_err() {
-            return Err(if self.inner.panicked.load(Ordering::SeqCst) {
-                RtError::WorkerPanicked
-            } else {
-                RtError::ClusterDown
-            });
-        }
-        self.open.push(OpenDispatch {
-            req_idx: i,
-            attempt: HEDGE_ATTEMPT,
-            server,
-        });
-        Ok(())
-    }
-
-    fn on_attempt_timeout(&mut self, i: usize, attempt: u32) -> Result<(), RtError> {
-        let tc = self.inner.timeout.expect("timeout fired without config");
-        if self.inner.can_retry(attempt) {
-            self.begin_retry(i, attempt + 1)
-        } else {
-            // The sim's terminal classification: a single-attempt config
-            // times out; a retrying config exhausts.
-            self.failure = Some(if tc.max_retries == 0 {
-                TaskFailureKind::TimedOut
-            } else {
-                TaskFailureKind::RetriesExhausted
-            });
-            self.slots[i] = SlotState::Settled;
-            Ok(())
+        match self.inner.try_select(&replicas, size) {
+            Selection::Dispatch(server) => self.send(i, HEDGE_ATTEMPT, server, Instant::now()),
+            Selection::RateLimited { .. } => Ok(()),
         }
     }
 
-    fn begin_retry(&mut self, i: usize, next_attempt: u32) -> Result<(), RtError> {
-        let tc = self.inner.timeout.expect("retry without timeout config");
-        self.inner.retried_total.fetch_add(1, Ordering::Relaxed);
-        self.retries += 1;
-        let backoff = backoff_ns(&tc, next_attempt);
-        if backoff == 0 {
-            self.redispatch(i, next_attempt)
-        } else {
-            self.slots[i] = SlotState::Backoff {
-                next_attempt,
-                at: Instant::now() + Duration::from_nanos(backoff),
-            };
-            Ok(())
+    /// Attempt `attempt` of request `i` — the slot's current one — was
+    /// NACKed or timed out: on the shared verdict, start the next
+    /// attempt's backoff or settle the task as failed.
+    fn on_attempt_failed(
+        &mut self,
+        i: usize,
+        attempt: u32,
+        cause: AttemptFailure,
+    ) -> Result<(), RtError> {
+        let verdict =
+            self.inner
+                .budget()
+                .on_attempt_failed(self.inner.timeout.as_ref(), attempt, cause);
+        match verdict {
+            Verdict::Retry { backoff_ns } => {
+                self.inner.retried_total.fetch_add(1, Ordering::Relaxed);
+                self.retries += 1;
+                if backoff_ns == 0 {
+                    self.redispatch(i, attempt + 1)
+                } else {
+                    self.slots[i] = SlotState::Backoff {
+                        next_attempt: attempt + 1,
+                        at: Instant::now() + Duration::from_nanos(backoff_ns),
+                    };
+                    Ok(())
+                }
+            }
+            Verdict::Fail(failure) => {
+                self.failure = Some(failure);
+                self.slots[i] = SlotState::Settled;
+                Ok(())
+            }
         }
     }
 
@@ -669,29 +588,51 @@ impl TaskTicket {
     /// runs again (the retry may pick a healthier server), the attempt
     /// id is fresh, and the deadline re-arms from this dispatch.
     fn redispatch(&mut self, i: usize, attempt: u32) -> Result<(), RtError> {
-        let key = self.keys[i];
         let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
-        let server = self
-            .inner
-            .select_replica(&replicas, self.inner.sizes.size_of(key));
+        let size = self.inner.sizes.size_of(self.keys[i]);
+        let server = self.inner.select_replica(&replicas, size);
         let tc = self
             .inner
             .timeout
             .expect("redispatch without timeout config");
-        let tx = self
-            .reply_tx
-            .as_ref()
-            .expect("redispatch without reply sender");
         let now = Instant::now();
-        self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
+        self.send(i, attempt, server, now)?;
+        self.slots[i] = SlotState::Pending {
+            attempt,
+            deadline: Some(now + Duration::from_nanos(tc.timeout_ns())),
+        };
+        Ok(())
+    }
+
+    /// Sends attempt `attempt` of request `i` to `server` — the one place
+    /// a request goes on the wire — and opens its selector accounting.
+    /// Hedge duplicates count against the hedge budget, everything else
+    /// toward its denominator.
+    fn send(
+        &mut self,
+        i: usize,
+        attempt: u32,
+        server: ServerId,
+        submitted: Instant,
+    ) -> Result<(), RtError> {
+        let counter = if attempt == HEDGE_ATTEMPT {
+            &self.inner.hedged_total
+        } else {
+            &self.inner.dispatched_total
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let reply = self
+            .reply_tx
+            .clone()
+            .expect("dispatch without reply sender");
         let sent = self.inner.senders[server.index()].send(RtMessage::Request(RtRequest {
-            key,
+            key: self.keys[i],
             priority: self.priorities[i],
             req_idx: i as u32,
             task_id: self.task_id,
             attempt,
-            submitted: now,
-            reply: tx.clone(),
+            submitted,
+            reply,
         }));
         if sent.is_err() {
             return Err(if self.inner.panicked.load(Ordering::SeqCst) {
@@ -705,10 +646,6 @@ impl TaskTicket {
             attempt,
             server,
         });
-        self.slots[i] = SlotState::Pending {
-            attempt,
-            deadline: Some(now + Duration::from_nanos(tc.timeout_ns)),
-        };
         Ok(())
     }
 
@@ -813,7 +750,7 @@ impl RtClient {
         task_counter: Arc<AtomicU64>,
         selector: Box<dyn ReplicaSelector + Send>,
         rtt_ns: u64,
-        timeout: Option<RtTimeoutConfig>,
+        timeout: Option<TimeoutConfig>,
         hedge_ns: Option<u64>,
         panicked: Arc<AtomicBool>,
     ) -> RtClient {
@@ -895,47 +832,14 @@ impl RtClient {
         let deadline = self
             .inner
             .timeout
-            .map(|tc| started + Duration::from_nanos(tc.timeout_ns));
-        let mut open = Vec::with_capacity(n);
-        let mut hedge_at = vec![None; n];
-        for (i, &key) in keys.iter().enumerate() {
-            let replicas = self.inner.ring.replicas_of_group(groups[i]);
-            let server = self
-                .inner
-                .select_replica(&replicas, self.inner.sizes.size_of(key));
-            self.inner.dispatched_total.fetch_add(1, Ordering::Relaxed);
-            self.inner.senders[server.index()]
-                .send(RtMessage::Request(RtRequest {
-                    key,
-                    priority: priorities[i],
-                    req_idx: i as u32,
-                    task_id,
-                    attempt: 0,
-                    submitted: started,
-                    reply: tx.clone(),
-                }))
-                .expect("cluster has shut down");
-            open.push(OpenDispatch {
-                req_idx: i,
-                attempt: 0,
-                server,
-            });
-            // Arm the hedge timer from the actual dispatch instant (a
-            // rate-limited selector may have stalled the loop above).
-            if let Some(ns) = self.inner.hedge_ns {
-                hedge_at[i] = Some(Instant::now() + Duration::from_nanos(ns));
-            }
-        }
-        // The reply channel is retained whenever later dispatches are
-        // possible: retries (timeout config) or hedges.
-        let keep_tx = self.inner.timeout.is_some() || self.inner.hedge_ns.is_some();
-        TaskTicket {
+            .map(|tc| started + Duration::from_nanos(tc.timeout_ns()));
+        let mut ticket = TaskTicket {
             inner: Arc::clone(&self.inner),
             task_id,
             n,
             started,
             rx,
-            reply_tx: keep_tx.then_some(tx),
+            reply_tx: Some(tx),
             keys: keys.to_vec(),
             groups,
             priorities,
@@ -946,8 +850,8 @@ impl RtClient {
                 };
                 n
             ],
-            hedge_at,
-            open,
+            hedge_at: vec![None; n],
+            open: Vec::with_capacity(n),
             values: (0..n).map(|_| None).collect(),
             servers: vec![0; n],
             request_ns: vec![0; n],
@@ -956,7 +860,27 @@ impl RtClient {
             retries: 0,
             failure: None,
             taken: false,
+        };
+        for (i, &key) in keys.iter().enumerate() {
+            let replicas = self.inner.ring.replicas_of_group(ticket.groups[i]);
+            let server = self
+                .inner
+                .select_replica(&replicas, self.inner.sizes.size_of(key));
+            ticket
+                .send(i, 0, server, started)
+                .expect("cluster has shut down");
+            // Arm the hedge timer from the actual dispatch instant (a
+            // rate-limited selector may have stalled the loop above).
+            if let Some(ns) = self.inner.hedge_ns {
+                ticket.hedge_at[i] = Some(Instant::now() + Duration::from_nanos(ns));
+            }
         }
+        // The reply channel is retained only while later dispatches are
+        // possible: retries (timeout config) or hedges.
+        if self.inner.timeout.is_none() && self.inner.hedge_ns.is_none() {
+            ticket.reply_tx = None;
+        }
+        ticket
     }
 
     /// This client's outstanding-request count toward `server`
@@ -965,7 +889,8 @@ impl RtClient {
         self.inner.selector.lock().outstanding(server)
     }
 
-    /// Requests this client has dispatched (originals and retries).
+    /// Requests this client has dispatched (originals and retries; hedge
+    /// duplicates are counted by [`Self::hedged_total`]).
     pub fn dispatched_total(&self) -> u64 {
         self.inner.dispatched_total.load(Ordering::Relaxed)
     }
@@ -990,9 +915,7 @@ impl RtClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{
-        RtCluster, RtClusterConfig, RtQueueConfig, RtTimeoutConfig, SpikeModel, WorkModel,
-    };
+    use crate::server::{RtCluster, RtClusterConfig, RtQueueConfig, SpikeModel, WorkModel};
     use brb_sched::overload::QueueBound;
     use brb_sched::PolicyKind;
     use brb_select::SelectorSpec;
@@ -1247,7 +1170,7 @@ mod tests {
             match t.wait_outcome().expect("live run failed").outcome {
                 TaskOutcome::Completed(_) => completed += 1,
                 TaskOutcome::Failed { failure } => {
-                    assert_eq!(failure, TaskFailureKind::Dropped);
+                    assert_eq!(failure, TaskFailure::Dropped);
                     dropped += 1;
                 }
             }
@@ -1285,7 +1208,7 @@ mod tests {
             if let TaskOutcome::Failed { failure } =
                 t.wait_outcome().expect("live run failed").outcome
             {
-                assert_eq!(failure, TaskFailureKind::Shed);
+                assert_eq!(failure, TaskFailure::Shed);
                 shed += 1;
             }
         }
@@ -1300,8 +1223,8 @@ mod tests {
     #[test]
     fn deadlines_fire_and_retries_exhaust() {
         for (max_retries, expect, expect_retries) in [
-            (0u32, TaskFailureKind::TimedOut, 0u32),
-            (2, TaskFailureKind::RetriesExhausted, 2),
+            (0u32, TaskFailure::TimedOut, 0u32),
+            (2, TaskFailure::RetriesExhausted, 2),
         ] {
             let c = RtCluster::start(RtClusterConfig {
                 num_servers: 1,
@@ -1309,11 +1232,11 @@ mod tests {
                 replication: 1,
                 work: WorkModel::SimulateService(slow_service(20_000.0)), // ~20ms
                 store_shards: 4,
-                timeout: Some(RtTimeoutConfig {
-                    timeout_ns: 500_000, // 0.5ms
+                timeout: Some(TimeoutConfig {
+                    timeout_us: 500, // 0.5ms
                     max_retries,
-                    backoff_base_ns: 0,
-                    backoff_cap_ns: 0,
+                    backoff_base_us: 0,
+                    backoff_cap_us: 0,
                     retry_budget_percent: None,
                 }),
                 ..Default::default()
@@ -1334,8 +1257,7 @@ mod tests {
     }
 
     /// The retry budget must dry up long before `max_retries` when the
-    /// dispatch denominator is small — the simulator's inequality
-    /// (`retried·100 ≥ dispatched·percent`) verbatim.
+    /// dispatch denominator is small.
     #[test]
     fn retry_budget_limits_retries() {
         let c = RtCluster::start(RtClusterConfig {
@@ -1344,11 +1266,11 @@ mod tests {
             replication: 1,
             work: WorkModel::SimulateService(slow_service(20_000.0)),
             store_shards: 4,
-            timeout: Some(RtTimeoutConfig {
-                timeout_ns: 500_000,
+            timeout: Some(TimeoutConfig {
+                timeout_us: 500,
                 max_retries: 10,
-                backoff_base_ns: 0,
-                backoff_cap_ns: 0,
+                backoff_base_us: 0,
+                backoff_cap_us: 0,
                 retry_budget_percent: Some(1),
             }),
             ..Default::default()
@@ -1363,7 +1285,7 @@ mod tests {
             matches!(
                 res.outcome,
                 TaskOutcome::Failed {
-                    failure: TaskFailureKind::RetriesExhausted
+                    failure: TaskFailure::RetriesExhausted
                 }
             ),
             "{:?}",
@@ -1471,31 +1393,5 @@ mod tests {
             assert_eq!(client.outstanding(brb_store::ids::ServerId::new(s)), 0);
         }
         c.shutdown();
-    }
-
-    /// Exponential backoff mirrors the simulator's curve.
-    #[test]
-    fn backoff_curve_matches_sim() {
-        let tc = RtTimeoutConfig {
-            timeout_ns: 1,
-            max_retries: 16,
-            backoff_base_ns: 100,
-            backoff_cap_ns: 1_000,
-            retry_budget_percent: None,
-        };
-        assert_eq!(backoff_ns(&tc, 1), 100);
-        assert_eq!(backoff_ns(&tc, 2), 200);
-        assert_eq!(backoff_ns(&tc, 3), 400);
-        assert_eq!(backoff_ns(&tc, 5), 1_000, "cap binds");
-        let uncapped = RtTimeoutConfig {
-            backoff_cap_ns: 0,
-            ..tc
-        };
-        assert_eq!(backoff_ns(&uncapped, 5), 1_600, "cap 0 = uncapped");
-        let immediate = RtTimeoutConfig {
-            backoff_base_ns: 0,
-            ..tc
-        };
-        assert_eq!(backoff_ns(&immediate, 1), 0, "base 0 retries immediately");
     }
 }

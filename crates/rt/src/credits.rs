@@ -1,32 +1,29 @@
-//! The live credits lane: `brb-sched`'s controller math on real threads.
+//! The live credits lane: `brb-sched`'s credits realization on real
+//! threads.
 //!
-//! The simulator and the runtime share ONE credits implementation —
-//! [`brb_sched::CreditController`] / [`brb_sched::CreditBucket`] — with
-//! two clocks. Here the controller runs as its own thread: clients send
-//! [`CreditMsg::Demand`] reports and routers send
+//! Both halves are the shared implementation with this crate's clock.
+//! The controller ([`brb_sched::CreditController`]) runs as its own
+//! thread: clients send [`CreditMsg::Demand`] reports and routers send
 //! [`CreditMsg::Congestion`] signals over a channel; every adaptation
 //! interval the thread runs one `allocate_into` epoch and publishes the
-//! grant table on a shared [`GrantBoard`]. Clients poll the board's
-//! epoch counter on their dispatch path (one atomic load when nothing
-//! changed) and enforce their grants with per-server token buckets,
-//! exactly as the sim engine does.
+//! grant table on a shared [`GrantBoard`]. The client
+//! ([`brb_sched::CreditClient`]: token admission, load-weighted replica
+//! choice, demand estimation) is wrapped by `CreditSelector`, which
+//! adds only the transport: it polls the board's epoch counter on the
+//! dispatch path (one atomic load when nothing changed) and sends the
+//! report when a measurement interval has elapsed.
 //!
-//! The admission rule is kept line-for-line equivalent to the sim's
-//! credits realization: among replicas holding at least one token, pick
-//! the one with the lowest `queue_ewma + outstanding × num_clients`
-//! (ties to the lower server id), spend a token, dispatch; otherwise
-//! rate-limit for the earliest token's ETA. The sim parks rate-limited
-//! requests in a client hold queue and folds the backlog into its
-//! demand reports (`held / (replication × dt)` per replica); the rt
-//! client blocks in `select_replica` instead, so the live proxy for
-//! that backlog is the rate-limited attempt count — each refused
-//! select adds `1 / candidates` to every candidate's demand, and the
-//! retry cadence (one attempt per token ETA) keeps the two estimates
-//! within a small factor of each other.
+//! One input differs by mechanism. The demand estimator takes the
+//! backlog that could not be dispatched; the simulator reads it off its
+//! client hold queues, while the rt client blocks in `select_replica`
+//! and has no queue to read — so the adapter counts refused selects
+//! instead, `1 / candidates` per candidate, and hands that in as the
+//! backlog. The retry cadence (one attempt per token ETA) keeps the two
+//! estimates within a small factor of each other.
 
 #[cfg(test)]
 use crate::timing;
-use brb_sched::{CreditBucket, CreditController, CreditsConfig, GrantTable};
+use brb_sched::{CreditClient, CreditController, CreditsConfig, GrantTable};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
 use brb_store::ids::{ClientId, ServerId};
 use crossbeam::channel::{select, unbounded, Receiver, Sender};
@@ -69,12 +66,12 @@ impl Default for RtCreditsConfig {
 pub(crate) enum CreditMsg {
     /// One client's demand report for one measurement tick: the >0
     /// per-server EWMA rates, requests/second. One message per client
-    /// per tick, mirroring the sim's one report event per client.
+    /// per tick.
     Demand {
         /// Reporting client.
         client: ClientId,
         /// `(server index, rate_rps)` pairs, only servers with demand.
-        rates: Vec<(u32, f64)>,
+        rates: Vec<(u16, f64)>,
     },
     /// A router observed congestion at its server.
     Congestion {
@@ -203,86 +200,71 @@ fn controller_loop(
 
 /// The credits realization as a [`ReplicaSelector`], so the existing
 /// client dispatch path (select → dispatch, `RateLimited` → bounded
-/// wait → re-select) needs no new plumbing. State and update rules
-/// mirror the sim engine's credits client exactly; only the clock
-/// (client-epoch nanoseconds from `SelectionCtx::now_ns`) differs.
+/// wait → re-select) needs no new plumbing. Every decision is the
+/// wrapped [`CreditClient`]'s; this adapter moves grants in from the
+/// board and reports out over the channel, on the client-epoch clock
+/// `SelectionCtx::now_ns` carries.
 pub(crate) struct CreditSelector {
     client: ClientId,
     board: Arc<GrantBoard>,
     tx: Sender<CreditMsg>,
     measurement_interval_ns: u64,
-    burst_secs: f64,
-    /// Load weight on outstanding requests: one in-flight request of
-    /// ours stands in for `num_clients` cluster-wide (the sim's `w`).
-    weight: f64,
     seen_epoch: u64,
-    buckets: Vec<CreditBucket>,
-    queue_ewma: Vec<f64>,
-    outstanding: Vec<u64>,
-    dispatched_since: Vec<u64>,
-    /// Rate-limited attempts this interval, `1 / candidates` per
-    /// candidate — the live stand-in for the sim's held-request backlog,
-    /// so starved clients still report the demand they could not send.
-    unmet_since: Vec<f64>,
-    demand_ewma: Vec<f64>,
+    credits: CreditClient,
+    /// Per server, the refused selects this interval, `1 / candidates`
+    /// per candidate — the live stand-in for a held-request backlog, so
+    /// starved clients still report the demand they could not send.
+    unmet_since: Vec<(ServerId, f64)>,
     last_measure_ns: u64,
 }
 
 impl CreditSelector {
-    /// Builds a selector for `client` against `num_servers` servers.
-    /// Buckets start at the fair share — capacity ÷ clients — exactly
-    /// as the sim seeds its buckets before the first epoch lands.
+    /// Builds a selector for `client` against `num_servers` servers
+    /// among `num_clients` clients.
     pub(crate) fn new(
         client: ClientId,
         hub: &CreditsHub,
         num_servers: usize,
         num_clients: usize,
     ) -> Self {
-        let num_clients = num_clients.max(1);
-        let burst_secs = hub.cfg.config.burst_secs;
-        let fair_rate = hub.cfg.server_capacity_rps / num_clients as f64;
         CreditSelector {
             client,
             board: Arc::clone(&hub.board),
             tx: hub.tx.clone(),
             measurement_interval_ns: hub.cfg.config.measurement_interval_ns,
-            burst_secs,
-            weight: num_clients as f64,
             seen_epoch: 0,
-            buckets: (0..num_servers)
-                .map(|_| CreditBucket::new(fair_rate, (fair_rate * burst_secs).max(1.0)))
+            credits: CreditClient::new(
+                num_servers,
+                num_clients,
+                hub.cfg.server_capacity_rps,
+                hub.cfg.config.burst_secs,
+            ),
+            unmet_since: (0..num_servers as u64)
+                .map(|s| (ServerId::new(s), 0.0))
                 .collect(),
-            queue_ewma: vec![0.0; num_servers],
-            outstanding: vec![0; num_servers],
-            dispatched_since: vec![0; num_servers],
-            unmet_since: vec![0.0; num_servers],
-            demand_ewma: vec![0.0; num_servers],
             last_measure_ns: 0,
         }
     }
 
     /// Applies the latest grant epoch, if one landed since we last
-    /// looked. Servers absent from our grant row keep their old rate
-    /// (sim behavior: `set_rate` only for granted servers).
+    /// looked.
     fn refresh_grants(&mut self, now_ns: u64) {
         let epoch = self.board.epoch.load(Ordering::Acquire);
         if epoch == self.seen_epoch {
             return;
         }
         let table = self.board.grants.lock();
-        for (i, bucket) in self.buckets.iter_mut().enumerate() {
-            if let Some(rate) = table.rate(ServerId::new(i as u64), self.client) {
-                bucket.set_rate(now_ns, rate, self.burst_secs);
+        for &(server, _) in &self.unmet_since {
+            if let Some(rate) = table.rate(server, self.client) {
+                self.credits.set_grant(now_ns, server, rate);
             }
         }
         drop(table);
         self.seen_epoch = epoch;
     }
 
-    /// Flushes one demand report if a measurement interval elapsed:
-    /// per-server instantaneous dispatch rate folded into a
-    /// fast-attack / slow-decay EWMA (the sim's demand estimator), sent
-    /// as one message carrying only the >0 rates.
+    /// Flushes one demand report if a measurement interval elapsed, as
+    /// one message carrying only the >0 rates.
     fn maybe_report(&mut self, now_ns: u64) {
         if now_ns
             < self
@@ -293,23 +275,14 @@ impl CreditSelector {
         }
         let dt_secs = (now_ns - self.last_measure_ns) as f64 / 1e9;
         self.last_measure_ns = now_ns;
-        if dt_secs <= 0.0 {
-            return;
-        }
         let mut rates = Vec::new();
-        for i in 0..self.buckets.len() {
-            let inst = (self.dispatched_since[i] as f64 + self.unmet_since[i]) / dt_secs;
-            self.dispatched_since[i] = 0;
-            self.unmet_since[i] = 0.0;
-            let ewma = &mut self.demand_ewma[i];
-            *ewma = if inst > *ewma {
-                inst
-            } else {
-                0.3 * inst + 0.7 * *ewma
-            };
-            if *ewma > 0.0 {
-                rates.push((i as u32, *ewma));
-            }
+        let backlog = self
+            .unmet_since
+            .iter()
+            .map(|(server, unmet)| (*unmet, std::slice::from_ref(server)));
+        self.credits.measure(dt_secs, backlog, &mut rates);
+        for (_, unmet) in &mut self.unmet_since {
+            *unmet = 0.0;
         }
         if !rates.is_empty() {
             // Send failure means the controller is gone (shutdown mid-
@@ -330,64 +303,32 @@ impl ReplicaSelector for CreditSelector {
 
     fn select(&mut self, ctx: &SelectionCtx<'_>) -> Selection {
         debug_assert!(!ctx.candidates.is_empty());
-        let now_ns = ctx.now_ns;
-        self.refresh_grants(now_ns);
-        self.maybe_report(now_ns);
-        // Sim-exact admission: among candidates holding a token, lowest
-        // queue_ewma + outstanding × num_clients wins; ties to the
-        // lower server id.
-        let mut best: Option<(f64, ServerId)> = None;
-        for &s in ctx.candidates {
-            let i = s.index();
-            if self.buckets[i].tokens_at(now_ns) >= 1.0 {
-                let load = self.queue_ewma[i] + self.outstanding[i] as f64 * self.weight;
-                let better = match best {
-                    None => true,
-                    Some((bl, br)) => load < bl || (load == bl && s.raw() < br.raw()),
-                };
-                if better {
-                    best = Some((load, s));
+        self.refresh_grants(ctx.now_ns);
+        self.maybe_report(ctx.now_ns);
+        match self.credits.admit(ctx.now_ns, ctx.candidates) {
+            Ok(server) => Selection::Dispatch(server),
+            Err(retry_in_ns) => {
+                // Refused: this attempt is demand the grants could not
+                // carry, spread across the group it could have gone to.
+                let share = 1.0 / ctx.candidates.len() as f64;
+                for s in ctx.candidates {
+                    self.unmet_since[s.index()].1 += share;
                 }
+                Selection::RateLimited { retry_in_ns }
             }
         }
-        if let Some((_, s)) = best {
-            let i = s.index();
-            if self.buckets[i].try_take(now_ns) {
-                self.outstanding[i] += 1;
-                self.dispatched_since[i] += 1;
-                return Selection::Dispatch(s);
-            }
-        }
-        // Refused: this attempt is demand the grants could not carry.
-        // Attribute it across the group like the sim spreads a held
-        // request across its replicas.
-        let share = 1.0 / ctx.candidates.len() as f64;
-        let mut retry_in_ns = u64::MAX;
-        for &s in ctx.candidates {
-            self.unmet_since[s.index()] += share;
-            retry_in_ns = retry_in_ns.min(self.buckets[s.index()].ns_until_token(now_ns));
-        }
-        if retry_in_ns == u64::MAX {
-            // Every candidate granted at rate zero: probe again in 1 ms
-            // (the sim's fallback for the same corner).
-            retry_in_ns = 1_000_000;
-        }
-        Selection::RateLimited { retry_in_ns }
     }
 
     fn on_response(&mut self, server: ServerId, _now_ns: u64, feedback: &ResponseFeedback) {
-        let i = server.index();
-        self.queue_ewma[i] = 0.3 * feedback.queue_len as f64 + 0.7 * self.queue_ewma[i];
-        self.outstanding[i] = self.outstanding[i].saturating_sub(1);
+        self.credits.on_response(server, feedback.queue_len);
     }
 
     fn on_abandon(&mut self, server: ServerId) {
-        let i = server.index();
-        self.outstanding[i] = self.outstanding[i].saturating_sub(1);
+        self.credits.on_abandon(server);
     }
 
     fn outstanding(&self, server: ServerId) -> u64 {
-        self.outstanding[server.index()]
+        self.credits.outstanding(server)
     }
 }
 
@@ -482,32 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_enforces_buckets_and_rate_limits() {
-        // Capacity 10k over 1000 clients → fair rate 10 rps, burst 1:
-        // exactly one token banked at t=0.
-        let mut cfg = test_cfg(1_000);
-        cfg.server_capacity_rps = 10_000.0;
-        let (hub, _rx) = bare_hub(cfg);
-        let mut sel = CreditSelector::new(ClientId::new(0), &hub, 1, 1000);
-        let servers = [ServerId::new(0)];
-        assert_eq!(
-            sel.select(&ctx(&servers, 0)),
-            Selection::Dispatch(ServerId::new(0))
-        );
-        // Bucket drained; next token ~100 ms out at 10 rps.
-        match sel.select(&ctx(&servers, 1)) {
-            Selection::RateLimited { retry_in_ns } => {
-                assert!(
-                    (50_000_000..=150_000_000).contains(&retry_in_ns),
-                    "{retry_in_ns}"
-                );
-            }
-            other => panic!("expected rate limit, got {other:?}"),
-        }
-        assert_eq!(sel.outstanding(ServerId::new(0)), 1);
-    }
-
-    #[test]
     fn selector_applies_published_grants() {
         let mut cfg = test_cfg(1_000);
         cfg.server_capacity_rps = 10_000.0;
@@ -599,37 +514,5 @@ mod tests {
             "unmet demand missing from report: {} rps",
             rates[0].1
         );
-    }
-
-    #[test]
-    fn selector_balances_by_outstanding_and_releases_on_abandon() {
-        let cfg = test_cfg(1_000);
-        let (hub, _rx) = bare_hub(cfg);
-        // 2 clients → fair rate 5000 rps each, plenty of burst.
-        let mut sel = CreditSelector::new(ClientId::new(0), &hub, 2, 2);
-        let servers = [ServerId::new(0), ServerId::new(1)];
-        let Selection::Dispatch(first) = sel.select(&ctx(&servers, 0)) else {
-            panic!("expected dispatch");
-        };
-        let Selection::Dispatch(second) = sel.select(&ctx(&servers, 0)) else {
-            panic!("expected dispatch");
-        };
-        // Outstanding weighting spreads consecutive picks.
-        assert_ne!(first, second);
-        sel.on_abandon(first);
-        assert_eq!(sel.outstanding(first), 0);
-        sel.on_response(
-            second,
-            10,
-            &ResponseFeedback {
-                response_time_ns: 10,
-                queue_len: 6,
-                service_time_ns: 5,
-            },
-        );
-        assert_eq!(sel.outstanding(second), 0);
-        // Queue EWMA from piggybacked feedback steers the next pick
-        // away from the slow server.
-        assert_eq!(sel.select(&ctx(&servers, 20)), Selection::Dispatch(first));
     }
 }

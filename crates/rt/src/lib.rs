@@ -25,7 +25,7 @@
 //! real threads: bounded server queues with watermark shedding and a
 //! CoDel controller on measured sojourn times ([`RtQueueConfig`]),
 //! typed NACKs over the transport, client-side wall-clock deadline
-//! timers with budgeted capped-exponential retries ([`RtTimeoutConfig`]),
+//! timers with budgeted capped-exponential retries ([`brb_sched::TimeoutConfig`]),
 //! and typed task outcomes ([`TaskOutcome`]) under the conservation
 //! contract `completed + dropped + timed_out + shed == issued`. Worker
 //! and router threads are panic-guarded: a thread that dies mid-run
@@ -70,13 +70,9 @@ pub mod server;
 pub mod timing;
 pub mod transport;
 
-pub use client::{
-    RtClient, TaskFailureKind, TaskOutcome, TaskResolution, TaskResponse, TaskTicket,
-};
+pub use client::{RtClient, TaskFailure, TaskOutcome, TaskResolution, TaskResponse, TaskTicket};
 pub use credits::RtCreditsConfig;
 pub use error::RtError;
 pub use loadgen::{run_load, try_run_load, LoadGenConfig, LoadMode, LoadReport};
-pub use server::{
-    RtCluster, RtClusterConfig, RtQueueConfig, RtQueueMode, RtTimeoutConfig, SpikeModel, WorkModel,
-};
+pub use server::{RtCluster, RtClusterConfig, RtQueueConfig, RtQueueMode, SpikeModel, WorkModel};
 pub use transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};

@@ -25,7 +25,7 @@
 //! == issued`, checked at the end of every run. Latency histograms
 //! record completed tasks only; failed tasks count against goodput.
 
-use crate::client::{RtClient, TaskFailureKind, TaskOutcome, TaskResolution, TaskTicket};
+use crate::client::{RtClient, TaskFailure, TaskOutcome, TaskResolution, TaskTicket};
 use crate::error::RtError;
 use crate::server::RtCluster;
 use crate::timing;
@@ -174,11 +174,9 @@ impl Collector {
                 self.requests += resp.request_ns.len() as u64;
             }
             TaskOutcome::Failed { failure } => match failure {
-                TaskFailureKind::Dropped => self.dropped += 1,
-                TaskFailureKind::Shed => self.shed += 1,
-                TaskFailureKind::TimedOut | TaskFailureKind::RetriesExhausted => {
-                    self.timed_out += 1
-                }
+                TaskFailure::Dropped => self.dropped += 1,
+                TaskFailure::Shed => self.shed += 1,
+                TaskFailure::TimedOut | TaskFailure::RetriesExhausted => self.timed_out += 1,
             },
         }
     }
@@ -393,9 +391,10 @@ pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{RtClusterConfig, RtQueueConfig, RtTimeoutConfig, WorkModel};
+    use crate::server::{RtClusterConfig, RtQueueConfig, WorkModel};
     use brb_sched::overload::QueueBound;
     use brb_sched::PolicyKind;
+    use brb_sched::TimeoutConfig;
     use brb_store::service::{ServiceModel, ServiceNoise};
 
     fn cluster() -> RtCluster {
@@ -558,11 +557,11 @@ mod tests {
                 },
                 codel: None,
             }),
-            timeout: Some(RtTimeoutConfig {
-                timeout_ns: 3_000_000, // 3ms
+            timeout: Some(TimeoutConfig {
+                timeout_us: 3_000, // 3ms
                 max_retries: 2,
-                backoff_base_ns: 0,
-                backoff_cap_ns: 0,
+                backoff_base_us: 0,
+                backoff_cap_us: 0,
                 retry_budget_percent: None,
             }),
             ..Default::default()
@@ -643,8 +642,8 @@ mod tests {
             report.hedges_issued >= 1,
             "60 spiked tasks under a 1ms hedge delay never hedged"
         );
-        // The 5% budget binds: hedges·20 < dispatches (60 + hedges),
-        // so at most ~3 duplicates across 60 single-request tasks.
+        // The 5% budget binds: hedges·20 < the 60 non-hedge dispatches,
+        // so at most 3 duplicates across 60 single-request tasks.
         assert!(
             report.hedges_issued <= 4,
             "hedge budget failed to bind: {}",
@@ -670,11 +669,11 @@ mod tests {
             work: WorkModel::Instant,
             store_shards: 4,
             panic_on_key: Some(13),
-            timeout: Some(RtTimeoutConfig {
-                timeout_ns: 5_000_000,
+            timeout: Some(TimeoutConfig {
+                timeout_us: 5_000,
                 max_retries: 0,
-                backoff_base_ns: 0,
-                backoff_cap_ns: 0,
+                backoff_base_us: 0,
+                backoff_cap_us: 0,
                 retry_budget_percent: None,
             }),
             ..Default::default()

@@ -18,8 +18,8 @@
 //! * **Credits** ([`crate::credits`]): a controller thread adapts grant
 //!   allocations from live demand reports and router-raised congestion
 //!   signals; clients gate dispatch through token buckets. The router
-//!   detects congestion exactly as the sim server does — queue depth at
-//!   arrival against the threshold, plus an arrival-rate window.
+//!   feeds every admitted arrival to a
+//!   [`brb_sched::CongestionDetector`].
 //! * **Model** ([`RtQueueMode::Global`]): one [`GlobalQueue`] shared by
 //!   every server; idle workers pull the highest-priority request their
 //!   replica constraint allows — the paper's unrealizable ideal, made
@@ -33,8 +33,10 @@ use crate::client::RtClient;
 use crate::credits::{self, CreditMsg, CreditSelector, CreditsHub, RtCreditsConfig};
 use crate::timing;
 use crate::transport::{RtMessage, RtNack, RtReply, RtRequest, RtResponse};
-use brb_sched::overload::{CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound};
-use brb_sched::{GlobalQueue, PolicyKind, PriorityQueue, RequestQueue};
+use brb_sched::overload::{
+    CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound, TimeoutConfig,
+};
+use brb_sched::{CongestionDetector, GlobalQueue, PolicyKind, PriorityQueue, RequestQueue};
 use brb_select::{ReplicaSelector, SelectorSpec};
 use brb_store::cost::{CostModel, ForecastQuality};
 use brb_store::ids::{ClientId, ServerId};
@@ -50,7 +52,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How servers spend service time.
 #[derive(Debug, Clone, Copy)]
@@ -89,27 +91,6 @@ pub struct RtQueueConfig {
     /// CoDel AQM at dequeue (`None` disables it), driven by measured
     /// sojourn timestamps (enqueue `Instant` → dequeue `Instant`).
     pub codel: Option<CoDelConfig>,
-}
-
-/// Client-side timeout/retry knobs (the overload lane), in wall-clock
-/// nanoseconds. Mirrors the simulator's `TimeoutConfig` semantics:
-/// per-attempt deadlines, capped exponential backoff, and a per-client
-/// retry budget as a percentage of dispatches.
-#[derive(Debug, Clone, Copy)]
-pub struct RtTimeoutConfig {
-    /// Per-attempt timeout, dispatch → reply (ns).
-    pub timeout_ns: u64,
-    /// Retries allowed after the first attempt (0 = a single timeout is
-    /// terminal).
-    pub max_retries: u32,
-    /// First-retry backoff (ns); doubles per retry. 0 retries
-    /// immediately — the retry-storm configuration.
-    pub backoff_base_ns: u64,
-    /// Cap on the exponential backoff (ns); 0 = uncapped.
-    pub backoff_cap_ns: u64,
-    /// Retry budget: a client stops retrying once its retries reach
-    /// this percentage of its dispatches (`None` = unbudgeted).
-    pub retry_budget_percent: Option<u32>,
 }
 
 /// Transient service spikes: with probability `p_spike` a request's
@@ -180,8 +161,9 @@ pub struct RtClusterConfig {
     /// behavior).
     pub queue: Option<RtQueueConfig>,
     /// Client-side deadline timers and retries (`None` = clients wait
-    /// forever, the legacy behavior).
-    pub timeout: Option<RtTimeoutConfig>,
+    /// forever, the legacy behavior): per-attempt wall-clock deadlines
+    /// under the shared retry policy.
+    pub timeout: Option<TimeoutConfig>,
     /// Per-server speed factors: service times divide by the factor
     /// (0.5 = half speed, the degraded-node fault). Empty or shorter
     /// than the server count means nominal speed for the rest.
@@ -245,7 +227,8 @@ pub(crate) struct ServerShared {
     pub(crate) queue_len: AtomicUsize,
     /// Admission bound, applied by the router (`None` = unbounded).
     pub(crate) bound: Option<QueueBound>,
-    /// Time base for the CoDel controller's `now_ns`.
+    /// Time base for the `now_ns` of this server's CoDel controller and
+    /// congestion detector.
     pub(crate) epoch: Instant,
     pub(crate) store: ShardedStore,
     pub(crate) stop: AtomicBool,
@@ -279,58 +262,9 @@ pub(crate) struct GlobalShared {
     pub(crate) epoch: Instant,
 }
 
-/// Router-side congestion detection for the credits lane, mirroring the
-/// sim server's two triggers: queue depth at arrival ≥ threshold, and a
-/// windowed arrival rate above capacity. Signals are rate-limited to
-/// one per measurement interval, as in the sim.
-struct CongestionMonitor {
-    tx: Sender<CreditMsg>,
-    threshold: usize,
-    capacity_rps: f64,
-    interval: Duration,
-    window_start: Instant,
-    arrivals: u64,
-    last_signal: Option<Instant>,
-}
-
-impl CongestionMonitor {
-    fn new(hub: &CreditsHub) -> Self {
-        CongestionMonitor {
-            tx: hub.tx.clone(),
-            threshold: hub.cfg.congestion_queue_threshold,
-            capacity_rps: hub.cfg.server_capacity_rps,
-            interval: Duration::from_nanos(hub.cfg.config.measurement_interval_ns),
-            window_start: Instant::now(),
-            arrivals: 0,
-            last_signal: None,
-        }
-    }
-
-    fn on_arrival(&mut self, server_id: u32, queue_len: usize) {
-        let now = Instant::now();
-        self.arrivals += 1;
-        let mut congested = queue_len >= self.threshold;
-        let elapsed = now.saturating_duration_since(self.window_start);
-        if elapsed >= self.interval {
-            let rate = self.arrivals as f64 / elapsed.as_secs_f64();
-            // The 5% margin keeps rate jitter at exactly-capacity from
-            // flapping the signal (sim semantics).
-            if rate > self.capacity_rps * 1.05 {
-                congested = true;
-            }
-            self.arrivals = 0;
-            self.window_start = now;
-        }
-        if congested
-            && self
-                .last_signal
-                .is_none_or(|t| now.saturating_duration_since(t) >= self.interval)
-        {
-            let _ = self.tx.send(CreditMsg::Congestion { server: server_id });
-            self.last_signal = Some(now);
-        }
-    }
-}
+/// A router's congestion detection for the credits lane: the shared
+/// detector, and the channel its signals go out on.
+type CongestionMonitor = (CongestionDetector, Sender<CreditMsg>);
 
 /// A running in-process cluster.
 pub struct RtCluster {
@@ -380,7 +314,7 @@ impl RtCluster {
             }
         }
         if let Some(t) = &config.timeout {
-            assert!(t.timeout_ns > 0, "timeout must be positive");
+            t.validate().expect("invalid timeout config");
         }
         assert!(
             config.speed_factors.len() <= config.num_servers as usize,
@@ -479,7 +413,14 @@ impl RtCluster {
                 let global = global.clone();
                 let stop_rx = stop_rx.clone();
                 let panicked = Arc::clone(&panicked);
-                let congestion = credits_hub.as_ref().map(CongestionMonitor::new);
+                let congestion = credits_hub.as_ref().map(|hub| {
+                    let detector = CongestionDetector::new(
+                        hub.cfg.congestion_queue_threshold,
+                        hub.cfg.server_capacity_rps,
+                        hub.cfg.config.measurement_interval_ns,
+                    );
+                    (detector, hub.tx.clone())
+                });
                 routers.push(
                     std::thread::Builder::new()
                         .name(format!("brb-router-{s}"))
@@ -816,9 +757,6 @@ fn router_loop(
                         Some(g) => g.queue_len.load(Ordering::Relaxed),
                         None => shared.queue_len.load(Ordering::Relaxed),
                     };
-                    if let Some(monitor) = congestion.as_mut() {
-                        monitor.on_arrival(server_id, len);
-                    }
                     if let Some(bound) = shared.bound {
                         if let EnqueueOutcome::Dropped(reason) = bound.admit(len) {
                             match reason {
@@ -831,6 +769,13 @@ fn router_loop(
                             };
                             send_nack(server_id, &req, reason);
                             continue;
+                        }
+                    }
+                    // Admitted: the queue is about to be `len + 1` long.
+                    if let Some((detector, tx)) = congestion.as_mut() {
+                        let now_ns = shared.epoch.elapsed().as_nanos() as u64;
+                        if detector.on_arrival(now_ns, len + 1) {
+                            let _ = tx.send(CreditMsg::Congestion { server: server_id });
                         }
                     }
                     match global {
@@ -899,6 +844,19 @@ fn router_loop(
     }
 }
 
+/// CoDel's verdict on a request dequeued now after waiting since
+/// `enqueued` — its *measured* sojourn — on the controller clock that
+/// started at `epoch`. No controller, no drop.
+fn codel_drops(codel: Option<&mut CoDel>, epoch: Instant, enqueued: Instant) -> bool {
+    codel.is_some_and(|codel| {
+        let now = Instant::now();
+        codel.on_dequeue(
+            now.saturating_duration_since(epoch).as_nanos() as u64,
+            now.saturating_duration_since(enqueued).as_nanos() as u64,
+        )
+    })
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     server_id: u32,
@@ -922,16 +880,9 @@ fn worker_loop(
                 loop {
                     if let Some((_, queued)) = q.pq.pop() {
                         shared.queue_len.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(codel) = q.codel.as_mut() {
-                            let now = Instant::now();
-                            let now_ns =
-                                now.saturating_duration_since(shared.epoch).as_nanos() as u64;
-                            let sojourn_ns =
-                                now.saturating_duration_since(queued.enqueued).as_nanos() as u64;
-                            if codel.on_dequeue(now_ns, sojourn_ns) {
-                                codel_rejects.push(queued.req);
-                                continue; // drop head-of-line, pop the next
-                            }
+                        if codel_drops(q.codel.as_mut(), shared.epoch, queued.enqueued) {
+                            codel_rejects.push(queued.req);
+                            continue; // drop head-of-line, pop the next
                         }
                         break Some(queued.req);
                     }
@@ -949,15 +900,9 @@ fn worker_loop(
                 loop {
                     if let Some((_, _, queued)) = q.gq.pull_for(me, &g.ring) {
                         g.queue_len.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(codel) = q.codel.as_mut() {
-                            let now = Instant::now();
-                            let now_ns = now.saturating_duration_since(g.epoch).as_nanos() as u64;
-                            let sojourn_ns =
-                                now.saturating_duration_since(queued.enqueued).as_nanos() as u64;
-                            if codel.on_dequeue(now_ns, sojourn_ns) {
-                                codel_rejects.push(queued.req);
-                                continue;
-                            }
+                        if codel_drops(q.codel.as_mut(), g.epoch, queued.enqueued) {
+                            codel_rejects.push(queued.req);
+                            continue;
                         }
                         break Some(queued.req);
                     }

@@ -24,10 +24,8 @@
 //!   from the bucket for *s*; otherwise it waits in the client's local
 //!   priority queue (that wait is part of task latency).
 
-use crate::priority::Priority;
 use brb_store::ids::{ClientId, ServerId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Grant rates for one adaptation epoch: per server, the granted
 /// requests/second of every reporting client, **sorted by client id**.
@@ -366,65 +364,252 @@ impl CreditBucket {
     }
 }
 
-/// Bookkeeping helper: a client's local holding queue while it waits for
-/// credits, keyed by server. Entries keep their task priority so the
-/// highest-priority request dispatches first once tokens arrive.
-#[derive(Debug, Default)]
-pub struct HoldQueue<T> {
-    by_server: BTreeMap<ServerId, crate::queue::PriorityQueue<T>>,
-    len: usize,
+/// Re-probe delay when every candidate's grant rate is zero (no token
+/// will ever accrue, so there is no ETA to wait for).
+const REPROBE_NS: u64 = 1_000_000;
+
+/// The smoothing both of the client's EWMAs use (piggybacked queue
+/// lengths, decaying demand): old state is forgotten over ~3 updates.
+fn ewma(sample: f64, old: f64) -> f64 {
+    0.3 * sample + 0.7 * old
 }
 
-impl<T> HoldQueue<T> {
-    /// Creates an empty hold queue.
-    pub fn new() -> Self {
-        HoldQueue {
-            by_server: BTreeMap::new(),
-            len: 0,
+/// One client's view of one server.
+#[derive(Debug, Clone)]
+struct ServerCredit {
+    bucket: CreditBucket,
+    /// EWMA of the queue lengths the server piggybacks on responses:
+    /// replica choice weighs observed queues, narrowing the gap to the
+    /// model realization's late binding.
+    queue_ewma: f64,
+    /// This client's requests in flight to the server.
+    outstanding: u64,
+    /// Dispatches since the last [`CreditClient::measure`].
+    dispatched_since: u64,
+    /// Smoothed demand (rps). Reports send `max(instantaneous, smoothed)`
+    /// so one quiet measurement window cannot collapse next epoch's
+    /// grant (grants are frozen for a full adaptation interval;
+    /// underestimates starve the client).
+    demand_ewma: f64,
+    /// Scratch: this window's instantaneous demand while `measure` runs.
+    rate: f64,
+}
+
+/// The client half of the credits realization — token admission with
+/// load-weighted replica choice, grant application and the demand
+/// estimator — as plain state driven by a caller-supplied clock. The
+/// simulator calls it from calendar events and the live runtime from
+/// its dispatch path; neither adds policy of its own.
+///
+/// Every f64 operation here runs in a fixed order (documented per
+/// method): the simulator's golden run hashes pin the results
+/// bit-for-bit, so reassociating a sum is a behaviour change.
+#[derive(Debug, Clone)]
+pub struct CreditClient {
+    burst_secs: f64,
+    /// Load weight on outstanding requests: one in-flight request of
+    /// ours stands in for `num_clients` cluster-wide (the C3 trick —
+    /// it suppresses herding on stale queue information).
+    weight: f64,
+    servers: Vec<ServerCredit>,
+}
+
+impl CreditClient {
+    /// A client of `num_servers` servers among `num_clients` clients.
+    /// Until the first grant lands every bucket runs at the fair share,
+    /// `server_capacity_rps / num_clients`.
+    pub fn new(
+        num_servers: usize,
+        num_clients: usize,
+        server_capacity_rps: f64,
+        burst_secs: f64,
+    ) -> Self {
+        let num_clients = num_clients.max(1);
+        let fair_rate = server_capacity_rps / num_clients as f64;
+        let slot = ServerCredit {
+            bucket: CreditBucket::new(fair_rate, (fair_rate * burst_secs).max(1.0)),
+            queue_ewma: 0.0,
+            outstanding: 0,
+            dispatched_since: 0,
+            demand_ewma: 0.0,
+            rate: 0.0,
+        };
+        CreditClient {
+            burst_secs,
+            weight: num_clients as f64,
+            servers: vec![slot; num_servers],
         }
     }
 
-    /// Holds `item` destined for `server`.
-    pub fn hold(&mut self, server: ServerId, priority: Priority, item: T) {
-        use crate::queue::RequestQueue;
-        self.by_server
-            .entry(server)
-            .or_insert_with(crate::queue::PriorityQueue::new)
-            .push(priority, item);
-        self.len += 1;
-    }
-
-    /// Releases the highest-priority held item for `server`, if any.
-    pub fn release(&mut self, server: ServerId) -> Option<(Priority, T)> {
-        use crate::queue::RequestQueue;
-        let q = self.by_server.get_mut(&server)?;
-        let out = q.pop();
-        if out.is_some() {
-            self.len -= 1;
+    /// Admits one request to a replica among `candidates`, or refuses.
+    ///
+    /// Among candidates holding at least one token, the lowest
+    /// `queue_ewma + outstanding × num_clients` wins (ties to the lower
+    /// server id); its token is spent and the dispatch is counted as in
+    /// flight and as demand. With no token anywhere the answer is
+    /// `Err(retry_in_ns)`: the earliest token's ETA over the candidates,
+    /// or 1 ms when every rate is zero.
+    pub fn admit(&mut self, now_ns: u64, candidates: &[ServerId]) -> Result<ServerId, u64> {
+        let mut best: Option<(f64, ServerId)> = None;
+        let mut min_wait = u64::MAX;
+        for &s in candidates {
+            let slot = &mut self.servers[s.index()];
+            if slot.bucket.tokens_at(now_ns) >= 1.0 {
+                let load = slot.queue_ewma + slot.outstanding as f64 * self.weight;
+                if best.is_none_or(|(bl, bs)| load < bl || (load == bl && s.raw() < bs.raw())) {
+                    best = Some((load, s));
+                }
+            } else {
+                min_wait = min_wait.min(slot.bucket.ns_until_token(now_ns));
+            }
         }
-        out
+        let Some((_, server)) = best else {
+            return Err(if min_wait == u64::MAX {
+                REPROBE_NS
+            } else {
+                min_wait
+            });
+        };
+        let slot = &mut self.servers[server.index()];
+        let taken = slot.bucket.try_take(now_ns);
+        debug_assert!(taken, "token vanished between check and take");
+        slot.outstanding += 1;
+        slot.dispatched_since += 1;
+        Ok(server)
     }
 
-    /// Held items destined for `server`.
-    pub fn held_for(&self, server: ServerId) -> usize {
-        use crate::queue::RequestQueue;
-        self.by_server.get(&server).map_or(0, |q| q.len())
+    /// A response from `server` arrived carrying its queue length.
+    pub fn on_response(&mut self, server: ServerId, queue_len: u64) {
+        let slot = &mut self.servers[server.index()];
+        slot.outstanding = slot.outstanding.saturating_sub(1);
+        slot.queue_ewma = ewma(queue_len as f64, slot.queue_ewma);
     }
 
-    /// Total held items.
-    pub fn len(&self) -> usize {
-        self.len
+    /// A dispatch to `server` ended without a response (NACKed,
+    /// superseded or abandoned).
+    pub fn on_abandon(&mut self, server: ServerId) {
+        let slot = &mut self.servers[server.index()];
+        slot.outstanding = slot.outstanding.saturating_sub(1);
     }
 
-    /// Whether nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// This client's requests in flight to `server`.
+    pub fn outstanding(&self, server: ServerId) -> u64 {
+        self.servers[server.index()].outstanding
+    }
+
+    /// Applies a granted rate for `server` (servers absent from a grant
+    /// keep their old rate).
+    pub fn set_grant(&mut self, now_ns: u64, server: ServerId, rate_rps: f64) {
+        self.servers[server.index()]
+            .bucket
+            .set_rate(now_ns, rate_rps, self.burst_secs);
+    }
+
+    /// Closes a measurement window of `dt_secs` and appends the
+    /// `(server index, demand rps)` report to `demands`, skipping
+    /// servers whose smoothed demand is zero.
+    ///
+    /// `backlog` lists demand that could not be dispatched: `(count,
+    /// replicas)` adds `count / (replicas.len() × dt)` to each replica
+    /// (a held request is attributed equally to the replicas it could
+    /// have gone to). Per server the arithmetic is, in this order,
+    /// `dispatched / dt`, then `+=` each backlog share in iteration
+    /// order, then fast-attack / slow-decay smoothing: growth is taken
+    /// at once, decay is `0.3 × inst + 0.7 × ewma`.
+    pub fn measure<'a>(
+        &mut self,
+        dt_secs: f64,
+        backlog: impl IntoIterator<Item = (f64, &'a [ServerId])>,
+        demands: &mut Vec<(u16, f64)>,
+    ) {
+        for slot in &mut self.servers {
+            slot.rate = slot.dispatched_since as f64 / dt_secs;
+            slot.dispatched_since = 0;
+        }
+        for (count, replicas) in backlog {
+            if count > 0.0 {
+                for s in replicas {
+                    self.servers[s.index()].rate += count / (replicas.len() as f64 * dt_secs);
+                }
+            }
+        }
+        for (s, slot) in self.servers.iter_mut().enumerate() {
+            slot.demand_ewma = if slot.rate > slot.demand_ewma {
+                slot.rate
+            } else {
+                ewma(slot.rate, slot.demand_ewma)
+            };
+            if slot.demand_ewma > 0.0 {
+                demands.push((s as u16, slot.demand_ewma));
+            }
+        }
     }
 }
 
+/// Margin over capacity the windowed arrival rate must exceed before it
+/// counts as congestion — keeps jitter at exactly-capacity from
+/// flapping the signal.
+const RATE_MARGIN: f64 = 1.05;
+
+/// Server-side congestion detection for the credits realization ("once
+/// demand exceeds server capacity, a congestion signal is sent to the
+/// controller"): an admitted arrival is congested when it leaves the
+/// queue at or above a depth threshold, or closes a measurement window
+/// whose arrival rate exceeded capacity by more than 5 %. Signals are
+/// limited to one per measurement interval.
+#[derive(Debug, Clone)]
+pub struct CongestionDetector {
+    queue_threshold: usize,
+    capacity_rps: f64,
+    interval_ns: u64,
+    window_start_ns: u64,
+    arrivals: u64,
+    last_signal_ns: Option<u64>,
+}
+
+impl CongestionDetector {
+    /// A detector for a server of `capacity_rps`, windowed (and
+    /// signal-limited) at `interval_ns`.
+    pub fn new(queue_threshold: usize, capacity_rps: f64, interval_ns: u64) -> Self {
+        CongestionDetector {
+            queue_threshold,
+            capacity_rps,
+            interval_ns,
+            window_start_ns: 0,
+            arrivals: 0,
+            last_signal_ns: None,
+        }
+    }
+
+    /// Records an arrival that was admitted at `now_ns`, `queue_len`
+    /// being the queue's length *including* it. Returns whether to send
+    /// a congestion signal now.
+    pub fn on_arrival(&mut self, now_ns: u64, queue_len: usize) -> bool {
+        self.arrivals += 1;
+        let mut congested = queue_len >= self.queue_threshold;
+        let elapsed = now_ns.saturating_sub(self.window_start_ns);
+        if elapsed >= self.interval_ns {
+            let rate = self.arrivals as f64 / (elapsed as f64 / 1e9);
+            if rate > self.capacity_rps * RATE_MARGIN {
+                congested = true;
+            }
+            self.arrivals = 0;
+            self.window_start_ns = now_ns;
+        }
+        let signal = congested
+            && self
+                .last_signal_ns
+                .is_none_or(|last| now_ns.saturating_sub(last) >= self.interval_ns);
+        if signal {
+            self.last_signal_ns = Some(now_ns);
+        }
+        signal
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn controller(n: usize, cap: f64) -> CreditController {
         CreditController::new(vec![cap; n], CreditsConfig::default())
@@ -620,19 +805,178 @@ mod tests {
         assert_eq!(b.rate(), 100.0);
     }
 
+    fn servers(ids: &[u64]) -> Vec<ServerId> {
+        ids.iter().map(|&s| ServerId::new(s)).collect()
+    }
+
     #[test]
-    fn hold_queue_releases_by_priority() {
-        let mut h = HoldQueue::new();
-        let s = ServerId::new(2);
-        h.hold(s, Priority(30), "low");
-        h.hold(s, Priority(10), "high");
-        h.hold(ServerId::new(1), Priority(1), "other-server");
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.held_for(s), 2);
-        assert_eq!(h.release(s).unwrap().1, "high");
-        assert_eq!(h.release(s).unwrap().1, "low");
-        assert!(h.release(s).is_none());
-        assert_eq!(h.len(), 1);
+    fn client_spends_tokens_and_reports_the_earliest_eta() {
+        // 1 000 rps servers among 100 clients: a 10 rps fair share, so
+        // every bucket starts with exactly one token.
+        let mut c = CreditClient::new(2, 100, 1_000.0, 0.05);
+        let group = servers(&[0, 1]);
+        // Equal load: the tie goes to the lower id; then to the server
+        // with nothing outstanding.
+        assert_eq!(c.admit(0, &group), Ok(ServerId::new(0)));
+        assert_eq!(c.admit(0, &group), Ok(ServerId::new(1)));
+        assert_eq!(c.outstanding(ServerId::new(0)), 1);
+        // Both buckets drained; at 10 rps the next token is 100 ms out.
+        assert_eq!(c.admit(1, &group), Err(99_999_999));
+        // A grant of rate zero never accrues: re-probe in 1 ms.
+        c.set_grant(1, ServerId::new(0), 0.0);
+        c.set_grant(1, ServerId::new(1), 0.0);
+        assert_eq!(c.admit(2, &group), Err(REPROBE_NS));
+    }
+
+    #[test]
+    fn client_weighs_outstanding_and_piggybacked_queues() {
+        let mut c = CreditClient::new(2, 2, 10_000.0, 0.1);
+        let group = servers(&[0, 1]);
+        let first = c.admit(0, &group).unwrap();
+        let second = c.admit(0, &group).unwrap();
+        // Outstanding weighting spreads consecutive picks.
+        assert_ne!(first, second);
+        c.on_abandon(first);
+        assert_eq!(c.outstanding(first), 0);
+        c.on_response(second, 6);
+        assert_eq!(c.outstanding(second), 0);
+        // The queue EWMA from piggybacked feedback steers the next pick
+        // away from the slow server.
+        assert_eq!(c.admit(20, &group), Ok(first));
+    }
+
+    /// A recorded drive of the client — admissions, feedback, a grant
+    /// and two measurement windows — with every output pinned
+    /// bit-for-bit. The simulator's golden run hashes depend on exactly
+    /// these values; this is the 10 ms version of that 90 s check.
+    #[test]
+    fn client_outputs_are_pinned_bit_for_bit() {
+        let mut c = CreditClient::new(3, 4, 1_000.0, 0.02);
+        let (g01, g12) = (servers(&[0, 1]), servers(&[1, 2]));
+        let mut picks = Vec::new();
+        // One admission per microsecond until both buckets of group
+        // {0, 1} run dry (5 tokens each at the fair share).
+        let burst = [
+            &g01, &g12, &g01, &g12, &g01, &g12, &g12, &g01, &g01, &g01, &g01, &g01, &g01,
+        ];
+        for (i, group) in burst.into_iter().enumerate() {
+            picks.push(c.admit(i as u64 * 1_000, group).map(|s| s.raw()));
+        }
+        c.on_response(ServerId::new(1), 7);
+        c.on_response(ServerId::new(2), 3);
+        c.on_abandon(ServerId::new(0));
+        c.set_grant(2_000_000, ServerId::new(2), 1_700.0);
+        for (now_ns, group) in [
+            (3_000_000, &g12),
+            (3_500_000, &g12),
+            (4_000_000, &g01),
+            (9_000_000, &g01),
+        ] {
+            picks.push(c.admit(now_ns, group).map(|s| s.raw()));
+        }
+        assert_eq!(picks[..12], [0, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1].map(Ok));
+        assert_eq!(picks[12..], [Err(3_988_000), Ok(2), Ok(2), Ok(0), Ok(1)]);
+
+        let mut demands = Vec::new();
+        let backlog = [(2.0, g01.as_slice()), (0.0, g12.as_slice())];
+        c.measure(0.01, backlog, &mut demands);
+        // A quiet second window: demand decays instead of collapsing.
+        c.measure(0.01, [(1.0, g12.as_slice())], &mut demands);
+        // `==` on these is bit equality: 700 × 0.7 is not 490.
+        assert_eq!(
+            demands,
+            [
+                (0, 700.0),
+                (1, 700.0),
+                (2, 400.0),
+                (0, 489.99999999999994),
+                (1, 504.99999999999994),
+                (2, 295.0)
+            ]
+        );
+    }
+
+    proptest! {
+        /// Whatever grants, feedback and clock it is driven with, the
+        /// client dispatches only to a candidate holding a token, and a
+        /// refusal's `retry_in_ns` is the earliest token ETA among the
+        /// candidates (1 ms when none will ever accrue).
+        #[test]
+        fn client_never_dispatches_without_a_token(
+            steps in proptest::collection::vec(
+                (0u64..3_000_000, 1usize..16, 0u8..4, 0u32..4_000),
+                1..200,
+            )
+        ) {
+            let mut c = CreditClient::new(4, 20, 2_000.0, 0.01);
+            let mut now_ns = 0;
+            for (dt_ns, mask, op, rate_rps) in steps {
+                now_ns += dt_ns;
+                let server = ServerId::new((mask % 4) as u64);
+                match op {
+                    0 => c.set_grant(now_ns, server, f64::from(rate_rps)),
+                    1 => c.on_response(server, u64::from(rate_rps % 50)),
+                    _ => {
+                        let group: Vec<ServerId> = (0..4u64)
+                            .filter(|s| mask & (1 << s) != 0)
+                            .map(ServerId::new)
+                            .collect();
+                        let mut before = c.servers.clone();
+                        match c.admit(now_ns, &group) {
+                            Ok(s) => {
+                                prop_assert!(group.contains(&s));
+                                prop_assert!(before[s.index()].bucket.tokens_at(now_ns) >= 1.0);
+                            }
+                            Err(retry_in_ns) => {
+                                let eta = group
+                                    .iter()
+                                    .map(|s| before[s.index()].bucket.ns_until_token(now_ns))
+                                    .min()
+                                    .unwrap();
+                                prop_assert!(eta > 0, "refused with a token available");
+                                let want = if eta == u64::MAX { REPROBE_NS } else { eta };
+                                prop_assert_eq!(retry_in_ns, want);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn congestion_signals_at_most_once_per_interval() {
+        let interval_ns = 100_000_000;
+        let mut d = CongestionDetector::new(8, 1e12, interval_ns);
+        // A queue standing above the threshold for a second, one
+        // arrival per millisecond.
+        let signals: Vec<u64> = (0..1_000u64)
+            .map(|i| i * 1_000_000)
+            .filter(|&now_ns| d.on_arrival(now_ns, 8))
+            .collect();
+        assert_eq!(signals.len(), 10);
+        assert!(signals.windows(2).all(|w| w[1] - w[0] >= interval_ns));
+        // The first congested arrival signals even at t = 0: "never
+        // signalled" is its own state, not a timestamp of zero, so the
+        // arrival right after it is correctly suppressed.
+        assert_eq!(signals[..2], [0, interval_ns]);
+        // Below the threshold nothing fires.
+        let mut calm = CongestionDetector::new(8, 1e12, interval_ns);
+        assert!((0..1_000u64).all(|i| !calm.on_arrival(i * 1_000_000, 7)));
+    }
+
+    #[test]
+    fn congestion_rate_trigger_needs_more_than_five_percent_over_capacity() {
+        // A 1 s window (so the measured rate is exactly the arrival
+        // count) on a 1 000 rps server: the trigger is rate > 1 050.
+        for (arrivals, fires) in [(1_000u64, false), (1_050, false), (1_051, true)] {
+            let mut d = CongestionDetector::new(usize::MAX, 1_000.0, 1_000_000_000);
+            let mut signalled = false;
+            for i in 1..=arrivals {
+                signalled |= d.on_arrival(i * 1_000_000_000 / arrivals, 0);
+            }
+            assert_eq!(signalled, fires, "{arrivals} arrivals in one second");
+        }
     }
 
     #[test]

@@ -16,14 +16,17 @@
 //! * [`credits`] — the practical realization: a logically-centralized
 //!   controller assigning clients credit rates proportional to reported
 //!   demand, with congestion-triggered multiplicative backoff, adapted at
-//!   1 s intervals; clients gate dispatch through token buckets.
+//!   1 s intervals; clients gate dispatch through token buckets
+//!   ([`CreditClient`]) and servers detect congestion
+//!   ([`CongestionDetector`]).
 //! * [`global_queue`] — the ideal *model* realization: one global
 //!   priority queue; idle servers work-pull the highest-priority request
 //!   they are allowed to serve (replica constraint), with zero
 //!   coordination cost.
 //! * [`overload`] — the overload lane: bounded queues with typed
-//!   enqueue outcomes, admission-control load shedding, and a
-//!   CoDel-style AQM (sojourn-time target, inverse-sqrt drop cadence).
+//!   enqueue outcomes, admission-control load shedding, a CoDel-style
+//!   AQM (sojourn-time target, inverse-sqrt drop cadence), and the
+//!   client's timeout / retry / hedge policy with typed task failures.
 
 pub mod credits;
 pub mod global_queue;
@@ -32,9 +35,14 @@ pub mod policy;
 pub mod priority;
 pub mod queue;
 
-pub use credits::{CreditBucket, CreditController, CreditsConfig, GrantTable};
+pub use credits::{
+    CongestionDetector, CreditBucket, CreditClient, CreditController, CreditsConfig, GrantTable,
+};
 pub use global_queue::GlobalQueue;
-pub use overload::{Bounded, CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound};
+pub use overload::{
+    AttemptFailure, Bounded, CoDel, CoDelConfig, DispatchBudget, DropReason, EnqueueOutcome,
+    QueueBound, TaskFailure, TimeoutConfig, Verdict,
+};
 pub use policy::{PolicyKind, PriorityPolicy, TaskView};
 pub use priority::Priority;
 pub use queue::{FifoQueue, PriorityQueue, RequestQueue};

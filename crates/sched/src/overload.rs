@@ -21,11 +21,16 @@
 //! * [`Bounded`] — a thin wrapper gluing a [`QueueBound`] onto any
 //!   [`RequestQueue`] discipline, for callers that own their queue
 //!   directly.
+//! * [`TimeoutConfig`], [`DispatchBudget`], [`TaskFailure`] — the client
+//!   side: per-attempt timeouts, capped-exponential retries under a
+//!   budget, hedges under a budget, and the typed terminal outcome of a
+//!   task whose request ran out of attempts.
 //!
 //! Everything here is deterministic and allocation-free: decisions are
-//! pure functions of queue length, virtual time and the controller's
-//! own counters, so simulations with identical seeds drop identical
-//! requests.
+//! pure functions of queue length, the caller's clock and the
+//! caller-held counters, so simulations with identical seeds drop
+//! identical requests — and the live runtime, which calls the same
+//! functions on wall-clock time, decides the same way.
 
 use crate::priority::Priority;
 use crate::queue::RequestQueue;
@@ -233,6 +238,188 @@ impl CoDel {
     }
 }
 
+/// Client-side request timeout and retry knobs. Clients never time out
+/// when absent. Durations are in microseconds — the unit spec files
+/// are written in; the `*_ns` accessors convert.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TimeoutConfig {
+    /// Per-attempt timeout in microseconds, measured dispatch → response.
+    pub timeout_us: u64,
+    /// Retries allowed after the first attempt (0 = a single timeout is
+    /// terminal).
+    #[serde(default)]
+    pub max_retries: u32,
+    /// First-retry backoff in microseconds; doubles per retry (capped
+    /// exponential backoff). 0 retries immediately — the retry-storm
+    /// configuration.
+    #[serde(default)]
+    pub backoff_base_us: u64,
+    /// Cap on the exponential backoff in microseconds (must be ≥ the
+    /// base).
+    #[serde(default)]
+    pub backoff_cap_us: u64,
+    /// Retry budget: a client stops retrying once its retries reach this
+    /// percentage of its dispatches (`None` = unbudgeted).
+    #[serde(default)]
+    pub retry_budget_percent: Option<u32>,
+}
+
+impl TimeoutConfig {
+    /// Validates structural invariants.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.timeout_us == 0 {
+            return Err("timeout must be positive".into());
+        }
+        if self.max_retries > 16 {
+            return Err(format!("max_retries {} above cap 16", self.max_retries));
+        }
+        if self.backoff_cap_us < self.backoff_base_us {
+            return Err(format!(
+                "backoff cap {}us below base {}us",
+                self.backoff_cap_us, self.backoff_base_us
+            ));
+        }
+        if let Some(p) = self.retry_budget_percent {
+            if p == 0 || p > 100 {
+                return Err(format!("retry budget {p}% out of (0, 100]"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-attempt timeout in nanoseconds.
+    pub fn timeout_ns(&self) -> u64 {
+        self.timeout_us.saturating_mul(1_000)
+    }
+
+    /// Capped exponential backoff before retry `attempt` (1-based):
+    /// `min(base · 2^(attempt-1), cap)`, in nanoseconds. A zero base
+    /// means immediate retry; a zero cap means uncapped.
+    pub fn backoff_ns(&self, attempt: u32) -> u64 {
+        if self.backoff_base_us == 0 {
+            return 0;
+        }
+        let shift = attempt.saturating_sub(1).min(32);
+        let mut us = self.backoff_base_us.saturating_mul(1u64 << shift);
+        if self.backoff_cap_us > 0 {
+            us = us.min(self.backoff_cap_us);
+        }
+        us.saturating_mul(1_000)
+    }
+}
+
+/// Hedge duplicates are capped at this percentage of a client's
+/// dispatches (Dean & Barroso's safeguard). Without the cap hedges add
+/// load, load adds latency, latency fires more hedges.
+pub const HEDGE_BUDGET_PERCENT: u64 = 5;
+
+/// Why one attempt of a request failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttemptFailure {
+    /// A server refused or ejected it.
+    Nack(DropReason),
+    /// Its per-attempt timeout fired first.
+    Timeout,
+}
+
+/// Typed terminal failure of a task. Every task ends in exactly one of
+/// {completed} ∪ these — the conservation invariant `completed +
+/// dropped + shed + timed_out == issued` is test-enforced on both
+/// backends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskFailure {
+    /// A required request was tail-dropped or AQM-dropped with no retry
+    /// left.
+    Dropped,
+    /// A required request was shed by admission control with no retry
+    /// left.
+    Shed,
+    /// A required attempt timed out with no retries configured.
+    TimedOut,
+    /// A required attempt timed out after its retries (or the client's
+    /// retry budget) ran out.
+    RetriesExhausted,
+}
+
+/// What a client does about a failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Issue the next attempt after this backoff.
+    Retry {
+        /// Capped-exponential wait before the next attempt (ns).
+        backoff_ns: u64,
+    },
+    /// The task fails terminally.
+    Fail(TaskFailure),
+}
+
+/// One client's dispatch counters: what its retry and hedge budgets are
+/// measured against. A plain snapshot — the simulator keeps one per
+/// client, the live runtime assembles one from its atomics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchBudget {
+    /// Originals and retries dispatched — the denominator of both
+    /// budgets. Hedge duplicates are *not* counted: a duplicate budget
+    /// that grows with the duplicates it admits does not bound them.
+    pub dispatched: u64,
+    /// Retries issued.
+    pub retried: u64,
+    /// Hedge duplicates issued.
+    pub hedged: u64,
+}
+
+impl DispatchBudget {
+    /// Retry or fail: the verdict on `attempt` (0 = the original) of a
+    /// request that failed for `cause`.
+    ///
+    /// The attempt is retried when retries are configured, the
+    /// per-request cap has room and the client-wide budget is not spent
+    /// (`retried · 100 ≥ dispatched · percent` is dry; nothing
+    /// dispatched counts as one) — the budget is what keeps a retry
+    /// storm from amplifying itself. Otherwise a NACK fails the task as
+    /// dropped or shed by the server's reason, and a timeout as timed
+    /// out when retries were never configured, else as retries
+    /// exhausted.
+    pub fn on_attempt_failed(
+        &self,
+        timeout: Option<&TimeoutConfig>,
+        attempt: u32,
+        cause: AttemptFailure,
+    ) -> Verdict {
+        if let Some(tc) = timeout {
+            let budget_left = tc
+                .retry_budget_percent
+                .is_none_or(|p| self.retried * 100 < self.dispatched.max(1) * u64::from(p));
+            if attempt < tc.max_retries && budget_left {
+                return Verdict::Retry {
+                    backoff_ns: tc.backoff_ns(attempt + 1),
+                };
+            }
+        }
+        Verdict::Fail(match cause {
+            AttemptFailure::Nack(DropReason::Shed) => TaskFailure::Shed,
+            AttemptFailure::Nack(DropReason::QueueFull | DropReason::Sojourn) => {
+                TaskFailure::Dropped
+            }
+            AttemptFailure::Timeout if timeout.is_none_or(|tc| tc.max_retries == 0) => {
+                TaskFailure::TimedOut
+            }
+            AttemptFailure::Timeout => TaskFailure::RetriesExhausted,
+        })
+    }
+
+    /// Whether a request still unanswered `hedge_delay_ns` after
+    /// dispatch may be duplicated. Requests *forecast* to take at least
+    /// the delay are never hedged: they are intrinsically expensive, not
+    /// straggling — their duplicate would be just as slow and, under a
+    /// heavy-tailed size distribution, doubling the biggest requests
+    /// alone can push the cluster past saturation. And duplicates stay
+    /// under [`HEDGE_BUDGET_PERCENT`] of dispatches.
+    pub fn can_hedge(&self, forecast_ns: u64, hedge_delay_ns: u64) -> bool {
+        forecast_ns < hedge_delay_ns && self.hedged * 100 < self.dispatched * HEDGE_BUDGET_PERCENT
+    }
+}
+
 /// A queue discipline wrapped with a [`QueueBound`]: `try_push` returns
 /// a typed outcome instead of growing without limit.
 #[derive(Debug, Clone)]
@@ -372,6 +559,124 @@ mod tests {
         assert_eq!(q.len::<u32>(), 2);
         assert_eq!(q.pop::<u32>().unwrap().1, 10);
         assert_eq!(q.try_push(Priority(1), 12), EnqueueOutcome::Enqueued);
+    }
+
+    fn timeouts(max_retries: u32, base_us: u64, cap_us: u64, budget: Option<u32>) -> TimeoutConfig {
+        TimeoutConfig {
+            timeout_us: 1_000,
+            max_retries,
+            backoff_base_us: base_us,
+            backoff_cap_us: cap_us,
+            retry_budget_percent: budget,
+        }
+    }
+
+    #[test]
+    fn backoff_curve_table() {
+        const TOP: u64 = (1 << 32) * 1_000; // base 1 µs at the saturated shift
+        for (base_us, cap_us, attempt, want_ns) in [
+            (0, 0, 1, 0), // base 0 ⇒ immediate, at any attempt
+            (0, 800, 3, 0),
+            (100, 800, 1, 100_000),
+            (100, 800, 2, 200_000), // doubling
+            (100, 1_000, 3, 400_000),
+            (100, 800, 4, 800_000),
+            (100, 800, 10, 800_000), // the cap holds
+            (100, 1_000, 5, 1_000_000),
+            (100, 0, 4, 800_000), // cap 0 ⇒ uncapped
+            (100, 0, 5, 1_600_000),
+            (1, 0, 32, TOP / 2),
+            (1, 0, 33, TOP), // the shift saturates from attempt 33 on
+            (1, 0, 34, TOP),
+            (1, 0, u32::MAX, TOP),
+            (u64::MAX, 0, 2, u64::MAX), // µs doubling saturates
+            (u64::MAX / 1_000 + 1, 0, 1, u64::MAX), // µs → ns saturates
+        ] {
+            let tc = timeouts(16, base_us, cap_us, None);
+            assert_eq!(
+                tc.backoff_ns(attempt),
+                want_ns,
+                "base {base_us} cap {cap_us} attempt {attempt}"
+            );
+        }
+    }
+
+    #[test]
+    fn retry_gate_and_failure_classification_table() {
+        use TaskFailure::{Dropped, RetriesExhausted, Shed, TimedOut};
+        let timeout = AttemptFailure::Timeout;
+        let full = AttemptFailure::Nack(DropReason::QueueFull);
+        let sojourn = AttemptFailure::Nack(DropReason::Sojourn);
+        let shed = AttemptFailure::Nack(DropReason::Shed);
+        let two = Some(timeouts(2, 100, 800, Some(10)));
+        let none = Some(timeouts(0, 0, 0, None));
+        // (config, (dispatched, retried), failed attempt, cause) →
+        // Ok(next attempt, whose backoff applies) or Err(task failure).
+        for (tc, (dispatched, retried), attempt, cause, want) in [
+            // Retries left: every cause retries, backing off by attempt.
+            (two, (100, 0), 0, full, Ok(1)),
+            (two, (100, 0), 1, shed, Ok(2)),
+            (two, (100, 0), 0, timeout, Ok(1)),
+            // Per-request cap reached: the cause names the failure.
+            (two, (100, 0), 2, full, Err(Dropped)),
+            (two, (100, 0), 2, sojourn, Err(Dropped)),
+            (two, (100, 0), 2, shed, Err(Shed)),
+            (two, (100, 0), 2, timeout, Err(RetriesExhausted)),
+            // Retries never configured: a timeout is just a timeout.
+            (none, (100, 0), 0, timeout, Err(TimedOut)),
+            (none, (100, 0), 0, shed, Err(Shed)),
+            (None, (100, 0), 0, timeout, Err(TimedOut)),
+            (None, (100, 0), 0, full, Err(Dropped)),
+            // The 10 % budget: retried·100 == dispatched·10 is dry.
+            (two, (51, 5), 0, timeout, Ok(1)),
+            (two, (50, 5), 0, timeout, Err(RetriesExhausted)),
+            (two, (50, 5), 0, shed, Err(Shed)),
+            // Nothing dispatched yet counts as one dispatch.
+            (two, (0, 0), 0, timeout, Ok(1)),
+            (two, (0, 1), 0, timeout, Err(RetriesExhausted)),
+            (two, (1, 1), 0, timeout, Err(RetriesExhausted)),
+        ] {
+            let budget = DispatchBudget {
+                dispatched,
+                retried,
+                hedged: 0,
+            };
+            let want = match want {
+                Ok(next) => Verdict::Retry {
+                    backoff_ns: tc.unwrap().backoff_ns(next),
+                },
+                Err(failure) => Verdict::Fail(failure),
+            };
+            assert_eq!(
+                budget.on_attempt_failed(tc.as_ref(), attempt, cause),
+                want,
+                "{tc:?} {budget:?} attempt {attempt} {cause:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hedge_gate_table() {
+        for (dispatched, hedged, forecast_ns, delay_ns, want) in [
+            (100, 4, 999, 1_000, true),
+            (100, 5, 999, 1_000, false),   // exactly 5 % is spent
+            (100, 0, 1_000, 1_000, false), // forecast ≥ delay: slow, not straggling
+            (1, 0, 0, 1_000, true),        // the first hedge of a client always fits
+            (0, 0, 0, 1_000, false),
+            (20, 1, 0, 1_000, false), // hedges are not in their own denominator
+            (21, 1, 0, 1_000, true),
+        ] {
+            let budget = DispatchBudget {
+                dispatched,
+                retried: 0,
+                hedged,
+            };
+            assert_eq!(
+                budget.can_hedge(forecast_ns, delay_ns),
+                want,
+                "{budget:?} forecast {forecast_ns} delay {delay_ns}"
+            );
+        }
     }
 
     #[test]
