@@ -1,6 +1,8 @@
 //! Minimal offline stand-in for `crossbeam`: an MPMC unbounded channel
-//! (clonable senders *and* receivers) plus a polling `select!` macro
-//! covering the two-arm `recv(..) -> msg => ..` form this workspace uses.
+//! (clonable senders *and* receivers). Nothing here polls: a receiver
+//! with nothing to take sleeps on the condvar, and `send` / the last
+//! `Sender`'s drop pay the wake-up syscall only when the channel's
+//! `waiting` count says a receiver is actually asleep.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -9,10 +11,18 @@ pub mod channel {
     use std::sync::{Arc, Condvar, Mutex};
 
     struct Chan<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+    }
+
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// Receivers asleep on `ready`. Written only under the mutex
+        /// (`+= 1` before the wait, `-= 1` after), so a sender that
+        /// reads 0 under the same mutex knows nobody needs a wake-up.
+        waiting: usize,
     }
 
     /// Sending half of an unbounded MPMC channel.
@@ -50,7 +60,10 @@ pub mod channel {
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                waiting: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -64,10 +77,13 @@ pub mod channel {
             if self.0.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(value));
             }
-            let mut q = self.0.queue.lock().expect("channel poisoned");
-            q.push_back(value);
-            drop(q);
-            self.0.ready.notify_one();
+            let mut st = self.0.state.lock().expect("channel poisoned");
+            st.queue.push_back(value);
+            let wake = st.waiting > 0;
+            drop(st);
+            if wake {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -83,7 +99,16 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Wake blocked receivers so they observe disconnection.
-                self.0.ready.notify_all();
+                // The lock MUST be taken between the decrement and the
+                // notify: a receiver that read `senders == 1` and is
+                // about to sleep holds it, so locking here waits until
+                // it is asleep (and counted in `waiting`) — otherwise
+                // the notify lands in that window and is lost. Ignore
+                // poisoning: `drop` must not panic.
+                let wake = self.0.state.lock().map_or(true, |st| st.waiting > 0);
+                if wake {
+                    self.0.ready.notify_all();
+                }
             }
         }
     }
@@ -97,15 +122,17 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or every sender is gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.0.queue.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock().expect("channel poisoned");
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvError);
                 }
-                q = self.0.ready.wait(q).expect("channel poisoned");
+                st.waiting += 1;
+                st = self.0.ready.wait(st).expect("channel poisoned");
+                st.waiting -= 1;
             }
         }
 
@@ -113,9 +140,9 @@ pub mod channel {
         /// `deadline` passes — the wait primitive behind the live
         /// runtime's client-side timeout timers.
         pub fn recv_deadline(&self, deadline: std::time::Instant) -> Result<T, RecvTimeoutError> {
-            let mut q = self.0.queue.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock().expect("channel poisoned");
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
@@ -128,12 +155,14 @@ pub mod channel {
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
-                let (guard, _timed_out) = self
+                st.waiting += 1;
+                st = self
                     .0
                     .ready
-                    .wait_timeout(q, remaining)
-                    .expect("channel poisoned");
-                q = guard;
+                    .wait_timeout(st, remaining)
+                    .expect("channel poisoned")
+                    .0;
+                st.waiting -= 1;
             }
         }
 
@@ -144,8 +173,8 @@ pub mod channel {
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.0.queue.lock().expect("channel poisoned");
-            if let Some(v) = q.pop_front() {
+            let mut st = self.0.state.lock().expect("channel poisoned");
+            if let Some(v) = st.queue.pop_front() {
                 return Ok(v);
             }
             if self.0.senders.load(Ordering::SeqCst) == 0 {
@@ -156,12 +185,18 @@ pub mod channel {
 
         /// Queued message count.
         pub fn len(&self) -> usize {
-            self.0.queue.lock().expect("channel poisoned").len()
+            self.0.state.lock().expect("channel poisoned").queue.len()
         }
 
         /// Whether no messages are queued.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
+        }
+
+        /// Receivers currently asleep on this channel.
+        #[cfg(test)]
+        pub(crate) fn waiting(&self) -> usize {
+            self.0.state.lock().expect("channel poisoned").waiting
         }
 
         /// Blocking iterator: yields until the channel disconnects.
@@ -208,87 +243,13 @@ pub mod channel {
             self.iter()
         }
     }
-
-    // Re-export the crate-root macro under `crossbeam::channel::select!`,
-    // the path the real crate exposes it at.
-    pub use crate::select;
-}
-
-/// Two-arm `select!` over receivers, implemented by polling, plus an
-/// optional `default(timeout)` arm that fires if neither receiver
-/// yields within the timeout — the subset the workspace uses. The arm
-/// bodies run *outside* the polling loop so `break`/`continue` inside
-/// them bind to the caller's own loops, as with the real macro.
-#[macro_export]
-macro_rules! select {
-    (recv($rx1:expr) -> $msg1:pat => $body1:expr,
-     recv($rx2:expr) -> $msg2:pat => $body2:expr,
-     default($timeout:expr) => $body3:expr $(,)?) => {{
-        enum __Sel<A, B> {
-            A(A),
-            B(B),
-            Default,
-        }
-        let __deadline = std::time::Instant::now() + $timeout;
-        let __fired = loop {
-            match $rx1.try_recv() {
-                Ok(v) => break __Sel::A(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::A(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                Ok(v) => break __Sel::B(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::B(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            if std::time::Instant::now() >= __deadline {
-                break __Sel::Default;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        };
-        match __fired {
-            __Sel::A($msg1) => $body1,
-            __Sel::B($msg2) => $body2,
-            __Sel::Default => $body3,
-        }
-    }};
-    (recv($rx1:expr) -> $msg1:pat => $body1:expr,
-     recv($rx2:expr) -> $msg2:pat => $body2:expr $(,)?) => {{
-        enum __Sel<A, B> {
-            A(A),
-            B(B),
-        }
-        let __fired = loop {
-            match $rx1.try_recv() {
-                Ok(v) => break __Sel::A(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::A(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                Ok(v) => break __Sel::B(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break __Sel::B(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        };
-        match __fired {
-            __Sel::A($msg1) => $body1,
-            __Sel::B($msg2) => $body2,
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{unbounded, RecvError};
+    use super::channel::{unbounded, RecvError, RecvTimeoutError};
+    use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn mpmc_round_trip_and_disconnect() {
@@ -306,8 +267,6 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_and_delivers() {
-        use super::channel::RecvTimeoutError;
-        use std::time::{Duration, Instant};
         let (tx, rx) = unbounded::<u32>();
         // Empty channel with a live sender: the deadline fires.
         let t0 = Instant::now();
@@ -327,39 +286,94 @@ mod tests {
         );
     }
 
+    /// Joins every handle, failing instead of hanging when one is still
+    /// running at the bound.
+    fn join_within<T>(handles: Vec<std::thread::JoinHandle<T>>, bound: Duration) -> Vec<T> {
+        let deadline = Instant::now() + bound;
+        while !handles.iter().all(|h| h.is_finished()) {
+            assert!(Instant::now() < deadline, "a thread is still blocked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// The last sender's drop must wake a receiver that has already
+    /// decided to sleep: the decrement and the notify bracket the
+    /// channel mutex, so the wake-up cannot land between the receiver's
+    /// `senders` check and its wait.
     #[test]
-    fn select_prefers_ready_arm_and_sees_disconnect() {
-        let (tx, rx) = unbounded::<u32>();
-        let (_stop_tx, stop_rx) = unbounded::<()>();
-        tx.send(7).unwrap();
-        let got = select! {
-            recv(rx) -> msg => msg.unwrap(),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-        };
-        assert_eq!(got, 7);
+    fn last_sender_drop_never_strands_a_blocked_receiver() {
+        let rounds: Vec<_> = (0..2_000)
+            .map(|_| {
+                let (tx, rx) = unbounded::<u32>();
+                // Line both sides up so the drop races the receiver's
+                // way into its wait rather than preceding it.
+                let start = Arc::new(Barrier::new(2));
+                let receiver = {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        rx.recv()
+                    })
+                };
+                start.wait();
+                drop(tx);
+                receiver
+            })
+            .collect();
+        for got in join_within(rounds, Duration::from_secs(5)) {
+            assert_eq!(got, Err(RecvError));
+        }
     }
 
     #[test]
-    fn select_default_fires_on_timeout_and_yields_to_messages() {
-        use std::time::{Duration, Instant};
+    fn waiting_count_returns_to_zero_and_unwaited_sends_are_kept() {
         let (tx, rx) = unbounded::<u32>();
-        let (_stop_tx, stop_rx) = unbounded::<()>();
-        // Nothing ready: the default arm fires after the timeout.
-        let t0 = Instant::now();
-        let got = select! {
-            recv(rx) -> _ => unreachable!("channel is empty"),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-            default(Duration::from_millis(5)) => 42u32,
-        };
-        assert_eq!(got, 42);
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        // A ready message beats the default.
-        tx.send(9).unwrap();
-        let got = select! {
-            recv(rx) -> msg => msg.unwrap(),
-            recv(stop_rx) -> _ => unreachable!("stop not signalled"),
-            default(Duration::from_secs(5)) => unreachable!("message was ready"),
-        };
-        assert_eq!(got, 9);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(rx.waiting(), 0, "a timed-out wait left itself counted");
+        // Nobody waits, so this send skips the notify; a receiver that
+        // arrives later must still find the message.
+        tx.send(3).unwrap();
+        assert_eq!(rx.waiting(), 0);
+        let late = rx.clone();
+        let got = join_within(
+            vec![std::thread::spawn(move || late.recv())],
+            Duration::from_secs(5),
+        );
+        assert_eq!(got, vec![Ok(3)]);
+    }
+
+    #[test]
+    fn concurrent_senders_and_receivers_deliver_each_message_once() {
+        const PER_SENDER: u64 = 10_000;
+        let (tx, rx) = unbounded::<u64>();
+        let receivers: Vec<_> = (0..4)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.iter().collect::<Vec<u64>>())
+            })
+            .collect();
+        drop(rx);
+        let senders: Vec<_> = (0..4u64)
+            .map(|s| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_SENDER {
+                        tx.send(s * PER_SENDER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        join_within(senders, Duration::from_secs(30));
+        let mut got: Vec<u64> = join_within(receivers, Duration::from_secs(30))
+            .into_iter()
+            .flatten()
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..4 * PER_SENDER).collect::<Vec<u64>>());
     }
 }

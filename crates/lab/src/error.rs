@@ -131,7 +131,7 @@ pub enum ScenarioError {
         /// What the live backend cannot honor.
         what: String,
     },
-    /// A live `brb-rt` run failed mid-flight (a worker or router thread
+    /// A live `brb-rt` run failed mid-flight (a cluster thread
     /// panicked, or the cluster shut down under a waiting task). The
     /// run's numbers are unusable; the harness reports the failure typed
     /// instead of hanging or panicking through the cell loop.

@@ -28,11 +28,11 @@
 //! The complete figure-2 strategy set now lowers **natively**:
 //! `Credits` spawns the runtime's controller thread (the *same*
 //! `brb-sched` allocation math the simulator calls, fed by real demand
-//! reports and router congestion signals) with per-client token-bucket
+//! reports and server congestion signals) with per-client token-bucket
 //! admission; `Model` runs the single cross-server queue as the
 //! runtime's work-pull global queue; and `Hedged` arms real hedge
 //! timers with first-response-wins and duplicate-aware cancellation
-//! (the loser is de-queued at the router or discarded on completion,
+//! (the loser is de-queued in place or discarded on completion,
 //! with its selector accounting released either way).
 //!
 //! Everything else fails with a typed [`ScenarioError::RtUnsupported`]
@@ -52,7 +52,7 @@
 //! held by the worker — the in-process transport has no wire to delay,
 //! so a spike occupies the server instead of only the message.
 //!
-//! A live run that dies mid-flight — a worker or router thread panics,
+//! A live run that dies mid-flight — a cluster thread panics,
 //! or the cluster shuts down under a waiting task — surfaces as
 //! [`ScenarioError::RtRunFailed`]; the panic-guarded runtime converts
 //! what used to be a hang into a typed failure.

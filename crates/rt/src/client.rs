@@ -27,13 +27,14 @@
 //! of dispatches). The
 //! first response wins; the loser is *purged* — its selector slot is
 //! released (`on_abandon`, the PR 5 contract) and an `RtCancel` chases
-//! it to the router, which de-queues it if still queued. An in-service
-//! loser completes and its reply is discarded here, counted as a
-//! duplicate response.
+//! it into its server's queue, de-queuing it if still queued. An
+//! in-service loser completes and its reply is discarded here, counted
+//! as a duplicate response.
 
 use crate::error::RtError;
+use crate::server::ServerShared;
 use crate::timing;
-use crate::transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+use crate::transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};
 pub use brb_sched::overload::TaskFailure;
 use brb_sched::overload::{AttemptFailure, DispatchBudget, TimeoutConfig, Verdict};
 use brb_sched::{PolicyKind, Priority, PriorityPolicy, TaskView};
@@ -107,13 +108,15 @@ fn feedback_of(resp: &RtResponse, rtt_ns: u64) -> ResponseFeedback {
 }
 
 /// State shared by a client and its tickets (tickets must redispatch
-/// retries through the same selector, budget and senders the client
-/// uses).
+/// retries through the same selector, budget and server handles the
+/// client uses).
 pub(crate) struct ClientInner {
     ring: Ring,
     cost: CostModel,
     sizes: SizeModel,
-    senders: Vec<Sender<RtMessage>>,
+    /// Each server's shared state: a dispatch is a direct
+    /// [`ServerShared::submit`] on this thread.
+    servers: Vec<Arc<ServerShared>>,
     selector: SharedSelector,
     epoch: Instant,
     /// Accounted network round trip per request (see
@@ -248,6 +251,10 @@ pub struct TaskTicket {
     served: usize,
     retries: u32,
     failure: Option<TaskFailure>,
+    /// Set when the initial dispatch hit a stopped cluster: every wait
+    /// and poll returns it, and dropping the ticket balances whatever
+    /// did go out.
+    error: Option<RtError>,
     /// Set once an outcome has been taken (poll path).
     taken: bool,
 }
@@ -339,7 +346,7 @@ impl TaskTicket {
     /// under the overload lane replies include NACKs and retries, so
     /// schedulers should use [`TaskTicket::poll_outcome`] instead.
     pub fn is_ready(&self) -> bool {
-        self.rx.len() >= self.n
+        self.error.is_some() || self.rx.len() >= self.n
     }
 
     fn resolved(&self) -> bool {
@@ -350,6 +357,9 @@ impl TaskTicket {
     /// backoffs; with `block` it waits (in panic-watchdog slices) until
     /// the task resolves.
     fn advance(&mut self, block: bool) -> Result<(), RtError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         loop {
             if self.inner.panicked.load(Ordering::SeqCst) {
                 return Err(RtError::WorkerPanicked);
@@ -456,9 +466,8 @@ impl TaskTicket {
     /// Removes every other open attempt of request `i` after `winner`'s
     /// response settled it: each loser's dispatch is balanced with
     /// `on_abandon` here (never again — `on_served`/`on_nack` find no
-    /// open entry for it afterwards), and a cancel chases it to the
-    /// router. A send error means the cluster is shutting down; the
-    /// cancel is then moot, so it is ignored.
+    /// open entry for it afterwards), and a cancel chases it into its
+    /// server's queue.
     fn purge_losers(&mut self, i: usize, winner: u32) {
         let mut k = 0;
         while k < self.open.len() {
@@ -469,11 +478,11 @@ impl TaskTicket {
             }
             self.open.swap_remove(k);
             self.inner.selector.lock().on_abandon(o.server);
-            let _ = self.inner.senders[o.server.index()].send(RtMessage::Cancel(RtCancel {
+            self.inner.servers[o.server.index()].cancel(RtCancel {
                 task_id: self.task_id,
                 req_idx: i as u32,
                 attempt: o.attempt,
-            }));
+            });
         }
     }
 
@@ -604,8 +613,9 @@ impl TaskTicket {
         Ok(())
     }
 
-    /// Sends attempt `attempt` of request `i` to `server` — the one place
-    /// a request goes on the wire — and opens its selector accounting.
+    /// Submits attempt `attempt` of request `i` to `server` — the one
+    /// place a request leaves the client — and opens its selector
+    /// accounting.
     /// Hedge duplicates count against the hedge budget, everything else
     /// toward its denominator.
     fn send(
@@ -625,7 +635,7 @@ impl TaskTicket {
             .reply_tx
             .clone()
             .expect("dispatch without reply sender");
-        let sent = self.inner.senders[server.index()].send(RtMessage::Request(RtRequest {
+        let submitted = self.inner.servers[server.index()].submit(RtRequest {
             key: self.keys[i],
             priority: self.priorities[i],
             req_idx: i as u32,
@@ -633,8 +643,11 @@ impl TaskTicket {
             attempt,
             submitted,
             reply,
-        }));
-        if sent.is_err() {
+        });
+        // Handed back: the server has stopped. The selector counted the
+        // dispatch when it chose `server`; release it.
+        if submitted.is_err() {
+            self.inner.selector.lock().on_abandon(server);
             return Err(if self.inner.panicked.load(Ordering::SeqCst) {
                 RtError::WorkerPanicked
             } else {
@@ -746,7 +759,7 @@ impl RtClient {
         cost: CostModel,
         policy: PolicyKind,
         sizes: SizeModel,
-        senders: Vec<Sender<RtMessage>>,
+        servers: Vec<Arc<ServerShared>>,
         task_counter: Arc<AtomicU64>,
         selector: Box<dyn ReplicaSelector + Send>,
         rtt_ns: u64,
@@ -759,7 +772,7 @@ impl RtClient {
                 ring,
                 cost,
                 sizes,
-                senders,
+                servers,
                 selector: Arc::new(Mutex::new(selector)),
                 epoch: Instant::now(),
                 rtt_ns,
@@ -786,7 +799,9 @@ impl RtClient {
     }
 
     /// Submits a batch read and returns a ticket to wait on — lets one
-    /// client keep many tasks in flight (the large fan-out pattern).
+    /// client keep many tasks in flight (the large fan-out pattern). A
+    /// stopped cluster is not a panic here: the ticket carries the
+    /// [`RtError`] and every `wait_outcome*` / `poll_outcome` returns it.
     pub fn fetch_async(&self, keys: &[u64]) -> TaskTicket {
         assert!(!keys.is_empty(), "a task needs at least one key");
         let task_id = self.task_counter.fetch_add(1, Ordering::Relaxed);
@@ -859,6 +874,7 @@ impl RtClient {
             served: 0,
             retries: 0,
             failure: None,
+            error: None,
             taken: false,
         };
         for (i, &key) in keys.iter().enumerate() {
@@ -866,9 +882,10 @@ impl RtClient {
             let server = self
                 .inner
                 .select_replica(&replicas, self.inner.sizes.size_of(key));
-            ticket
-                .send(i, 0, server, started)
-                .expect("cluster has shut down");
+            if let Err(e) = ticket.send(i, 0, server, started) {
+                ticket.error = Some(e);
+                break;
+            }
             // Arm the hedge timer from the actual dispatch instant (a
             // rate-limited selector may have stalled the loop above).
             if let Some(ns) = self.inner.hedge_ns {
@@ -1138,6 +1155,27 @@ mod tests {
         let client = c.client();
         // Hold the cluster alive until the panic fires.
         let _ = client.fetch(&[]);
+    }
+
+    /// Submitting to a stopped cluster is a typed error on the ticket,
+    /// never a panic on the caller's thread, and leaves no selector
+    /// accounting behind.
+    #[test]
+    fn fetch_async_after_shutdown_fails_typed() {
+        let c = cluster();
+        let client = c.client();
+        let _ = client.fetch(&[1, 2, 3]);
+        c.shutdown();
+        let mut ticket = client.fetch_async(&[1, 2, 3]);
+        assert!(ticket.is_ready(), "waiting on it would not block");
+        assert_eq!(
+            ticket.poll_outcome(Instant::now()).unwrap_err(),
+            RtError::ClusterDown
+        );
+        assert_eq!(ticket.wait_outcome().unwrap_err(), RtError::ClusterDown);
+        for s in 0..4u64 {
+            assert_eq!(client.outstanding(brb_store::ids::ServerId::new(s)), 0);
+        }
     }
 
     /// A saturated bounded queue must tail-drop: a burst against one

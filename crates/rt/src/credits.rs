@@ -3,10 +3,11 @@
 //!
 //! Both halves are the shared implementation with this crate's clock.
 //! The controller ([`brb_sched::CreditController`]) runs as its own
-//! thread: clients send [`CreditMsg::Demand`] reports and routers send
+//! thread: clients send [`CreditMsg::Demand`] reports and servers send
 //! [`CreditMsg::Congestion`] signals over a channel; every adaptation
 //! interval the thread runs one `allocate_into` epoch and publishes the
-//! grant table on a shared [`GrantBoard`]. The client
+//! grant table on a shared [`GrantBoard`]. Between messages it sleeps
+//! in the channel until the next epoch is due. The client
 //! ([`brb_sched::CreditClient`]: token admission, load-weighted replica
 //! choice, demand estimation) is wrapped by `CreditSelector`, which
 //! adds only the transport: it polls the board's epoch counter on the
@@ -26,7 +27,7 @@ use crate::timing;
 use brb_sched::{CreditClient, CreditController, CreditsConfig, GrantTable};
 use brb_select::{ReplicaSelector, ResponseFeedback, Selection, SelectionCtx};
 use brb_store::ids::{ClientId, ServerId};
-use crossbeam::channel::{select, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 /// Credits tuning for the live runtime: the shared controller config
 /// plus the two cluster-level numbers the sim derives from its own
 /// config — per-server capacity (grants are shares of it) and the queue
-/// depth at which a router raises a congestion signal.
+/// depth at which a server raises a congestion signal.
 #[derive(Debug, Clone, Copy)]
 pub struct RtCreditsConfig {
     /// Controller tuning (intervals, AIMD constants, burst).
@@ -45,7 +46,7 @@ pub struct RtCreditsConfig {
     /// Full capacity of each server, requests/second (the sim's
     /// `server_capacity_rps()`).
     pub server_capacity_rps: f64,
-    /// Router queue depth at/above which an arrival counts as congested
+    /// Server queue depth at/above which an arrival counts as congested
     /// (the sim's `congestion_queue_threshold`).
     pub congestion_queue_threshold: usize,
 }
@@ -73,11 +74,16 @@ pub(crate) enum CreditMsg {
         /// `(server index, rate_rps)` pairs, only servers with demand.
         rates: Vec<(u16, f64)>,
     },
-    /// A router observed congestion at its server.
+    /// A server's detector observed congestion on an admitted arrival.
     Congestion {
         /// Congested server index.
         server: u32,
     },
+    /// The cluster is stopping: the controller thread exits. Sent
+    /// rather than signalled by disconnection because clients (and the
+    /// servers they keep alive) may outlive the cluster handle and
+    /// still hold senders.
+    Shutdown,
 }
 
 /// The published allocation: grant table plus an epoch counter so
@@ -109,13 +115,10 @@ pub(crate) struct CreditsHub {
 
 /// Spawns the controller thread. It adapts every
 /// `adaptation_interval_ns`, publishing each epoch's grants on the
-/// board, and exits when `stop_rx` disconnects (cluster shutdown) — not
-/// when the message channel drains, because clients may outlive the
-/// cluster handle and still hold senders.
+/// board, and exits on [`CreditMsg::Shutdown`].
 pub(crate) fn spawn_controller(
     cfg: RtCreditsConfig,
     num_servers: usize,
-    stop_rx: Receiver<()>,
     panicked: Arc<AtomicBool>,
 ) -> (CreditsHub, JoinHandle<()>) {
     let (tx, rx) = unbounded();
@@ -137,7 +140,6 @@ pub(crate) fn spawn_controller(
                     cfg,
                     num_servers,
                     &rx,
-                    &stop_rx,
                     &board,
                     &demand_reports,
                     &congestion_signals,
@@ -155,7 +157,6 @@ fn controller_loop(
     cfg: RtCreditsConfig,
     num_servers: usize,
     rx: &Receiver<CreditMsg>,
-    stop_rx: &Receiver<()>,
     board: &GrantBoard,
     demand_reports: &AtomicU64,
     congestion_signals: &AtomicU64,
@@ -168,32 +169,32 @@ fn controller_loop(
     let interval = Duration::from_nanos(cfg.config.adaptation_interval_ns);
     let mut next_epoch = Instant::now() + interval;
     loop {
-        select! {
-            recv(rx) -> msg => match msg {
-                Ok(CreditMsg::Demand { client, rates }) => {
-                    demand_reports.fetch_add(1, Ordering::Relaxed);
-                    for (server, rate) in rates {
-                        controller.report_demand(client, ServerId::new(server as u64), rate);
-                    }
+        match rx.recv_deadline(next_epoch) {
+            Ok(CreditMsg::Demand { client, rates }) => {
+                demand_reports.fetch_add(1, Ordering::Relaxed);
+                for (server, rate) in rates {
+                    controller.report_demand(client, ServerId::new(server as u64), rate);
                 }
-                Ok(CreditMsg::Congestion { server }) => {
-                    congestion_signals.fetch_add(1, Ordering::Relaxed);
-                    controller.signal_congestion(ServerId::new(server as u64));
-                }
-                // All senders gone: the cluster and every client are
-                // dropped; nothing left to serve.
-                Err(_) => break,
-            },
-            recv(stop_rx) -> _ => break,
-            default(next_epoch.saturating_duration_since(Instant::now())) => {
-                controller.allocate_into(&mut table);
-                {
-                    let mut published = board.grants.lock();
-                    std::mem::swap(&mut *published, &mut table);
-                }
-                board.epoch.fetch_add(1, Ordering::Release);
-                next_epoch += interval;
             }
+            Ok(CreditMsg::Congestion { server }) => {
+                congestion_signals.fetch_add(1, Ordering::Relaxed);
+                controller.signal_congestion(ServerId::new(server as u64));
+            }
+            // Disconnected: the cluster and every client are dropped;
+            // nothing left to serve.
+            Ok(CreditMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        // Checked after a message too: a steady stream of reports must
+        // not starve the epochs.
+        if Instant::now() >= next_epoch {
+            controller.allocate_into(&mut table);
+            {
+                let mut published = board.grants.lock();
+                std::mem::swap(&mut *published, &mut table);
+            }
+            board.epoch.fetch_add(1, Ordering::Release);
+            next_epoch += interval;
         }
     }
 }
@@ -386,9 +387,8 @@ mod tests {
 
     #[test]
     fn controller_thread_adapts_and_publishes_grants() {
-        let (_stop_tx, stop_rx) = unbounded::<()>();
         let panicked = Arc::new(AtomicBool::new(false));
-        let (hub, handle) = spawn_controller(test_cfg(5), 2, stop_rx, Arc::clone(&panicked));
+        let (hub, handle) = spawn_controller(test_cfg(5), 2, Arc::clone(&panicked));
         hub.tx
             .send(CreditMsg::Demand {
                 client: ClientId::new(0),
@@ -414,10 +414,9 @@ mod tests {
         }
         assert_eq!(hub.demand_reports.load(Ordering::Relaxed), 1);
         assert_eq!(hub.congestion_signals.load(Ordering::Relaxed), 1);
-        // Dropping the stop channel ends the thread even though `hub`
-        // (and its sender) is still alive — the client-outlives-cluster
-        // shutdown path.
-        drop(_stop_tx);
+        // `Shutdown` ends the thread even though `hub` (and its sender)
+        // is still alive — the client-outlives-cluster shutdown path.
+        hub.tx.send(CreditMsg::Shutdown).unwrap();
         handle.join().unwrap();
         assert!(!panicked.load(Ordering::Acquire));
     }

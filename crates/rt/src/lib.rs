@@ -3,10 +3,10 @@
 //! The simulation crates validate the algorithms; this crate is the
 //! *adoptable implementation*: an in-process, multi-threaded storage
 //! cluster with BRB task-aware scheduling, following the event-driven,
-//! message-passing style of the networking guides (crossbeam channels for
-//! requests/responses, a condvar-guarded stable priority queue per server,
-//! no blocking on hot paths beyond the queue itself, zero-copy reads via
-//! `bytes::Bytes`).
+//! message-passing style of the networking guides (a condvar-guarded
+//! stable priority queue per server that clients push into directly,
+//! crossbeam channels for the replies, no thread between a client and
+//! the queue, no polling anywhere, zero-copy reads via `bytes::Bytes`).
 //!
 //! Measurement discipline (see `crates/rt/README.md`):
 //!
@@ -27,10 +27,11 @@
 //! typed NACKs over the transport, client-side wall-clock deadline
 //! timers with budgeted capped-exponential retries ([`brb_sched::TimeoutConfig`]),
 //! and typed task outcomes ([`TaskOutcome`]) under the conservation
-//! contract `completed + dropped + timed_out + shed == issued`. Worker
-//! and router threads are panic-guarded: a thread that dies mid-run
-//! trips a sticky flag and every wait fails fast with a typed
-//! [`RtError`] instead of hanging the harness.
+//! contract `completed + dropped + timed_out + shed == issued`. The
+//! cluster's threads are panic-guarded: one that dies mid-run trips a
+//! sticky flag and every wait fails fast with a typed [`RtError`]
+//! instead of hanging the harness; so does a submit to a cluster that
+//! has stopped.
 //!
 //! The **credits and duplication lanes** close the last strategy gaps
 //! with the simulator: a controller thread ([`RtCreditsConfig`]) runs
@@ -40,8 +41,8 @@
 //! cross-server queue runs live as a work-pull global queue
 //! ([`RtQueueMode::Global`]); and hedged requests
 //! ([`RtClusterConfig::hedge_delay_ns`]) duplicate stragglers with
-//! first-response-wins and duplicate-aware cancellation over
-//! [`RtCancel`] control messages.
+//! first-response-wins and duplicate-aware cancellation
+//! ([`RtCancel`]).
 //!
 //! ```
 //! use brb_rt::{RtClusterConfig, RtCluster, WorkModel};
@@ -75,4 +76,4 @@ pub use credits::RtCreditsConfig;
 pub use error::RtError;
 pub use loadgen::{run_load, try_run_load, LoadGenConfig, LoadMode, LoadReport};
 pub use server::{RtCluster, RtClusterConfig, RtQueueConfig, RtQueueMode, SpikeModel, WorkModel};
-pub use transport::{RtCancel, RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+pub use transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};

@@ -131,8 +131,8 @@ pub struct LoadReport {
     /// Demand reports the credits controller consumed during the run (0
     /// without a credits lane).
     pub demand_reports: u64,
-    /// Congestion signals routers raised during the run (0 without a
-    /// credits lane).
+    /// Congestion signals the servers' detectors raised during the run
+    /// (0 without a credits lane).
     pub congestion_signals: u64,
 }
 

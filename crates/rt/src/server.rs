@@ -6,7 +6,15 @@
 //! simulate a size-proportional service cost and reply over the request's
 //! channel.
 //!
-//! The overload lane runs on real queues: the router applies the
+//! There is no thread between a client and the queue: the submitting
+//! thread itself runs `ServerShared::submit` — admission, congestion
+//! detection, the push and the wake-up — so a priority takes effect the
+//! moment its request arrives, and a cluster of S×W runs exactly S·W
+//! threads (+1 with credits). Nothing polls: a worker with nothing to
+//! pop parks on the queue's condvar, and `submit` pays the wake-up
+//! syscall only when the queue's `parked` count says one is asleep.
+//!
+//! The overload lane runs on real queues: `submit` applies the
 //! configured [`QueueBound`] at admission (tail-drop at capacity, shed
 //! at the watermark) and workers feed a [`CoDel`] controller with each
 //! dequeued request's *measured* sojourn time — drops and sheds NACK
@@ -16,23 +24,24 @@
 //! Two further lanes complete the figure-2 strategy set natively:
 //!
 //! * **Credits** ([`crate::credits`]): a controller thread adapts grant
-//!   allocations from live demand reports and router-raised congestion
-//!   signals; clients gate dispatch through token buckets. The router
-//!   feeds every admitted arrival to a
+//!   allocations from live demand reports and server-raised congestion
+//!   signals; clients gate dispatch through token buckets. `submit`
+//!   feeds every admitted arrival to the server's
 //!   [`brb_sched::CongestionDetector`].
 //! * **Model** ([`RtQueueMode::Global`]): one [`GlobalQueue`] shared by
 //!   every server; idle workers pull the highest-priority request their
 //!   replica constraint allows — the paper's unrealizable ideal, made
 //!   "realizable" here only because the cluster is in-process.
 //!
-//! Routers also honor [`crate::transport::RtCancel`]: a hedged request
-//! whose twin already won is removed from the queue in place (O(n),
-//! cold path), so duplicate work is bounded by in-service requests.
+//! `ServerShared::cancel` honors [`crate::transport::RtCancel`]: a
+//! hedged request whose twin already won is removed from the queue in
+//! place (O(n), cold path), so duplicate work is bounded by in-service
+//! requests.
 
 use crate::client::RtClient;
 use crate::credits::{self, CreditMsg, CreditSelector, CreditsHub, RtCreditsConfig};
 use crate::timing;
-use crate::transport::{RtMessage, RtNack, RtReply, RtRequest, RtResponse};
+use crate::transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};
 use brb_sched::overload::{
     CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound, TimeoutConfig,
 };
@@ -45,7 +54,7 @@ use brb_store::service::{ServiceModel, ServiceNoise};
 use brb_store::ShardedStore;
 use brb_workload::taskgen::SizeModel;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,8 +94,9 @@ pub enum RtQueueMode {
 /// Bounded-queue knobs for every live server queue (the overload lane).
 #[derive(Debug, Clone, Copy)]
 pub struct RtQueueConfig {
-    /// Tail-drop capacity and optional shed watermark, applied by the
-    /// router at admission against the queue-length mirror.
+    /// Tail-drop capacity and optional shed watermark, applied at
+    /// admission under the queue lock, so the bound is exact however
+    /// many clients submit at once.
     pub bound: QueueBound,
     /// CoDel AQM at dequeue (`None` disables it), driven by measured
     /// sojourn timestamps (enqueue `Instant` → dequeue `Instant`).
@@ -215,18 +225,27 @@ pub(crate) struct Queued {
 pub(crate) struct ServerQueue {
     pub(crate) pq: PriorityQueue<Queued>,
     pub(crate) codel: Option<CoDel>,
+    /// Workers asleep on `available` (`+= 1` before the wait, `-= 1`
+    /// after, both under this mutex): `submit` notifies only when it is
+    /// non-zero.
+    pub(crate) parked: usize,
 }
 
 /// Shared state of one server.
 pub(crate) struct ServerShared {
+    pub(crate) id: u32,
     pub(crate) queue: Mutex<ServerQueue>,
     pub(crate) available: Condvar,
-    /// Queue length mirror maintained by router push / worker pop, so
-    /// the piggybacked feedback read (and bounded admission) costs no
-    /// queue lock.
+    /// Queue length mirror maintained by `submit` push / worker pop, so
+    /// the piggybacked feedback read costs no queue lock.
     pub(crate) queue_len: AtomicUsize,
-    /// Admission bound, applied by the router (`None` = unbounded).
+    /// The global queue when `queue_mode == Global` (this server's own
+    /// queue then stays empty), else `None`.
+    pub(crate) global: Option<Arc<GlobalShared>>,
+    /// Admission bound, applied by `submit` (`None` = unbounded).
     pub(crate) bound: Option<QueueBound>,
+    /// Credits-lane congestion detection (`None` without the lane).
+    congestion: Option<CongestionMonitor>,
     /// Time base for the `now_ns` of this server's CoDel controller and
     /// congestion detector.
     pub(crate) epoch: Instant,
@@ -246,6 +265,9 @@ pub(crate) struct ServerShared {
 pub(crate) struct GlobalServerQueue {
     pub(crate) gq: GlobalQueue<Queued>,
     pub(crate) codel: Option<CoDel>,
+    /// Workers (of every server) asleep on `available`; see
+    /// [`ServerQueue::parked`].
+    pub(crate) parked: usize,
 }
 
 /// Shared state of the global queue mode: one mutex + condvar for the
@@ -262,9 +284,14 @@ pub(crate) struct GlobalShared {
     pub(crate) epoch: Instant,
 }
 
-/// A router's congestion detection for the credits lane: the shared
-/// detector, and the channel its signals go out on.
-type CongestionMonitor = (CongestionDetector, Sender<CreditMsg>);
+/// A server's congestion detection for the credits lane: the shared
+/// detector, and the channel its signals go out on. The detector has a
+/// lock of its own, taken only after the queue's guard has dropped — it
+/// never nests with either queue lock.
+struct CongestionMonitor {
+    detector: Mutex<CongestionDetector>,
+    tx: Sender<CreditMsg>,
+}
 
 /// A running in-process cluster.
 pub struct RtCluster {
@@ -272,19 +299,12 @@ pub struct RtCluster {
     ring: Ring,
     cost: CostModel,
     servers: Vec<Arc<ServerShared>>,
-    /// The global queue when `queue_mode == Global`, else `None`.
-    global: Option<Arc<GlobalShared>>,
     /// Credits lane state when `credits` is configured, else `None`.
     credits: Option<CreditsHub>,
     credits_thread: Option<JoinHandle<()>>,
-    senders: Vec<Sender<RtMessage>>,
     workers: Vec<JoinHandle<()>>,
-    routers: Vec<JoinHandle<()>>,
-    /// Dropped on shutdown to stop routers even while clients still hold
-    /// cloned request senders.
-    stop_tx: Option<Sender<()>>,
-    /// Sticky flag set when any worker or router thread panics; clients
-    /// poll it so a dead thread fails runs fast instead of hanging them.
+    /// Sticky flag set when any cluster thread panics; clients poll it
+    /// so a dead thread fails runs fast instead of hanging them.
     panicked: Arc<AtomicBool>,
     next_task_id: Arc<AtomicU64>,
     next_client_id: AtomicU64,
@@ -299,8 +319,8 @@ impl std::fmt::Debug for RtCluster {
 }
 
 impl RtCluster {
-    /// Starts the cluster: spawns one router and `workers_per_server`
-    /// worker threads per server.
+    /// Starts the cluster: spawns `workers_per_server` worker threads
+    /// per server (and the credits controller when configured).
     ///
     /// # Panics
     /// Panics on a structurally invalid configuration.
@@ -350,10 +370,7 @@ impl RtCluster {
         let cost = CostModel::new(service, config.forecast);
 
         let mut servers = Vec::with_capacity(config.num_servers as usize);
-        let mut senders = Vec::with_capacity(config.num_servers as usize);
         let mut workers = Vec::new();
-        let mut routers = Vec::new();
-        let (stop_tx, stop_rx) = unbounded::<()>();
         let panicked = Arc::new(AtomicBool::new(false));
 
         let global = match config.queue_mode {
@@ -362,6 +379,7 @@ impl RtCluster {
                 queue: Mutex::new(GlobalServerQueue {
                     gq: GlobalQueue::new(ring.num_groups()),
                     codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
+                    parked: 0,
                 }),
                 available: Condvar::new(),
                 queue_len: AtomicUsize::new(0),
@@ -375,7 +393,6 @@ impl RtCluster {
                 let (hub, handle) = credits::spawn_controller(
                     cfg,
                     config.num_servers as usize,
-                    stop_rx.clone(),
                     Arc::clone(&panicked),
                 );
                 (Some(hub), Some(handle))
@@ -384,86 +401,16 @@ impl RtCluster {
         };
 
         for s in 0..config.num_servers {
-            let shared = Arc::new(ServerShared {
-                queue: Mutex::new(ServerQueue {
-                    pq: PriorityQueue::new(),
-                    codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
-                }),
-                available: Condvar::new(),
-                queue_len: AtomicUsize::new(0),
-                bound: config.queue.map(|q| q.bound),
-                epoch: Instant::now(),
-                store: ShardedStore::new(config.store_shards),
-                stop: AtomicBool::new(false),
-                served: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
-            });
-            let (tx, rx): (Sender<RtMessage>, Receiver<RtMessage>) = unbounded();
-
-            // Router: drains the channel into the priority queue so that
-            // priorities take effect the moment requests arrive, not in
-            // channel FIFO order — and applies bounded admission there,
-            // NACKing drops/sheds back before they ever consume queue
-            // space. Exits when the cluster's stop channel closes
-            // (clients may still hold request senders then).
-            {
-                let shared = Arc::clone(&shared);
-                let global = global.clone();
-                let stop_rx = stop_rx.clone();
-                let panicked = Arc::clone(&panicked);
-                let congestion = credits_hub.as_ref().map(|hub| {
-                    let detector = CongestionDetector::new(
-                        hub.cfg.congestion_queue_threshold,
-                        hub.cfg.server_capacity_rps,
-                        hub.cfg.config.measurement_interval_ns,
-                    );
-                    (detector, hub.tx.clone())
-                });
-                routers.push(
-                    std::thread::Builder::new()
-                        .name(format!("brb-router-{s}"))
-                        .spawn(move || {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    router_loop(
-                                        s,
-                                        &shared,
-                                        global.as_deref(),
-                                        &rx,
-                                        &stop_rx,
-                                        congestion,
-                                    )
-                                }));
-                            // Wake workers so they observe the stop flag.
-                            // The queue lock MUST be taken between the
-                            // store and the notify: a worker that checked
-                            // `stop` and is about to park holds it, so
-                            // locking here blocks until the worker is
-                            // actually parked — otherwise the notify can
-                            // land in that window and be lost forever
-                            // (lost-wakeup deadlock; the stop flag is the
-                            // one predicate not written under the mutex).
-                            shared.stop.store(true, Ordering::SeqCst);
-                            drop(shared.queue.lock());
-                            shared.available.notify_all();
-                            if let Some(g) = &global {
-                                drop(g.queue.lock());
-                                g.available.notify_all();
-                            }
-                            if result.is_err() {
-                                panicked.store(true, Ordering::SeqCst);
-                            }
-                        })
-                        .expect("spawn router"),
-                );
-            }
+            let shared = Arc::new(ServerShared::new(
+                s,
+                &config,
+                global.clone(),
+                credits_hub.as_ref(),
+            ));
 
             let speed = config.speed_factors.get(s as usize).copied().unwrap_or(1.0);
             for w in 0..config.workers_per_server {
                 let shared = Arc::clone(&shared);
-                let global = global.clone();
                 let work = config.work;
                 let spike = config.spike;
                 let panic_on_key = config.panic_on_key;
@@ -478,9 +425,7 @@ impl RtCluster {
                             let result =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     worker_loop(
-                                        s,
                                         &shared,
-                                        global.as_deref(),
                                         work,
                                         noise_seed,
                                         speed,
@@ -492,14 +437,8 @@ impl RtCluster {
                                 panicked.store(true, Ordering::SeqCst);
                                 // Wake sibling workers parked on the
                                 // condvar so a fully-dead server cannot
-                                // strand them (lock bracket for the same
-                                // lost-wakeup reason as the router exit).
-                                drop(shared.queue.lock());
-                                shared.available.notify_all();
-                                if let Some(g) = &global {
-                                    drop(g.queue.lock());
-                                    g.available.notify_all();
-                                }
+                                // strand them.
+                                shared.wake_workers();
                             }
                         })
                         .expect("spawn worker"),
@@ -507,7 +446,6 @@ impl RtCluster {
             }
 
             servers.push(shared);
-            senders.push(tx);
         }
 
         RtCluster {
@@ -515,13 +453,9 @@ impl RtCluster {
             ring,
             cost,
             servers,
-            global,
             credits: credits_hub,
             credits_thread,
-            senders,
             workers,
-            routers,
-            stop_tx: Some(stop_tx),
             panicked,
             next_task_id: Arc::new(AtomicU64::new(0)),
             next_client_id: AtomicU64::new(0),
@@ -589,7 +523,7 @@ impl RtCluster {
             self.cost,
             self.config.policy,
             self.config.sizes,
-            self.senders.clone(),
+            self.servers.clone(),
             Arc::clone(&self.next_task_id),
             selector,
             self.config.network_rtt_ns,
@@ -647,7 +581,7 @@ impl RtCluster {
             .map_or(0, |h| h.congestion_signals.load(Ordering::Relaxed))
     }
 
-    /// Whether any worker or router thread has panicked.
+    /// Whether any cluster thread has panicked.
     pub fn panicked(&self) -> bool {
         self.panicked.load(Ordering::SeqCst)
     }
@@ -668,52 +602,45 @@ impl RtCluster {
     }
 
     /// Stops all threads and joins them, reporting a panicked thread as
-    /// a typed error instead of a harness panic. Callers should drain
-    /// their tasks first: requests still queued when shutdown starts are
-    /// dropped.
+    /// a typed error instead of a harness panic. Requests admitted
+    /// before the stop are still served; a later `submit` hands its
+    /// request back and the client sees [`crate::error::RtError`].
     pub fn shutdown_checked(mut self) -> Result<(), crate::error::RtError> {
-        // Closing the stop channel ends the routers and the credits
-        // controller (even if clients still hold request senders);
-        // routers set stop and wake workers.
-        drop(self.stop_tx.take());
-        drop(self.senders);
-        for r in self.routers {
-            // The catch_unwind wrapper makes join errors impossible in
-            // practice; a failed join still counts as a panic.
-            if r.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        if let Some(h) = self.credits_thread.take() {
-            if h.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        for s in &self.servers {
-            s.stop.store(true, Ordering::SeqCst);
-            // Lock bracket between store and notify: a worker between its
-            // `stop` check and the park holds the queue lock, so locking
-            // here waits until it is parked — without it the notify can
-            // be lost and the worker parks forever (observed as a hung
-            // join on a loaded single-CPU host).
-            drop(s.queue.lock());
-            s.available.notify_all();
-        }
-        // Global-mode workers park on the shared condvar, not their
-        // server's.
-        if let Some(g) = &self.global {
-            drop(g.queue.lock());
-            g.available.notify_all();
-        }
-        for w in self.workers {
-            if w.join().is_err() {
-                self.panicked.store(true, Ordering::SeqCst);
-            }
-        }
+        self.stop_threads();
         if self.panicked.load(Ordering::SeqCst) {
             Err(crate::error::RtError::WorkerPanicked)
         } else {
             Ok(())
+        }
+    }
+
+    /// The one stop routine, shared by [`Self::shutdown_checked`] and
+    /// `Drop` (clients keep the servers' shared state alive, so nothing
+    /// stops by itself when the handle goes away). A second call finds
+    /// no thread left and only repeats the cheap part.
+    fn stop_threads(&mut self) {
+        if let Some(hub) = &self.credits {
+            // Fails only when the controller is already gone.
+            let _ = hub.tx.send(CreditMsg::Shutdown);
+        }
+        for s in &self.servers {
+            s.stop.store(true, Ordering::SeqCst);
+            s.wake_workers();
+        }
+        // The catch_unwind wrappers make join errors impossible in
+        // practice; a failed join still counts as a panic.
+        for handle in self.workers.drain(..).chain(self.credits_thread.take()) {
+            if handle.join().is_err() {
+                self.panicked.store(true, Ordering::SeqCst);
+            }
+        }
+        // Workers drain their queue before they exit; what is left
+        // belongs to a server whose workers all died. Drop it, so its
+        // reply senders drop and a ticket without a deadline observes
+        // disconnection instead of waiting on a queue that only its own
+        // client keeps alive.
+        for s in &self.servers {
+            s.discard_queued();
         }
     }
 
@@ -724,122 +651,194 @@ impl RtCluster {
     }
 }
 
-/// Sends a typed drop/shed notice back to the request's owner. The
-/// client may have given up (dropped receiver); ignore errors.
-fn send_nack(server_id: u32, req: &RtRequest, reason: DropReason) {
-    let _ = req.reply.send(RtReply::Nack(RtNack {
-        key: req.key,
-        req_idx: req.req_idx,
-        task_id: req.task_id,
-        attempt: req.attempt,
-        server: server_id,
-        reason,
-    }));
+impl Drop for RtCluster {
+    fn drop(&mut self) {
+        self.stop_threads();
+    }
 }
 
-fn router_loop(
-    server_id: u32,
-    shared: &Arc<ServerShared>,
-    global: Option<&GlobalShared>,
-    rx: &Receiver<RtMessage>,
-    stop_rx: &Receiver<()>,
-    mut congestion: Option<CongestionMonitor>,
-) {
-    loop {
-        crossbeam::channel::select! {
-            recv(rx) -> msg => match msg {
-                Ok(RtMessage::Request(req)) => {
-                    // Bounded admission against the mirror — the same
-                    // length feedback responses piggyback, so admission
-                    // costs no queue lock. Global mode admits against
-                    // the cluster-wide mirror.
-                    let len = match global {
-                        Some(g) => g.queue_len.load(Ordering::Relaxed),
-                        None => shared.queue_len.load(Ordering::Relaxed),
-                    };
-                    if let Some(bound) = shared.bound {
-                        if let EnqueueOutcome::Dropped(reason) = bound.admit(len) {
-                            match reason {
-                                DropReason::Shed => {
-                                    shared.shed.fetch_add(1, Ordering::Relaxed)
-                                }
-                                DropReason::QueueFull | DropReason::Sojourn => {
-                                    shared.dropped.fetch_add(1, Ordering::Relaxed)
-                                }
-                            };
-                            send_nack(server_id, &req, reason);
-                            continue;
-                        }
-                    }
-                    // Admitted: the queue is about to be `len + 1` long.
-                    if let Some((detector, tx)) = congestion.as_mut() {
-                        let now_ns = shared.epoch.elapsed().as_nanos() as u64;
-                        if detector.on_arrival(now_ns, len + 1) {
-                            let _ = tx.send(CreditMsg::Congestion { server: server_id });
-                        }
-                    }
-                    match global {
-                        None => {
-                            // Increment the mirror *before* the push: a
-                            // worker may pop (and decrement) the instant
-                            // the lock drops, and the counter must never
-                            // underflow.
-                            shared.queue_len.fetch_add(1, Ordering::Relaxed);
-                            let mut q = shared.queue.lock();
-                            let priority = req.priority;
-                            q.pq.push(
-                                priority,
-                                Queued {
-                                    req,
-                                    enqueued: Instant::now(),
-                                },
-                            );
-                            drop(q);
-                            shared.available.notify_one();
-                        }
-                        Some(g) => {
-                            g.queue_len.fetch_add(1, Ordering::Relaxed);
-                            let group = g.ring.group_of_key(req.key);
-                            let priority = req.priority;
-                            let mut q = g.queue.lock();
-                            q.gq.push(
-                                group,
-                                priority,
-                                Queued {
-                                    req,
-                                    enqueued: Instant::now(),
-                                },
-                            );
-                            drop(q);
-                            // notify_all, not notify_one: a single wake
-                            // could land on a worker outside this
-                            // group's replica set, which would re-park
-                            // and strand the request.
-                            g.available.notify_all();
-                        }
-                    }
+impl ServerShared {
+    pub(crate) fn new(
+        id: u32,
+        config: &RtClusterConfig,
+        global: Option<Arc<GlobalShared>>,
+        credits: Option<&CreditsHub>,
+    ) -> ServerShared {
+        ServerShared {
+            id,
+            queue: Mutex::new(ServerQueue {
+                pq: PriorityQueue::new(),
+                codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
+                parked: 0,
+            }),
+            available: Condvar::new(),
+            queue_len: AtomicUsize::new(0),
+            global,
+            bound: config.queue.map(|q| q.bound),
+            congestion: credits.map(|hub| CongestionMonitor {
+                detector: Mutex::new(CongestionDetector::new(
+                    hub.cfg.congestion_queue_threshold,
+                    hub.cfg.server_capacity_rps,
+                    hub.cfg.config.measurement_interval_ns,
+                )),
+                tx: hub.tx.clone(),
+            }),
+            epoch: Instant::now(),
+            store: ShardedStore::new(config.store_shards),
+            stop: AtomicBool::new(false),
+            served: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// The bound's refusal, if any, of an arrival finding `len` queued.
+    fn refusal(&self, len: usize) -> Option<DropReason> {
+        match self.bound?.admit(len) {
+            EnqueueOutcome::Dropped(reason) => Some(reason),
+            EnqueueOutcome::Enqueued => None,
+        }
+    }
+
+    /// Counts a refused request and sends its owner a typed drop/shed
+    /// notice over the request's own reply channel. Call with no queue
+    /// guard held: the reply channel's lock stays out of the queue's
+    /// critical section.
+    fn nack(&self, req: &RtRequest, reason: DropReason) {
+        let counter = match reason {
+            DropReason::Shed => &self.shed,
+            DropReason::QueueFull | DropReason::Sojourn => &self.dropped,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        // The client may have given up (dropped receiver); ignore errors.
+        let _ = req.reply.send(RtReply::Nack(RtNack {
+            key: req.key,
+            req_idx: req.req_idx,
+            task_id: req.task_id,
+            attempt: req.attempt,
+            server: self.id,
+            reason,
+        }));
+    }
+
+    /// Enqueues `req`, on the submitting thread: admission against the
+    /// bound, the push, the wake-up, congestion detection. A request
+    /// the bound refuses is NACKed and counts as submitted; `Err` hands
+    /// the request back because the server has stopped.
+    ///
+    /// Admission and push share one hold of the queue mutex, so the
+    /// bound stays exact however many clients submit at once. `stop` is
+    /// read under the same hold (its writer brackets the lock before
+    /// the workers' final drain), so nothing is pushed behind a worker
+    /// that has already left; the length mirror moves under it too and
+    /// therefore never underflows.
+    pub(crate) fn submit(&self, req: RtRequest) -> Result<(), RtRequest> {
+        let enqueued = Instant::now();
+        let len = match &self.global {
+            None => {
+                let mut q = self.queue.lock();
+                if self.stop.load(Ordering::SeqCst) {
+                    return Err(req);
                 }
-                Ok(RtMessage::Cancel(cancel)) => {
-                    // Purge the still-queued loser of a hedged pair.
-                    // Per-channel FIFO means its request (if any)
-                    // already passed through; a miss just means a
-                    // worker got there first. Hedging never lowers to
-                    // global mode, where a cancel is a no-op.
-                    if global.is_none() {
-                        let mut q = shared.queue.lock();
-                        let removed = q.pq.retain(|queued| {
-                            !(queued.req.task_id == cancel.task_id
-                                && queued.req.req_idx == cancel.req_idx
-                                && queued.req.attempt == cancel.attempt)
-                        });
-                        if removed > 0 {
-                            shared.queue_len.fetch_sub(removed, Ordering::Relaxed);
-                        }
-                    }
+                let len = q.pq.len();
+                if let Some(reason) = self.refusal(len) {
+                    drop(q);
+                    self.nack(&req, reason);
+                    return Ok(());
                 }
-                Err(_) => break,
-            },
-            recv(stop_rx) -> _ => break,
+                self.queue_len.fetch_add(1, Ordering::Relaxed);
+                q.pq.push(req.priority, Queued { req, enqueued });
+                let wake = q.parked > 0;
+                drop(q);
+                if wake {
+                    self.available.notify_one();
+                }
+                len + 1
+            }
+            // Global mode admits against the cluster-wide queue.
+            Some(g) => {
+                let group = g.ring.group_of_key(req.key);
+                let mut q = g.queue.lock();
+                if self.stop.load(Ordering::SeqCst) {
+                    return Err(req);
+                }
+                let len = q.gq.len();
+                if let Some(reason) = self.refusal(len) {
+                    drop(q);
+                    self.nack(&req, reason);
+                    return Ok(());
+                }
+                g.queue_len.fetch_add(1, Ordering::Relaxed);
+                q.gq.push(group, req.priority, Queued { req, enqueued });
+                let wake = q.parked > 0;
+                drop(q);
+                // notify_all, not notify_one: a single wake could land
+                // on a worker outside this group's replica set, which
+                // would re-park and strand the request.
+                if wake {
+                    g.available.notify_all();
+                }
+                len + 1
+            }
+        };
+        // Admitted: the detector sees the length including this arrival.
+        if let Some(c) = &self.congestion {
+            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            let signal = c.detector.lock().on_arrival(now_ns, len);
+            if signal {
+                let _ = c.tx.send(CreditMsg::Congestion { server: self.id });
+            }
+        }
+        Ok(())
+    }
+
+    /// Purges the still-queued loser of a hedged pair. A miss just
+    /// means a worker got there first. Hedging never lowers to global
+    /// mode, where a cancel is a no-op.
+    pub(crate) fn cancel(&self, cancel: RtCancel) {
+        if self.global.is_some() {
+            return;
+        }
+        let mut q = self.queue.lock();
+        let removed = q.pq.retain(|queued| {
+            !(queued.req.task_id == cancel.task_id
+                && queued.req.req_idx == cancel.req_idx
+                && queued.req.attempt == cancel.attempt)
+        });
+        if removed > 0 {
+            self.queue_len.fetch_sub(removed, Ordering::Relaxed);
+        }
+    }
+
+    /// Wakes every worker that may be parked for this server. The queue
+    /// lock MUST be taken before the notify: a worker that checked
+    /// `stop` (the one wait predicate not written under the mutex) and
+    /// is about to park holds it, so locking here blocks until the
+    /// worker is actually parked — otherwise the notify can land in
+    /// that window and be lost forever (observed as a hung join on a
+    /// loaded single-CPU host).
+    fn wake_workers(&self) {
+        drop(self.queue.lock());
+        self.available.notify_all();
+        // Global-mode workers park on the shared condvar instead.
+        if let Some(g) = &self.global {
+            drop(g.queue.lock());
+            g.available.notify_all();
+        }
+    }
+
+    /// Drops whatever is still queued (the guard goes first: dropping a
+    /// request drops its reply sender, which may wake its receiver).
+    fn discard_queued(&self) {
+        let left = std::mem::replace(&mut self.queue.lock().pq, PriorityQueue::new());
+        self.queue_len.store(0, Ordering::Relaxed);
+        drop(left);
+        if let Some(g) = &self.global {
+            let fresh = GlobalQueue::new(g.ring.num_groups());
+            let left = std::mem::replace(&mut g.queue.lock().gq, fresh);
+            g.queue_len.store(0, Ordering::Relaxed);
+            drop(left);
         }
     }
 }
@@ -857,11 +856,8 @@ fn codel_drops(codel: Option<&mut CoDel>, epoch: Instant, enqueued: Instant) -> 
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    server_id: u32,
-    shared: &Arc<ServerShared>,
-    global: Option<&GlobalShared>,
+    shared: &ServerShared,
     work: WorkModel,
     noise_seed: u64,
     speed: f64,
@@ -873,6 +869,8 @@ fn worker_loop(
     // drops — the reply channel's own lock stays out of the queue's
     // critical section.
     let mut codel_rejects: Vec<RtRequest> = Vec::new();
+    let server_id = shared.id;
+    let global = shared.global.as_deref();
     loop {
         let popped = match global {
             None => {
@@ -889,7 +887,9 @@ fn worker_loop(
                     if shared.stop.load(Ordering::SeqCst) {
                         break None;
                     }
+                    q.parked += 1;
                     shared.available.wait(&mut q);
+                    q.parked -= 1;
                 }
             }
             Some(g) => {
@@ -909,13 +909,14 @@ fn worker_loop(
                     if shared.stop.load(Ordering::SeqCst) {
                         break None;
                     }
+                    q.parked += 1;
                     g.available.wait(&mut q);
+                    q.parked -= 1;
                 }
             }
         };
         for rejected in codel_rejects.drain(..) {
-            shared.dropped.fetch_add(1, Ordering::Relaxed);
-            send_nack(server_id, &rejected, DropReason::Sojourn);
+            shared.nack(&rejected, DropReason::Sojourn);
         }
         let Some(req) = popped else {
             return;
@@ -980,6 +981,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
 
     fn cluster(policy: PolicyKind) -> RtCluster {
         RtCluster::start(RtClusterConfig {
@@ -1216,81 +1218,227 @@ mod tests {
         c.shutdown();
     }
 
+    /// A bare server (no workers, no cluster) for driving `submit` /
+    /// `cancel` synchronously.
+    fn bare_server(queue: Option<RtQueueConfig>) -> ServerShared {
+        let config = RtClusterConfig {
+            queue,
+            store_shards: 1,
+            ..Default::default()
+        };
+        ServerShared::new(0, &config, None, None)
+    }
+
+    fn request(req_idx: u32, attempt: u32, reply: &Sender<RtReply>) -> RtRequest {
+        RtRequest {
+            key: 1,
+            priority: brb_sched::Priority(1),
+            req_idx,
+            task_id: 7,
+            attempt,
+            submitted: Instant::now(),
+            reply: reply.clone(),
+        }
+    }
+
     /// A cancel for a queued request must remove exactly that attempt
     /// and fix the length mirror; a cancel that matches nothing (wrong
     /// attempt) must be a no-op.
     #[test]
-    fn router_cancel_dequeues_matching_attempt_only() {
-        use crate::transport::RtCancel;
-        let shared = Arc::new(ServerShared {
-            queue: Mutex::new(ServerQueue {
-                pq: PriorityQueue::new(),
-                codel: None,
-            }),
-            available: Condvar::new(),
-            queue_len: AtomicUsize::new(0),
-            bound: None,
-            epoch: Instant::now(),
-            store: ShardedStore::new(1),
-            stop: AtomicBool::new(false),
-            served: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-        });
-        let (tx, rx) = unbounded();
-        let (stop_tx, stop_rx) = unbounded::<()>();
-        let router = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || router_loop(0, &shared, None, &rx, &stop_rx, None))
-        };
+    fn cancel_dequeues_matching_attempt_only() {
+        let shared = bare_server(None);
         let (reply_tx, reply_rx) = unbounded();
-        let req = |req_idx: u32, attempt: u32| {
-            RtMessage::Request(RtRequest {
-                key: 1,
-                priority: brb_sched::Priority(1),
-                req_idx,
-                task_id: 7,
-                attempt,
-                submitted: Instant::now(),
-                reply: reply_tx.clone(),
-            })
+        shared.submit(request(0, 0, &reply_tx)).unwrap();
+        shared.submit(request(1, 0, &reply_tx)).unwrap();
+        let cancel = |attempt| RtCancel {
+            task_id: 7,
+            req_idx: 0,
+            attempt,
         };
-        tx.send(req(0, 0)).unwrap();
-        tx.send(req(1, 0)).unwrap();
         // Wrong attempt: must remove nothing.
-        tx.send(RtMessage::Cancel(RtCancel {
-            task_id: 7,
-            req_idx: 0,
-            attempt: 9,
-        }))
-        .unwrap();
+        shared.cancel(cancel(9));
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 2);
         // Exact match: removes req_idx 0.
-        tx.send(RtMessage::Cancel(RtCancel {
-            task_id: 7,
-            req_idx: 0,
-            attempt: 0,
-        }))
-        .unwrap();
-        let t0 = Instant::now();
-        while shared.queue_len.load(Ordering::Relaxed) != 1 {
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "cancel never drained: len {}",
-                shared.queue_len.load(Ordering::Relaxed)
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        shared.cancel(cancel(0));
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 1);
         {
             let q = shared.queue.lock();
             assert_eq!(q.pq.len(), 1);
             assert_eq!(q.pq.peek_item().unwrap().req.req_idx, 1);
         }
-        drop(stop_tx);
-        router.join().unwrap();
         // No reply was ever sent for the cancelled request.
         drop(reply_tx);
         assert!(reply_rx.try_recv().is_err());
+    }
+
+    /// After `stop`, `submit` hands the request back and touches
+    /// neither the queue nor its length mirror.
+    #[test]
+    fn submit_after_stop_returns_the_request() {
+        let shared = bare_server(None);
+        let (reply_tx, reply_rx) = unbounded();
+        shared.submit(request(0, 0, &reply_tx)).unwrap();
+        shared.stop.store(true, Ordering::SeqCst);
+        let back = shared
+            .submit(request(1, 0, &reply_tx))
+            .expect_err("a stopped server took a request");
+        assert_eq!(back.req_idx, 1);
+        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.queue.lock().pq.len(), 1);
+        assert!(reply_rx.try_recv().is_err(), "a stop is not a NACK");
+    }
+
+    /// The bound is exact under contention: four threads submit at once
+    /// against capacity 8 and one slow worker; the length seen under
+    /// the queue lock never exceeds the capacity, and every request is
+    /// answered exactly once — served or NACKed.
+    #[test]
+    fn bound_is_exact_under_concurrent_submits() {
+        const CAPACITY: usize = 8;
+        let service = ServiceModel::calibrated_size_linear(50_000.0, 64.0, 1.0, ServiceNoise::None);
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 1,
+            replication: 1,
+            work: WorkModel::SimulateService(service),
+            store_shards: 4,
+            queue: Some(RtQueueConfig {
+                bound: QueueBound {
+                    capacity: CAPACITY,
+                    shed_above: None,
+                },
+                codel: None,
+            }),
+            ..Default::default()
+        });
+        c.populate(8, |_| 64);
+        let server = &c.servers[0];
+        let (reply_tx, reply_rx) = unbounded();
+        let start = std::sync::Barrier::new(4);
+        let deepest = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let (reply_tx, start) = (&reply_tx, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut deepest = 0;
+                        for i in 0..200 {
+                            server.submit(request(t * 200 + i, 0, reply_tx)).unwrap();
+                            deepest = deepest.max(server.queue.lock().pq.len());
+                        }
+                        deepest
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .max()
+                .unwrap()
+        });
+        assert!(deepest <= CAPACITY, "queue reached {deepest}");
+        assert!(deepest > 0);
+        drop(reply_tx);
+        let (mut served, mut nacked) = (0u64, 0u64);
+        for _ in 0..800 {
+            match reply_rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(RtReply::Served(_)) => served += 1,
+                Ok(RtReply::Nack(_)) => nacked += 1,
+                Err(e) => panic!("reply missing after {served}+{nacked}: {e:?}"),
+            }
+        }
+        assert!(nacked > 0, "800 submits into capacity 8 never overflowed");
+        assert_eq!(served, c.served_per_server()[0]);
+        assert_eq!(nacked, c.dropped_per_server()[0] + c.shed_per_server()[0]);
+        c.shutdown();
+    }
+
+    /// `shutdown_checked` with a backlog still queued: every ticket
+    /// without a deadline resolves — served, or typed `ClusterDown` —
+    /// promptly after it returns; none hangs on a queue only its own
+    /// client keeps alive.
+    #[test]
+    fn shutdown_with_a_backlog_resolves_every_ticket() {
+        let service =
+            ServiceModel::calibrated_size_linear(2_000_000.0, 64.0, 1.0, ServiceNoise::None);
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 1,
+            replication: 1,
+            work: WorkModel::SimulateService(service),
+            store_shards: 4,
+            ..Default::default()
+        });
+        c.populate(64, |_| 64);
+        let client = c.client();
+        let tickets: Vec<_> = (0..50u64).map(|k| client.fetch_async(&[k])).collect();
+        c.shutdown_checked().expect("no thread panicked");
+        let returned = Instant::now();
+        let waiter = std::thread::spawn(move || {
+            tickets
+                .into_iter()
+                .map(|t| match t.wait_outcome() {
+                    Ok(res) => matches!(res.outcome, crate::TaskOutcome::Completed(_)),
+                    Err(e) => {
+                        assert_eq!(e, crate::error::RtError::ClusterDown);
+                        false
+                    }
+                })
+                .filter(|served| *served)
+                .count()
+        });
+        while !waiter.is_finished() {
+            assert!(
+                returned.elapsed() < std::time::Duration::from_secs(1),
+                "a ticket is still waiting 1 s after shutdown returned"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Admitted before the stop, so the worker drained all of them.
+        assert_eq!(waiter.join().unwrap(), 50);
+    }
+
+    /// Global mode wakes conditionally too: with every worker parked, a
+    /// request for each replica group must still reach a worker of its
+    /// replica set (the `notify_all`), and the workers park again.
+    #[test]
+    fn global_mode_wakes_parked_workers_for_every_group() {
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 3,
+            workers_per_server: 2,
+            replication: 2,
+            queue_mode: RtQueueMode::Global,
+            work: WorkModel::Instant,
+            store_shards: 8,
+            ..Default::default()
+        });
+        c.populate(300, |_| 16);
+        let global = c.servers[0].global.as_ref().expect("global mode");
+        let all_parked = || {
+            let t0 = Instant::now();
+            while global.queue.lock().parked != 6 {
+                assert!(
+                    t0.elapsed() < std::time::Duration::from_secs(5),
+                    "workers never all parked: {}",
+                    global.queue.lock().parked
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        let client = c.client();
+        let mut groups_hit = std::collections::BTreeSet::new();
+        for key in 0..300u64 {
+            if !groups_hit.insert(c.ring().group_of_key(key)) {
+                continue;
+            }
+            all_parked();
+            let ticket = client.fetch_async(&[key]);
+            let res = ticket.wait_outcome().expect("stranded request");
+            assert!(matches!(res.outcome, crate::TaskOutcome::Completed(_)));
+        }
+        assert_eq!(groups_hit.len() as u32, c.ring().num_groups());
+        all_parked();
+        c.shutdown();
     }
 
     /// A panicking worker must trip the cluster's sticky panic flag and

@@ -1,15 +1,15 @@
 //! Message types and the in-process transport.
 //!
-//! Requests travel over a per-server channel into the server's priority
-//! queue; replies return over a per-task channel. A reply is either a
-//! served [`RtResponse`] or a typed [`RtNack`] — the overload lane's
-//! drop/shed notice, so a bounded server queue can refuse work without
-//! silently stranding the client. The channel also carries [`RtCancel`]
-//! control messages (the hedging lane's duplicate purge): a cancel
-//! de-queues a still-queued request at the router; a request already in
-//! service completes normally and the client discards the duplicate
-//! reply. Payloads are [`bytes::Bytes`] so values move by reference
-//! count, never by copy.
+//! A request goes straight into its server's priority queue, pushed by
+//! the submitting thread (`ServerShared::submit`); replies return over
+//! a per-task channel. A reply is either a served [`RtResponse`] or a
+//! typed [`RtNack`] — the overload lane's drop/shed notice, so a
+//! bounded server queue can refuse work without silently stranding the
+//! client. An [`RtCancel`] (the hedging lane's duplicate purge) is a
+//! call too: it de-queues a still-queued request in place; a request
+//! already in service completes normally and the client discards the
+//! duplicate reply. Payloads are [`bytes::Bytes`] so values move by
+//! reference count, never by copy.
 
 use brb_sched::overload::DropReason;
 use brb_sched::Priority;
@@ -17,22 +17,12 @@ use bytes::Bytes;
 use crossbeam::channel::Sender;
 use std::time::Instant;
 
-/// What a client sends to a server's router: work, or a retraction of
-/// work it no longer wants.
-#[derive(Debug)]
-pub enum RtMessage {
-    /// A read request to enqueue.
-    Request(RtRequest),
-    /// Retract a specific queued attempt (hedged duplication's
-    /// purge-on-first-win). Races are benign: a cancel for an attempt
-    /// already popped removes nothing, and per-channel FIFO ordering
-    /// guarantees the cancel can never arrive before its request.
-    Cancel(RtCancel),
-}
-
-/// Identifies one dispatched attempt to retract. Matches on the full
-/// `(task_id, req_idx, attempt)` triple so a cancel can never remove a
-/// retry or another task's request by accident.
+/// Identifies one dispatched attempt to retract (hedged duplication's
+/// purge-on-first-win). Matches on the full `(task_id, req_idx,
+/// attempt)` triple so a cancel can never remove a retry or another
+/// task's request by accident. Races are benign: a cancel for an
+/// attempt already popped removes nothing, and it can never run before
+/// its request's `submit` returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtCancel {
     /// Task id of the attempt to retract.
