@@ -10,9 +10,9 @@
 //! removed.
 
 use brb_net::{LatencyModel, PlanMode};
-use brb_sched::{CoDelConfig, CreditsConfig, PolicyKind, QueueBound};
-// The timeout/retry knobs live beside the policy that reads them.
-pub use brb_sched::TimeoutConfig;
+use brb_sched::{CreditsConfig, PolicyKind};
+// The overload lane's knobs live beside the code that reads them.
+pub use brb_sched::{QueueConfig, TimeoutConfig};
 use brb_store::cost::ForecastQuality;
 use brb_store::service::{ServiceModel, ServiceNoise};
 use brb_workload::taskgen::SizeModel;
@@ -469,53 +469,6 @@ fn policy_label(p: PolicyKind) -> &'static str {
     }
 }
 
-/// Server-queue bound and AQM knobs (the overload lane). All queues are
-/// unbounded when absent — the pre-overload behavior every golden hash
-/// pins.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueueConfig {
-    /// Per-queue capacity: arrivals finding this many queued are
-    /// tail-dropped and NACKed back to the client.
-    pub capacity: usize,
-    /// Admission-control watermark: arrivals finding at least this many
-    /// queued are shed before the queue fills (`None` disables
-    /// shedding; must not exceed `capacity`).
-    #[serde(default)]
-    pub shed_above: Option<usize>,
-    /// CoDel-style AQM at dequeue (`None` disables it): head-of-line
-    /// requests whose sojourn exceeded the target for a sustained
-    /// interval are dropped at an inverse-sqrt-tightening cadence.
-    #[serde(default)]
-    pub codel: Option<CoDelConfig>,
-    /// Split the drop/shed counters by priority class (log₂ buckets of
-    /// the assigned priority key) and report them as the additive
-    /// `priority_classes` run field — makes per-class starvation under
-    /// shedding observable (e.g. EqualMax favoring small tasks). Off by
-    /// default: the split is extra report surface, and existing
-    /// serializations must stay byte-identical.
-    #[serde(default)]
-    pub priority_stats: bool,
-}
-
-impl QueueConfig {
-    /// The tail-drop/shed bound this config describes.
-    pub fn bound(&self) -> QueueBound {
-        QueueBound {
-            capacity: self.capacity,
-            shed_above: self.shed_above,
-        }
-    }
-
-    /// Validates structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        self.bound().validate()?;
-        if let Some(codel) = &self.codel {
-            codel.validate()?;
-        }
-        Ok(())
-    }
-}
-
 /// The overload lane's knobs: bounded/AQM-managed server queues and
 /// client-side timeouts with retries. The default (both `None`) is the
 /// pre-overload engine exactly — unbounded queues, no timeouts — and
@@ -634,6 +587,7 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brb_sched::CoDelConfig;
 
     #[test]
     fn paper_constants_are_pinned() {

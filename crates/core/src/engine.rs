@@ -27,8 +27,9 @@
 //!
 //! The decisions themselves — credit admission and demand estimation,
 //! congestion detection, retry / hedge budgets, backoff and terminal
-//! classification — are `brb-sched`'s; this engine only drives them from
-//! the calendar (`brb-rt` drives the same code from threads).
+//! classification — and the server queue with its bound and AQM
+//! ([`ServerQueue`]) are `brb-sched`'s; this engine only drives them
+//! from the calendar (`brb-rt` drives the same code from threads).
 
 use crate::config::{ExperimentConfig, SelectorKind, Strategy, TimeoutConfig};
 use crate::plan::WorkloadPlan;
@@ -39,9 +40,9 @@ use brb_metrics::Histogram;
 use brb_net::{Fabric, FabricPlan, NetNodeId};
 pub use brb_sched::TaskFailure;
 use brb_sched::{
-    AttemptFailure, CoDel, CongestionDetector, CreditClient, CreditController, CreditsConfig,
-    DispatchBudget, DropReason, EnqueueOutcome, GlobalQueue, GrantTable, PolicyKind, Priority,
-    PriorityQueue, QueueBound, RequestQueue, Verdict,
+    AttemptFailure, CongestionDetector, CreditClient, CreditController, CreditsConfig,
+    DispatchBudget, DropReason, GrantTable, PolicyKind, Priority, PriorityQueue, RequestQueue,
+    ServerQueue, Verdict,
 };
 use brb_select::{
     C3Config, C3Selector, LeastOutstandingSelector, OracleSelector, RandomSelector,
@@ -112,7 +113,9 @@ pub enum Ev {
     TaskArrive(u32),
     /// Re-attempt dispatch of held requests at a client.
     Pump(u16),
-    /// A request reaches a server's queue.
+    /// A request reaches the queue behind a server: the server's own,
+    /// or — model realization — the global queue, the server then being
+    /// only where the request was addressed.
     ReqAtServer(u16, ReqId),
     /// A core finishes serving a request (`service_ns` spent).
     SvcDone(u16, ReqId, u64),
@@ -121,8 +124,6 @@ pub enum Ev {
     /// [`ResponseFeedback`] is rebuilt at the client, where the response
     /// time is stamped anyway.
     RespAtClient(ReqId, u16, u32, u64),
-    /// A request reaches the global queue (model realization).
-    ReqAtGlobal(ReqId),
     /// Clients measure and report demand (credits realization).
     MeasureTick,
     /// A demand report reaches the controller.
@@ -153,38 +154,7 @@ enum Realization {
     Model,
 }
 
-/// Server queue discipline. Queues hold slab keys, not records: a queued
-/// entry is 12 bytes and both disciplines report `len` in O(1).
-enum QueueImpl {
-    Fifo(std::collections::VecDeque<(Priority, ReqId)>),
-    Prio(PriorityQueue<ReqId>),
-}
-
-impl QueueImpl {
-    fn push(&mut self, p: Priority, r: ReqId) {
-        match self {
-            QueueImpl::Fifo(q) => q.push_back((p, r)),
-            QueueImpl::Prio(q) => q.push(p, r),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Priority, ReqId)> {
-        match self {
-            QueueImpl::Fifo(q) => q.pop_front(),
-            QueueImpl::Prio(q) => q.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Fifo(q) => q.len(),
-            QueueImpl::Prio(q) => q.len(),
-        }
-    }
-}
-
 struct ServerState {
-    queue: QueueImpl,
     /// Speed factor: service times divide by this (0.5 = half speed).
     speed: f64,
     cores: u32,
@@ -192,11 +162,8 @@ struct ServerState {
     service_rng: DetRng,
     busy_ns: u64,
     served: u64,
-    peak_queue: usize,
     /// Congestion detection (credits realization only).
     congestion: Option<CongestionDetector>,
-    /// CoDel controller for this server's queue (overload lane).
-    codel: Option<CoDel>,
 }
 
 struct ClientState {
@@ -288,7 +255,14 @@ pub struct EngineWorld {
     tasks: Vec<TaskState>,
     clients: Vec<ClientState>,
     servers: Vec<ServerState>,
-    global: Option<GlobalQueue<ReqId>>,
+    /// One queue per server, or — model realization — the single global
+    /// queue every server pulls from ([`Self::queue_of`]). Queues hold
+    /// slab keys, not records; the overload lane's bound and AQM live
+    /// inside them.
+    queues: Vec<ServerQueue<ReqId>>,
+    /// Heads CoDel ejected during one `start_service`, NACKed once the
+    /// queue borrow ends.
+    codel_rejects: Vec<ReqId>,
     controller: Option<CreditController>,
 
     /// Pooled in-flight records, keyed by the [`ReqId`]s events carry.
@@ -312,13 +286,8 @@ pub struct EngineWorld {
     /// Reusable client-side task-build pipeline.
     builder: TaskBuilder,
 
-    /// Tail-drop/shed bound applied to server (or global) queues; `None`
-    /// is the legacy unbounded behavior.
-    queue_bound: Option<QueueBound>,
     /// Client timeout/retry knobs; `None` means clients never time out.
     timeout: Option<TimeoutConfig>,
-    /// CoDel controller for the model realization's global queue.
-    global_codel: Option<CoDel>,
 
     warmup_ns: u64,
     completed: usize,
@@ -497,41 +466,41 @@ impl EngineWorld {
             })
             .collect();
 
-        // Overload lane: a per-queue bound plus per-queue CoDel
-        // controllers, all off by default.
-        let queue_bound = cfg.overload.queue.map(|q| q.bound());
-        let codel_cfg = cfg.overload.queue.and_then(|q| q.codel);
+        // Overload lane: a bound plus a CoDel controller per queue, all
+        // off by default.
+        let queue_cfg = cfg.overload.queue.as_ref();
         let timeout = cfg.overload.timeout;
         let dropshed_by_class = cfg
             .overload
             .queue
             .is_some_and(|q| q.priority_stats)
             .then(std::collections::BTreeMap::new);
-        let global_codel = match realization {
-            Realization::Model => codel_cfg.map(CoDel::new),
-            _ => None,
+        let queues: Vec<ServerQueue<ReqId>> = match (&realization, &cfg.strategy) {
+            (Realization::Model, _) => vec![ServerQueue::global(ring.num_groups(), queue_cfg)],
+            (
+                _,
+                Strategy::Direct {
+                    priority_queues: false,
+                    ..
+                }
+                | Strategy::Hedged { .. },
+            ) => (0..n_servers)
+                .map(|_| ServerQueue::fifo(queue_cfg))
+                .collect(),
+            _ => (0..n_servers)
+                .map(|_| ServerQueue::priority(queue_cfg))
+                .collect(),
         };
 
         // Servers.
         let servers: Vec<ServerState> = (0..n_servers)
             .map(|s| ServerState {
-                queue: match &cfg.strategy {
-                    Strategy::Direct {
-                        priority_queues: false,
-                        ..
-                    }
-                    | Strategy::Hedged { .. } => {
-                        QueueImpl::Fifo(std::collections::VecDeque::with_capacity(64))
-                    }
-                    _ => QueueImpl::Prio(PriorityQueue::with_capacity(64)),
-                },
                 speed: cluster.speed_of(s),
                 cores: cluster.cores_per_server,
                 busy_cores: 0,
                 service_rng: factory.indexed_stream("service", s as u64),
                 busy_ns: 0,
                 served: 0,
-                peak_queue: 0,
                 congestion: credits_cfg.map(|cc| {
                     CongestionDetector::new(
                         cfg.congestion_queue_threshold,
@@ -539,14 +508,9 @@ impl EngineWorld {
                         cc.measurement_interval_ns,
                     )
                 }),
-                codel: codel_cfg.map(CoDel::new),
             })
             .collect();
 
-        let global = match realization {
-            Realization::Model => Some(GlobalQueue::new(ring.num_groups())),
-            _ => None,
-        };
         let controller =
             credits_cfg.map(|cc| CreditController::new(vec![server_cap; n_servers], cc));
 
@@ -581,7 +545,8 @@ impl EngineWorld {
             tasks,
             clients,
             servers,
-            global,
+            queues,
+            codel_rejects: Vec::new(),
             controller,
             requests: Slab::with_capacity(1024),
             payloads: Slab::with_capacity(num_clients * 2),
@@ -590,9 +555,7 @@ impl EngineWorld {
             grant_table: GrantTable::new(),
             grant_scratch: vec![Vec::new(); num_clients],
             builder: TaskBuilder::default(),
-            queue_bound,
             timeout,
-            global_codel,
             warmup_ns,
             completed: 0,
             failed: 0,
@@ -647,13 +610,22 @@ impl EngineWorld {
             .cfg
             .telemetry_interval_ns
             .expect("telemetry tick without telemetry");
+        // Model-realization servers own no queue; the one there is shows
+        // up as `global_queue`.
+        let model = matches!(self.realization, Realization::Model);
+        let depth = |q: &ServerQueue<ReqId>| q.len() as u32;
+        let (server_queue, global_queue) = if model {
+            (vec![0; self.servers.len()], depth(&self.queues[0]))
+        } else {
+            (self.queues.iter().map(depth).collect(), 0)
+        };
         self.timeline.push(TimelineSample {
             t_ns: ctx.now().as_nanos(),
-            server_queue: self.servers.iter().map(|s| s.queue.len() as u32).collect(),
+            server_queue,
             busy_cores: self.servers.iter().map(|s| s.busy_cores).collect(),
             client_held: self.clients.iter().map(|c| c.held as u32).collect(),
             completed_tasks: self.completed as u64,
-            global_queue: self.global.as_ref().map_or(0, |g| g.len() as u32),
+            global_queue,
         });
         if !self.finished {
             ctx.schedule_in(SimDuration::from_nanos(interval), Ev::TelemetryTick);
@@ -671,9 +643,10 @@ impl EngineWorld {
         self.failed
     }
 
-    /// Peak queue depth observed across all server queues.
+    /// Peak queue depth observed across all server queues (the global
+    /// queue's, under the model realization).
     pub fn peak_server_queue(&self) -> usize {
-        self.servers.iter().map(|s| s.peak_queue).max().unwrap_or(0)
+        self.queues.iter().map(|q| q.peak()).max().unwrap_or(0)
     }
 
     /// Total tasks in the (possibly replayed) trace.
@@ -898,11 +871,7 @@ impl EngineWorld {
                     },
                     head.value_bytes as u64,
                 );
-                let arrival = match dest {
-                    Some(_) => Ev::ReqAtServer(wire_to, id),
-                    None => Ev::ReqAtGlobal(id),
-                };
-                ctx.schedule_in(delay, arrival);
+                ctx.schedule_in(delay, Ev::ReqAtServer(wire_to, id));
                 if let Some(hedge_ns) = self.hedge_ns {
                     // The pending hedge timer holds a second reference
                     // to the record.
@@ -961,9 +930,9 @@ impl EngineWorld {
                 if use_oracle {
                     self.oracle_scratch.clear();
                     for s in candidates {
-                        let srv = &self.servers[s.index()];
+                        let depth = self.queues[s.index()].len() as u64;
                         self.oracle_scratch
-                            .push(srv.queue.len() as u64 + srv.busy_cores as u64);
+                            .push(depth + self.servers[s.index()].busy_cores as u64);
                     }
                 }
                 let sel_ctx = SelectionCtx {
@@ -988,44 +957,31 @@ impl EngineWorld {
         }
     }
 
-    /// Bounded admission (overload lane) for a request arriving at a
-    /// queue holding `depth`: shed (watermark) and tail-drop (capacity)
-    /// NACK back from `server` instead of queueing — the queue length
-    /// itself stays bounded. Returns whether the request may be queued.
-    fn admit_or_nack(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        depth: usize,
-        server: u16,
-        id: ReqId,
-    ) -> bool {
-        let Some(bound) = self.queue_bound else {
-            return true;
-        };
-        if let EnqueueOutcome::Dropped(reason) = bound.admit(depth) {
-            match reason {
-                DropReason::Shed => self.counters.requests_shed += 1,
-                DropReason::QueueFull | DropReason::Sojourn => self.counters.requests_dropped += 1,
-            }
-            self.send_nack(ctx, server, id, reason);
-            return false;
-        }
-        // Feed the AQM's sojourn clock.
-        self.requests.get_mut(id).0.enqueued_ns = ctx.now().as_nanos();
-        true
+    /// Index of the queue `server` admits into and pulls from: its own,
+    /// or — model realization — the one global queue.
+    fn queue_of(&self, server: u16) -> usize {
+        (server as usize).min(self.queues.len() - 1)
     }
 
+    /// A request reaches the queue behind `server`. The model
+    /// realization's single queue honors the same bound as any server's:
+    /// there `server` is the replica the request was addressed to, and a
+    /// NACK travels back from it, so the client pays a symmetric network
+    /// delay.
     fn handle_req_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId) {
-        let depth = self.servers[server as usize].queue.len();
-        if !self.admit_or_nack(ctx, depth, server, id) {
-            return;
+        let &InFlight {
+            group, priority, ..
+        } = self.req(id);
+        let q = self.queue_of(server);
+        let queue_len = match self.queues[q].offer(GroupId::new(group as u64), priority, id) {
+            Ok(len) => len,
+            Err((reason, _)) => return self.send_nack(ctx, server, id, reason),
+        };
+        if self.cfg.overload.queue.is_some() {
+            // Feed the AQM's sojourn clock.
+            self.requests.get_mut(id).0.enqueued_ns = ctx.now().as_nanos();
         }
-        let priority = self.req(id).priority;
-        let srv = &mut self.servers[server as usize];
-        srv.queue.push(priority, id);
-        let queue_len = srv.queue.len();
-        srv.peak_queue = srv.peak_queue.max(queue_len);
-        if srv
+        if self.servers[server as usize]
             .congestion
             .as_mut()
             .is_some_and(|c| c.on_arrival(ctx.now().as_nanos(), queue_len))
@@ -1034,42 +990,50 @@ impl EngineWorld {
             let delay = self.hop_delay(Hop::ServerToController { server }, 64);
             ctx.schedule_in(delay, Ev::CongestionAtController(server));
         }
-        self.start_service(ctx, server);
+        let worker = match self.realization {
+            // Wake the idle replica with the most free cores
+            // (deterministic tie-break on id); it will pull the global
+            // best it may serve.
+            Realization::Model => self.group_replicas[group as usize]
+                .iter()
+                .filter(|s| {
+                    let srv = &self.servers[s.index()];
+                    srv.busy_cores < srv.cores
+                })
+                .min_by_key(|s| (self.servers[s.index()].busy_cores, s.raw()))
+                .map(|s| s.raw() as u16),
+            _ => Some(server),
+        };
+        if let Some(worker) = worker {
+            self.start_service(ctx, worker);
+        }
     }
 
-    /// Starts service on every idle core of `server` that can get work:
-    /// from the server's own queue, or — model realization — by pulling
-    /// the highest-priority request it may serve from the global queue.
+    /// Starts service on every idle core of `server` that can get work
+    /// from the queue behind it — under the model realization, the
+    /// highest-priority request of the global queue it may serve. Heads
+    /// CoDel ejects on the way are NACKed [`DropReason::Sojourn`].
     fn start_service(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16) {
+        let q = self.queue_of(server);
         loop {
-            let srv = &mut self.servers[server as usize];
+            let srv = &self.servers[server as usize];
             if srv.busy_cores >= srv.cores {
                 return;
             }
-            let (next, codel) = match self.global.as_mut() {
-                Some(global) => (
-                    global
-                        .pull_for(ServerId::new(server as u64), &self.ring)
-                        .map(|(_, _, id)| id),
-                    self.global_codel.as_mut(),
-                ),
-                None => (srv.queue.pop().map(|(_, id)| id), srv.codel.as_mut()),
-            };
-            let Some(id) = next else {
+            // CoDel's clock: simulated now, and the head's wait since its
+            // enqueue stamp.
+            let (now_ns, requests) = (ctx.now().as_nanos(), &self.requests);
+            let waited = |id: ReqId| now_ns.saturating_sub(requests.get(id).0.enqueued_ns);
+            let clock = |&id: &ReqId| (now_ns, waited(id));
+            let puller = ServerId::new(server as u64);
+            let next = self.queues[q].take(puller, &self.ring, clock, &mut self.codel_rejects);
+            for i in 0..self.codel_rejects.len() {
+                self.send_nack(ctx, server, self.codel_rejects[i], DropReason::Sojourn);
+            }
+            self.codel_rejects.clear();
+            let Some((_, id)) = next else {
                 return;
             };
-            // CoDel head-drop: measure the departing head's sojourn;
-            // once the queue has stood above target for a full interval,
-            // drop at inverse-sqrt cadence until it drains below target.
-            if let Some(codel) = codel {
-                let now_ns = ctx.now().as_nanos();
-                let sojourn = now_ns.saturating_sub(self.requests.get(id).0.enqueued_ns);
-                if codel.on_dequeue(now_ns, sojourn) {
-                    self.counters.requests_dropped += 1;
-                    self.send_nack(ctx, server, id, DropReason::Sojourn);
-                    continue;
-                }
-            }
             let value_bytes = self.requests.get(id).0.value_bytes;
             let srv = &mut self.servers[server as usize];
             srv.busy_cores += 1;
@@ -1083,13 +1047,11 @@ impl EngineWorld {
 
     fn handle_svc_done(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId, service_ns: u64) {
         let req = self.requests.get(id).0;
-        let queue_len = {
-            let srv = &mut self.servers[server as usize];
-            srv.busy_cores -= 1;
-            srv.busy_ns += service_ns;
-            srv.served += 1;
-            srv.queue.len() as u32
-        };
+        let srv = &mut self.servers[server as usize];
+        srv.busy_cores -= 1;
+        srv.busy_ns += service_ns;
+        srv.served += 1;
+        let queue_len = self.queues[self.queue_of(server)].len() as u32;
         let delay = self.hop_delay(
             Hop::ServerToClient {
                 server,
@@ -1099,39 +1061,6 @@ impl EngineWorld {
         );
         ctx.schedule_in(delay, Ev::RespAtClient(id, server, queue_len, service_ns));
         self.start_service(ctx, server);
-    }
-
-    fn handle_req_at_global(&mut self, ctx: &mut Ctx<'_, Ev>, id: ReqId) {
-        let req = self.requests.get(id).0;
-        // The model realization's single queue honors the same bound:
-        // the NACK travels back from the replica the request was
-        // addressed to, so the client pays a symmetric network delay.
-        let depth = self.global.as_ref().expect("model realization").len();
-        let addressed = self.group_replicas[req.group as usize][0].raw() as u16;
-        if !self.admit_or_nack(ctx, depth, addressed, id) {
-            return;
-        }
-        let group = GroupId::new(req.group as u64);
-        self.global
-            .as_mut()
-            .expect("model realization")
-            .push(group, req.priority, id);
-        // Wake the idle replica with the most free cores (deterministic
-        // tie-break on id); it will pull the global best it may serve.
-        let candidate = self.group_replicas[req.group as usize]
-            .iter()
-            .filter(|s| {
-                let srv = &self.servers[s.index()];
-                srv.busy_cores < srv.cores
-            })
-            .min_by_key(|s| {
-                let srv = &self.servers[s.index()];
-                (srv.busy_cores, s.raw())
-            })
-            .copied();
-        if let Some(s) = candidate {
-            self.start_service(ctx, s.raw() as u16);
-        }
     }
 
     fn handle_resp_at_client(
@@ -1269,10 +1198,15 @@ impl EngineWorld {
         }
     }
 
-    /// Sends a drop/shed notice back to the owning client. The NACK is a
-    /// small control message (64 B on the wire), and it carries the
-    /// attempt's chain reference — `handle_nack` consumes it.
+    /// Counts a refused or ejected attempt and sends the drop/shed notice
+    /// back to the owning client. The NACK is a small control message
+    /// (64 B on the wire), and it carries the attempt's chain reference —
+    /// `handle_nack` consumes it.
     fn send_nack(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId, reason: DropReason) {
+        match reason {
+            DropReason::Shed => self.counters.requests_shed += 1,
+            DropReason::QueueFull | DropReason::Sojourn => self.counters.requests_dropped += 1,
+        }
         let client = self.req(id).client;
         let delay = self.hop_delay(Hop::ServerToClient { server, client }, 64);
         ctx.schedule_in(delay, Ev::Nack(id, server, reason));
@@ -1528,7 +1462,6 @@ impl World for EngineWorld {
             Ev::RespAtClient(id, from, queue_len, service_ns) => {
                 self.handle_resp_at_client(ctx, id, from, queue_len, service_ns)
             }
-            Ev::ReqAtGlobal(req) => self.handle_req_at_global(ctx, req),
             Ev::MeasureTick => self.handle_measure_tick(ctx),
             Ev::DemandAtController(client, payload) => {
                 self.counters.demand_reports += 1;
@@ -1662,7 +1595,7 @@ mod tests {
         assert!(w.is_finished());
         assert_eq!(w.completed_tasks(), 2_000);
         // The global queue must be fully drained.
-        assert_eq!(w.global.as_ref().unwrap().len(), 0);
+        assert!(w.queues[0].is_empty());
     }
 
     #[test]
@@ -1939,7 +1872,11 @@ mod tests {
         let w = sim.world();
         assert_conserved(w, 2_000);
         assert!(w.counters.requests_dropped > 0);
-        assert_eq!(w.global.as_ref().unwrap().len(), 0);
+        assert!(w.queues[0].is_empty());
+        // The global queue's depth is tracked like any server's, and the
+        // bound pins it.
+        let peak = w.peak_server_queue();
+        assert!(0 < peak && peak <= 256, "global queue peaked at {peak}");
     }
 
     #[test]

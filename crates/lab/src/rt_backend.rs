@@ -65,7 +65,7 @@ use brb_core::experiment::{OverloadStats, RunResult, StrategySummary};
 use brb_net::LatencyModel;
 use brb_rt::{
     try_run_load, LoadGenConfig, LoadMode, RtCluster, RtClusterConfig, RtCreditsConfig,
-    RtQueueConfig, RtQueueMode, SpikeModel, WorkModel,
+    RtQueueMode, SpikeModel, WorkModel,
 };
 use brb_sched::{CreditsConfig, PolicyKind};
 use brb_select::SelectorSpec;
@@ -212,10 +212,6 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
              tag failures with engine priority classes)",
         ));
     }
-    let queue = base.overload.queue.map(|q| RtQueueConfig {
-        bound: q.bound(),
-        codel: q.codel,
-    });
     // Nominal-speed clusters keep the empty vector (the legacy shape);
     // degraded ones hand the factors to the live workers, which divide
     // service times by them exactly like the simulator does.
@@ -241,7 +237,7 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
         queue_mode: RtQueueMode::PerServer, // overridden per strategy
         credits: None,                      // overridden per strategy
         hedge_delay_ns: None,               // overridden per strategy
-        queue,
+        queue: base.overload.queue,
         timeout: base.overload.timeout,
         speed_factors,
         spike,

@@ -637,6 +637,7 @@ impl TaskTicket {
             .expect("dispatch without reply sender");
         let submitted = self.inner.servers[server.index()].submit(RtRequest {
             key: self.keys[i],
+            group: self.groups[i],
             priority: self.priorities[i],
             req_idx: i as u32,
             task_id: self.task_id,
@@ -932,9 +933,9 @@ impl RtClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{RtCluster, RtClusterConfig, RtQueueConfig, SpikeModel, WorkModel};
-    use brb_sched::overload::QueueBound;
+    use crate::server::{RtCluster, RtClusterConfig, SpikeModel, WorkModel};
     use brb_sched::PolicyKind;
+    use brb_sched::QueueConfig;
     use brb_select::SelectorSpec;
     use brb_store::service::{ServiceModel, ServiceNoise};
 
@@ -1190,12 +1191,11 @@ mod tests {
             replication: 1,
             work: WorkModel::SimulateService(slow_service(2_000.0)), // ~2ms
             store_shards: 4,
-            queue: Some(RtQueueConfig {
-                bound: QueueBound {
-                    capacity: 1,
-                    shed_above: None,
-                },
+            queue: Some(QueueConfig {
+                capacity: 1,
+                shed_above: None,
                 codel: None,
+                priority_stats: false,
             }),
             ..Default::default()
         });
@@ -1229,12 +1229,11 @@ mod tests {
             replication: 1,
             work: WorkModel::SimulateService(slow_service(2_000.0)),
             store_shards: 4,
-            queue: Some(RtQueueConfig {
-                bound: QueueBound {
-                    capacity: 100,
-                    shed_above: Some(1),
-                },
+            queue: Some(QueueConfig {
+                capacity: 100,
+                shed_above: Some(1),
                 codel: None,
+                priority_stats: false,
             }),
             ..Default::default()
         });

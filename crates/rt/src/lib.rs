@@ -4,7 +4,7 @@
 //! *adoptable implementation*: an in-process, multi-threaded storage
 //! cluster with BRB task-aware scheduling, following the event-driven,
 //! message-passing style of the networking guides (a condvar-guarded
-//! stable priority queue per server that clients push into directly,
+//! [`brb_sched::ServerQueue`] per server that clients push into directly,
 //! crossbeam channels for the replies, no thread between a client and
 //! the queue, no polling anywhere, zero-copy reads via `bytes::Bytes`).
 //!
@@ -23,7 +23,7 @@
 //!
 //! The **overload lane** ports the simulator's saturation story onto
 //! real threads: bounded server queues with watermark shedding and a
-//! CoDel controller on measured sojourn times ([`RtQueueConfig`]),
+//! CoDel controller on measured sojourn times ([`brb_sched::QueueConfig`]),
 //! typed NACKs over the transport, client-side wall-clock deadline
 //! timers with budgeted capped-exponential retries ([`brb_sched::TimeoutConfig`]),
 //! and typed task outcomes ([`TaskOutcome`]) under the conservation
@@ -75,5 +75,5 @@ pub use client::{RtClient, TaskFailure, TaskOutcome, TaskResolution, TaskRespons
 pub use credits::RtCreditsConfig;
 pub use error::RtError;
 pub use loadgen::{run_load, try_run_load, LoadGenConfig, LoadMode, LoadReport};
-pub use server::{RtCluster, RtClusterConfig, RtQueueConfig, RtQueueMode, SpikeModel, WorkModel};
+pub use server::{RtCluster, RtClusterConfig, RtQueueMode, SpikeModel, WorkModel};
 pub use transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};

@@ -391,9 +391,9 @@ pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{RtClusterConfig, RtQueueConfig, WorkModel};
-    use brb_sched::overload::QueueBound;
+    use crate::server::{RtClusterConfig, WorkModel};
     use brb_sched::PolicyKind;
+    use brb_sched::QueueConfig;
     use brb_sched::TimeoutConfig;
     use brb_store::service::{ServiceModel, ServiceNoise};
 
@@ -550,12 +550,11 @@ mod tests {
             replication: 2,
             work: WorkModel::SimulateService(service),
             store_shards: 4,
-            queue: Some(RtQueueConfig {
-                bound: QueueBound {
-                    capacity: 8,
-                    shed_above: None,
-                },
+            queue: Some(QueueConfig {
+                capacity: 8,
+                shed_above: None,
                 codel: None,
+                priority_stats: false,
             }),
             timeout: Some(TimeoutConfig {
                 timeout_us: 3_000, // 3ms

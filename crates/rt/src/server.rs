@@ -1,10 +1,11 @@
 //! The threaded storage cluster: servers, worker pools, shared queues.
 //!
-//! Each server owns a [`ShardedStore`] replica of its partitions, a
-//! condvar-guarded *stable* priority queue and `workers_per_server` OS
-//! threads that pull the most urgent request, read the value, optionally
-//! simulate a size-proportional service cost and reply over the request's
-//! channel.
+//! Each server owns a [`ShardedStore`] replica of its partitions and
+//! `workers_per_server` OS threads that pull the most urgent request
+//! from the server's queue bundle (`QueueShared`: a mutex-guarded
+//! [`ServerQueue`], a condvar, a length mirror), read the value,
+//! optionally simulate a size-proportional service cost and reply over
+//! the request's channel.
 //!
 //! There is no thread between a client and the queue: the submitting
 //! thread itself runs `ServerShared::submit` — admission, congestion
@@ -14,12 +15,12 @@
 //! pop parks on the queue's condvar, and `submit` pays the wake-up
 //! syscall only when the queue's `parked` count says one is asleep.
 //!
-//! The overload lane runs on real queues: `submit` applies the
-//! configured [`QueueBound`] at admission (tail-drop at capacity, shed
-//! at the watermark) and workers feed a [`CoDel`] controller with each
-//! dequeued request's *measured* sojourn time — drops and sheds NACK
-//! back over the transport as typed [`RtNack`] replies instead of
-//! silently growing the queue.
+//! The overload lane runs on real queues, through the same
+//! [`ServerQueue`] the simulator drives: `submit` offers (tail-drop at
+//! capacity, shed at the watermark) and workers take, answering CoDel's
+//! clock with each dequeued request's *measured* sojourn time — drops
+//! and sheds NACK back over the transport as typed [`RtNack`] replies
+//! instead of silently growing the queue.
 //!
 //! Two further lanes complete the figure-2 strategy set natively:
 //!
@@ -28,10 +29,11 @@
 //!   signals; clients gate dispatch through token buckets. `submit`
 //!   feeds every admitted arrival to the server's
 //!   [`brb_sched::CongestionDetector`].
-//! * **Model** ([`RtQueueMode::Global`]): one [`GlobalQueue`] shared by
-//!   every server; idle workers pull the highest-priority request their
-//!   replica constraint allows — the paper's unrealizable ideal, made
-//!   "realizable" here only because the cluster is in-process.
+//! * **Model** ([`RtQueueMode::Global`]): every server holds the *same*
+//!   bundle, around the global queue; idle workers pull the
+//!   highest-priority request their replica constraint allows — the
+//!   paper's unrealizable ideal, made "realizable" here only because
+//!   the cluster is in-process.
 //!
 //! `ServerShared::cancel` honors [`crate::transport::RtCancel`]: a
 //! hedged request whose twin already won is removed from the queue in
@@ -42,10 +44,8 @@ use crate::client::RtClient;
 use crate::credits::{self, CreditMsg, CreditSelector, CreditsHub, RtCreditsConfig};
 use crate::timing;
 use crate::transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};
-use brb_sched::overload::{
-    CoDel, CoDelConfig, DropReason, EnqueueOutcome, QueueBound, TimeoutConfig,
-};
-use brb_sched::{CongestionDetector, GlobalQueue, PolicyKind, PriorityQueue, RequestQueue};
+use brb_sched::overload::{DropReason, QueueConfig, TimeoutConfig};
+use brb_sched::{CongestionDetector, PolicyKind, ServerQueue};
 use brb_select::{ReplicaSelector, SelectorSpec};
 use brb_store::cost::{CostModel, ForecastQuality};
 use brb_store::ids::{ClientId, ServerId};
@@ -89,18 +89,6 @@ pub enum RtQueueMode {
     /// the best request their replica constraint allows — the paper's
     /// "model" realization.
     Global,
-}
-
-/// Bounded-queue knobs for every live server queue (the overload lane).
-#[derive(Debug, Clone, Copy)]
-pub struct RtQueueConfig {
-    /// Tail-drop capacity and optional shed watermark, applied at
-    /// admission under the queue lock, so the bound is exact however
-    /// many clients submit at once.
-    pub bound: QueueBound,
-    /// CoDel AQM at dequeue (`None` disables it), driven by measured
-    /// sojourn timestamps (enqueue `Instant` → dequeue `Instant`).
-    pub codel: Option<CoDelConfig>,
 }
 
 /// Transient service spikes: with probability `p_spike` a request's
@@ -168,8 +156,12 @@ pub struct RtClusterConfig {
     /// response wins, the loser is cancelled (`None` = no hedging).
     pub hedge_delay_ns: Option<u64>,
     /// Bounded server queues + AQM (`None` = unbounded, the legacy
-    /// behavior).
-    pub queue: Option<RtQueueConfig>,
+    /// behavior) — the simulator's own config struct. The bound is
+    /// applied under the queue lock, so it is exact however many clients
+    /// submit at once; CoDel judges measured sojourn (enqueue `Instant`
+    /// → dequeue `Instant`); `priority_stats` is simulator-only and
+    /// ignored.
+    pub queue: Option<QueueConfig>,
     /// Client-side deadline timers and retries (`None` = clients wait
     /// forever, the legacy behavior): per-attempt wall-clock deadlines
     /// under the shared retry policy.
@@ -212,43 +204,66 @@ impl Default for RtClusterConfig {
     }
 }
 
-/// A queued request plus the instant it entered the queue — the AQM's
-/// sojourn clock.
-pub(crate) struct Queued {
-    pub(crate) req: RtRequest,
-    pub(crate) enqueued: Instant,
-}
-
-/// The priority queue and its (optional) CoDel controller, guarded by
-/// one mutex: drop decisions must serialize with dequeues anyway, so a
+/// The queue and what must change under the same lock, guarded by one
+/// mutex: drop decisions must serialize with dequeues anyway, so a
 /// second lock would only add an acquisition per request.
-pub(crate) struct ServerQueue {
-    pub(crate) pq: PriorityQueue<Queued>,
-    pub(crate) codel: Option<CoDel>,
+pub(crate) struct QueueState {
+    /// Each request beside the instant it entered the queue — the AQM's
+    /// sojourn clock, read before the lock is taken.
+    pub(crate) queue: ServerQueue<(RtRequest, Instant)>,
     /// Workers asleep on `available` (`+= 1` before the wait, `-= 1`
     /// after, both under this mutex): `submit` notifies only when it is
     /// non-zero.
     pub(crate) parked: usize,
 }
 
+/// One queue and everything that synchronises on it. In
+/// [`RtQueueMode::PerServer`] every server has its own; in
+/// [`RtQueueMode::Global`] every server holds the same `Arc` — one
+/// mutex + condvar for the whole cluster, the coordination cost the
+/// paper calls unrealizable (here it is one in-process lock).
+pub(crate) struct QueueShared {
+    pub(crate) state: Mutex<QueueState>,
+    pub(crate) available: Condvar,
+    /// Queue length mirror, written only under `state`'s lock, so the
+    /// piggybacked feedback read costs no queue lock.
+    pub(crate) len: AtomicUsize,
+    /// Workers of every server park here: a wake-up must reach them all.
+    global: bool,
+    /// Ring copy for the global queue's replica-constrained pull.
+    ring: Ring,
+    /// Time base for the `now_ns` of the queue's CoDel controller and of
+    /// the congestion detectors of the servers that feed it.
+    epoch: Instant,
+}
+
+impl QueueShared {
+    pub(crate) fn new(config: &RtClusterConfig, ring: &Ring) -> Arc<QueueShared> {
+        let global = config.queue_mode == RtQueueMode::Global;
+        let queue = if global {
+            ServerQueue::global(ring.num_groups(), config.queue.as_ref())
+        } else {
+            ServerQueue::priority(config.queue.as_ref())
+        };
+        Arc::new(QueueShared {
+            state: Mutex::new(QueueState { queue, parked: 0 }),
+            available: Condvar::new(),
+            len: AtomicUsize::new(0),
+            global,
+            ring: ring.clone(),
+            epoch: Instant::now(),
+        })
+    }
+}
+
 /// Shared state of one server.
 pub(crate) struct ServerShared {
     pub(crate) id: u32,
-    pub(crate) queue: Mutex<ServerQueue>,
-    pub(crate) available: Condvar,
-    /// Queue length mirror maintained by `submit` push / worker pop, so
-    /// the piggybacked feedback read costs no queue lock.
-    pub(crate) queue_len: AtomicUsize,
-    /// The global queue when `queue_mode == Global` (this server's own
-    /// queue then stays empty), else `None`.
-    pub(crate) global: Option<Arc<GlobalShared>>,
-    /// Admission bound, applied by `submit` (`None` = unbounded).
-    pub(crate) bound: Option<QueueBound>,
+    /// The queue this server's clients push into and its workers pull
+    /// from.
+    pub(crate) q: Arc<QueueShared>,
     /// Credits-lane congestion detection (`None` without the lane).
     congestion: Option<CongestionMonitor>,
-    /// Time base for the `now_ns` of this server's CoDel controller and
-    /// congestion detector.
-    pub(crate) epoch: Instant,
     pub(crate) store: ShardedStore,
     pub(crate) stop: AtomicBool,
     pub(crate) served: AtomicU64,
@@ -260,34 +275,10 @@ pub(crate) struct ServerShared {
     pub(crate) busy_ns: AtomicU64,
 }
 
-/// The model realization's single work-pull queue, shared by every
-/// server's workers.
-pub(crate) struct GlobalServerQueue {
-    pub(crate) gq: GlobalQueue<Queued>,
-    pub(crate) codel: Option<CoDel>,
-    /// Workers (of every server) asleep on `available`; see
-    /// [`ServerQueue::parked`].
-    pub(crate) parked: usize,
-}
-
-/// Shared state of the global queue mode: one mutex + condvar for the
-/// whole cluster (the coordination cost the paper calls unrealizable —
-/// here it is one in-process lock).
-pub(crate) struct GlobalShared {
-    pub(crate) queue: Mutex<GlobalServerQueue>,
-    pub(crate) available: Condvar,
-    /// Cluster-wide queue length mirror (admission + piggyback).
-    pub(crate) queue_len: AtomicUsize,
-    /// Ring copy for the replica-constrained pull.
-    pub(crate) ring: Ring,
-    /// Time base for the shared CoDel controller.
-    pub(crate) epoch: Instant,
-}
-
 /// A server's congestion detection for the credits lane: the shared
 /// detector, and the channel its signals go out on. The detector has a
 /// lock of its own, taken only after the queue's guard has dropped — it
-/// never nests with either queue lock.
+/// never nests with the queue lock.
 struct CongestionMonitor {
     detector: Mutex<CongestionDetector>,
     tx: Sender<CreditMsg>,
@@ -328,10 +319,7 @@ impl RtCluster {
         assert!(config.num_servers > 0, "need at least one server");
         assert!(config.workers_per_server > 0, "need at least one worker");
         if let Some(q) = &config.queue {
-            q.bound.validate().expect("invalid queue bound");
-            if let Some(codel) = &q.codel {
-                codel.validate().expect("invalid CoDel config");
-            }
+            q.validate().expect("invalid queue config");
         }
         if let Some(t) = &config.timeout {
             t.validate().expect("invalid timeout config");
@@ -373,20 +361,8 @@ impl RtCluster {
         let mut workers = Vec::new();
         let panicked = Arc::new(AtomicBool::new(false));
 
-        let global = match config.queue_mode {
-            RtQueueMode::PerServer => None,
-            RtQueueMode::Global => Some(Arc::new(GlobalShared {
-                queue: Mutex::new(GlobalServerQueue {
-                    gq: GlobalQueue::new(ring.num_groups()),
-                    codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
-                    parked: 0,
-                }),
-                available: Condvar::new(),
-                queue_len: AtomicUsize::new(0),
-                ring: ring.clone(),
-                epoch: Instant::now(),
-            })),
-        };
+        let global =
+            (config.queue_mode == RtQueueMode::Global).then(|| QueueShared::new(&config, &ring));
 
         let (credits_hub, credits_thread) = match config.credits {
             Some(cfg) => {
@@ -401,12 +377,10 @@ impl RtCluster {
         };
 
         for s in 0..config.num_servers {
-            let shared = Arc::new(ServerShared::new(
-                s,
-                &config,
-                global.clone(),
-                credits_hub.as_ref(),
-            ));
+            let queue = global
+                .clone()
+                .unwrap_or_else(|| QueueShared::new(&config, &ring));
+            let shared = Arc::new(ServerShared::new(s, &config, queue, credits_hub.as_ref()));
 
             let speed = config.speed_factors.get(s as usize).copied().unwrap_or(1.0);
             for w in 0..config.workers_per_server {
@@ -661,20 +635,12 @@ impl ServerShared {
     pub(crate) fn new(
         id: u32,
         config: &RtClusterConfig,
-        global: Option<Arc<GlobalShared>>,
+        queue: Arc<QueueShared>,
         credits: Option<&CreditsHub>,
     ) -> ServerShared {
         ServerShared {
             id,
-            queue: Mutex::new(ServerQueue {
-                pq: PriorityQueue::new(),
-                codel: config.queue.and_then(|q| q.codel).map(CoDel::new),
-                parked: 0,
-            }),
-            available: Condvar::new(),
-            queue_len: AtomicUsize::new(0),
-            global,
-            bound: config.queue.map(|q| q.bound),
+            q: queue,
             congestion: credits.map(|hub| CongestionMonitor {
                 detector: Mutex::new(CongestionDetector::new(
                     hub.cfg.congestion_queue_threshold,
@@ -683,21 +649,12 @@ impl ServerShared {
                 )),
                 tx: hub.tx.clone(),
             }),
-            epoch: Instant::now(),
             store: ShardedStore::new(config.store_shards),
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// The bound's refusal, if any, of an arrival finding `len` queued.
-    fn refusal(&self, len: usize) -> Option<DropReason> {
-        match self.bound?.admit(len) {
-            EnqueueOutcome::Dropped(reason) => Some(reason),
-            EnqueueOutcome::Enqueued => None,
         }
     }
 
@@ -724,67 +681,45 @@ impl ServerShared {
 
     /// Enqueues `req`, on the submitting thread: admission against the
     /// bound, the push, the wake-up, congestion detection. A request
-    /// the bound refuses is NACKed and counts as submitted; `Err` hands
-    /// the request back because the server has stopped.
+    /// the bound refuses is NACKed (from this server, whichever queue it
+    /// feeds) and counts as submitted; `Err` hands the request back
+    /// because the server has stopped.
     ///
     /// Admission and push share one hold of the queue mutex, so the
     /// bound stays exact however many clients submit at once. `stop` is
     /// read under the same hold (its writer brackets the lock before
     /// the workers' final drain), so nothing is pushed behind a worker
     /// that has already left; the length mirror moves under it too and
-    /// therefore never underflows.
+    /// therefore never drifts.
     pub(crate) fn submit(&self, req: RtRequest) -> Result<(), RtRequest> {
         let enqueued = Instant::now();
-        let len = match &self.global {
-            None => {
-                let mut q = self.queue.lock();
-                if self.stop.load(Ordering::SeqCst) {
-                    return Err(req);
-                }
-                let len = q.pq.len();
-                if let Some(reason) = self.refusal(len) {
-                    drop(q);
-                    self.nack(&req, reason);
-                    return Ok(());
-                }
-                self.queue_len.fetch_add(1, Ordering::Relaxed);
-                q.pq.push(req.priority, Queued { req, enqueued });
-                let wake = q.parked > 0;
-                drop(q);
-                if wake {
-                    self.available.notify_one();
-                }
-                len + 1
-            }
-            // Global mode admits against the cluster-wide queue.
-            Some(g) => {
-                let group = g.ring.group_of_key(req.key);
-                let mut q = g.queue.lock();
-                if self.stop.load(Ordering::SeqCst) {
-                    return Err(req);
-                }
-                let len = q.gq.len();
-                if let Some(reason) = self.refusal(len) {
-                    drop(q);
-                    self.nack(&req, reason);
-                    return Ok(());
-                }
-                g.queue_len.fetch_add(1, Ordering::Relaxed);
-                q.gq.push(group, req.priority, Queued { req, enqueued });
-                let wake = q.parked > 0;
-                drop(q);
-                // notify_all, not notify_one: a single wake could land
-                // on a worker outside this group's replica set, which
-                // would re-park and strand the request.
-                if wake {
-                    g.available.notify_all();
-                }
-                len + 1
+        let q = &*self.q;
+        let mut state = q.state.lock();
+        if self.stop.load(Ordering::SeqCst) {
+            return Err(req);
+        }
+        let len = match state.queue.offer(req.group, req.priority, (req, enqueued)) {
+            Ok(len) => len,
+            Err((reason, (req, _))) => {
+                drop(state);
+                self.nack(&req, reason);
+                return Ok(());
             }
         };
+        q.len.store(len, Ordering::Relaxed);
+        let wake = state.parked > 0;
+        drop(state);
+        if wake && q.global {
+            // All, not one: a single wake could land on a worker outside
+            // this group's replica set, which would re-park and strand
+            // the request.
+            q.available.notify_all();
+        } else if wake {
+            q.available.notify_one();
+        }
         // Admitted: the detector sees the length including this arrival.
         if let Some(c) = &self.congestion {
-            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            let now_ns = q.epoch.elapsed().as_nanos() as u64;
             let signal = c.detector.lock().on_arrival(now_ns, len);
             if signal {
                 let _ = c.tx.send(CreditMsg::Congestion { server: self.id });
@@ -794,20 +729,16 @@ impl ServerShared {
     }
 
     /// Purges the still-queued loser of a hedged pair. A miss just
-    /// means a worker got there first. Hedging never lowers to global
-    /// mode, where a cancel is a no-op.
+    /// means a worker got there first.
     pub(crate) fn cancel(&self, cancel: RtCancel) {
-        if self.global.is_some() {
-            return;
-        }
-        let mut q = self.queue.lock();
-        let removed = q.pq.retain(|queued| {
-            !(queued.req.task_id == cancel.task_id
-                && queued.req.req_idx == cancel.req_idx
-                && queued.req.attempt == cancel.attempt)
+        let mut state = self.q.state.lock();
+        let removed = state.queue.cancel(|(req, _)| {
+            req.task_id == cancel.task_id
+                && req.req_idx == cancel.req_idx
+                && req.attempt == cancel.attempt
         });
         if removed > 0 {
-            self.queue_len.fetch_sub(removed, Ordering::Relaxed);
+            self.q.len.store(state.queue.len(), Ordering::Relaxed);
         }
     }
 
@@ -819,41 +750,19 @@ impl ServerShared {
     /// that window and be lost forever (observed as a hung join on a
     /// loaded single-CPU host).
     fn wake_workers(&self) {
-        drop(self.queue.lock());
-        self.available.notify_all();
-        // Global-mode workers park on the shared condvar instead.
-        if let Some(g) = &self.global {
-            drop(g.queue.lock());
-            g.available.notify_all();
-        }
+        drop(self.q.state.lock());
+        self.q.available.notify_all();
     }
 
     /// Drops whatever is still queued (the guard goes first: dropping a
     /// request drops its reply sender, which may wake its receiver).
     fn discard_queued(&self) {
-        let left = std::mem::replace(&mut self.queue.lock().pq, PriorityQueue::new());
-        self.queue_len.store(0, Ordering::Relaxed);
+        let mut state = self.q.state.lock();
+        let left = state.queue.drain();
+        self.q.len.store(0, Ordering::Relaxed);
+        drop(state);
         drop(left);
-        if let Some(g) = &self.global {
-            let fresh = GlobalQueue::new(g.ring.num_groups());
-            let left = std::mem::replace(&mut g.queue.lock().gq, fresh);
-            g.queue_len.store(0, Ordering::Relaxed);
-            drop(left);
-        }
     }
-}
-
-/// CoDel's verdict on a request dequeued now after waiting since
-/// `enqueued` — its *measured* sojourn — on the controller clock that
-/// started at `epoch`. No controller, no drop.
-fn codel_drops(codel: Option<&mut CoDel>, epoch: Instant, enqueued: Instant) -> bool {
-    codel.is_some_and(|codel| {
-        let now = Instant::now();
-        codel.on_dequeue(
-            now.saturating_duration_since(epoch).as_nanos() as u64,
-            now.saturating_duration_since(enqueued).as_nanos() as u64,
-        )
-    })
 }
 
 fn worker_loop(
@@ -868,58 +777,45 @@ fn worker_loop(
     // CoDel rejects collected under the queue lock, NACKed after it
     // drops — the reply channel's own lock stays out of the queue's
     // critical section.
-    let mut codel_rejects: Vec<RtRequest> = Vec::new();
+    let mut codel_rejects: Vec<(RtRequest, Instant)> = Vec::new();
     let server_id = shared.id;
-    let global = shared.global.as_deref();
+    // Work-pulling: against the global queue `take` yields the best
+    // request this server's replica constraint allows.
+    let me = ServerId::new(server_id as u64);
+    let q = &*shared.q;
+    // CoDel's clock: the request's *measured* sojourn, on the time base
+    // that started at `epoch`. Not read without a controller.
+    let clock = |(_, enqueued): &(RtRequest, Instant)| {
+        let now = Instant::now();
+        (
+            now.saturating_duration_since(q.epoch).as_nanos() as u64,
+            now.saturating_duration_since(*enqueued).as_nanos() as u64,
+        )
+    };
     loop {
-        let popped = match global {
-            None => {
-                let mut q = shared.queue.lock();
-                loop {
-                    if let Some((_, queued)) = q.pq.pop() {
-                        shared.queue_len.fetch_sub(1, Ordering::Relaxed);
-                        if codel_drops(q.codel.as_mut(), shared.epoch, queued.enqueued) {
-                            codel_rejects.push(queued.req);
-                            continue; // drop head-of-line, pop the next
-                        }
-                        break Some(queued.req);
-                    }
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    q.parked += 1;
-                    shared.available.wait(&mut q);
-                    q.parked -= 1;
+        let popped = {
+            let mut state = q.state.lock();
+            loop {
+                let popped = state.queue.take(me, &q.ring, clock, &mut codel_rejects);
+                if popped.is_some() || !codel_rejects.is_empty() {
+                    q.len.store(state.queue.len(), Ordering::Relaxed);
+                    // Even with nothing to serve: the rejects' owners
+                    // must hear before this thread may sleep.
+                    break popped;
                 }
-            }
-            Some(g) => {
-                // Work-pulling against the global queue: take the best
-                // request this server's replica constraint allows.
-                let me = ServerId::new(server_id as u64);
-                let mut q = g.queue.lock();
-                loop {
-                    if let Some((_, _, queued)) = q.gq.pull_for(me, &g.ring) {
-                        g.queue_len.fetch_sub(1, Ordering::Relaxed);
-                        if codel_drops(q.codel.as_mut(), g.epoch, queued.enqueued) {
-                            codel_rejects.push(queued.req);
-                            continue;
-                        }
-                        break Some(queued.req);
-                    }
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    q.parked += 1;
-                    g.available.wait(&mut q);
-                    q.parked -= 1;
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
                 }
+                state.parked += 1;
+                q.available.wait(&mut state);
+                state.parked -= 1;
             }
         };
-        for rejected in codel_rejects.drain(..) {
+        for (rejected, _) in codel_rejects.drain(..) {
             shared.nack(&rejected, DropReason::Sojourn);
         }
-        let Some(req) = popped else {
-            return;
+        let Some((_, (req, _))) = popped else {
+            continue;
         };
         if panic_on_key == Some(req.key) {
             panic!("injected worker fault on key {}", req.key);
@@ -956,10 +852,7 @@ fn worker_loop(
         // Piggyback feedback from the atomic mirror — no second trip
         // through the queue mutex per request. Global mode piggybacks
         // the cluster-wide backlog (the only queue that exists there).
-        let queue_len = match global {
-            Some(g) => g.queue_len.load(Ordering::Relaxed),
-            None => shared.queue_len.load(Ordering::Relaxed),
-        };
+        let queue_len = q.len.load(Ordering::Relaxed);
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared.busy_ns.fetch_add(service_ns, Ordering::Relaxed);
         // The client may have given up (dropped receiver); ignore errors.
@@ -1220,18 +1113,20 @@ mod tests {
 
     /// A bare server (no workers, no cluster) for driving `submit` /
     /// `cancel` synchronously.
-    fn bare_server(queue: Option<RtQueueConfig>) -> ServerShared {
+    fn bare_server(queue: Option<QueueConfig>) -> ServerShared {
         let config = RtClusterConfig {
             queue,
             store_shards: 1,
             ..Default::default()
         };
-        ServerShared::new(0, &config, None, None)
+        let queue = QueueShared::new(&config, &Ring::new(3, 3, 2));
+        ServerShared::new(0, &config, queue, None)
     }
 
     fn request(req_idx: u32, attempt: u32, reply: &Sender<RtReply>) -> RtRequest {
         RtRequest {
             key: 1,
+            group: brb_store::ids::GroupId::new(0),
             priority: brb_sched::Priority(1),
             req_idx,
             task_id: 7,
@@ -1257,14 +1152,14 @@ mod tests {
         };
         // Wrong attempt: must remove nothing.
         shared.cancel(cancel(9));
-        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 2);
+        assert_eq!(shared.q.len.load(Ordering::Relaxed), 2);
         // Exact match: removes req_idx 0.
         shared.cancel(cancel(0));
-        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.q.len.load(Ordering::Relaxed), 1);
         {
-            let q = shared.queue.lock();
-            assert_eq!(q.pq.len(), 1);
-            assert_eq!(q.pq.peek_item().unwrap().req.req_idx, 1);
+            let mut q = shared.q.state.lock();
+            assert_eq!(q.queue.len(), 1);
+            assert_eq!(q.queue.cancel(|(req, _)| req.req_idx == 1), 1);
         }
         // No reply was ever sent for the cancelled request.
         drop(reply_tx);
@@ -1283,8 +1178,8 @@ mod tests {
             .submit(request(1, 0, &reply_tx))
             .expect_err("a stopped server took a request");
         assert_eq!(back.req_idx, 1);
-        assert_eq!(shared.queue_len.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.queue.lock().pq.len(), 1);
+        assert_eq!(shared.q.len.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.q.state.lock().queue.len(), 1);
         assert!(reply_rx.try_recv().is_err(), "a stop is not a NACK");
     }
 
@@ -1302,12 +1197,11 @@ mod tests {
             replication: 1,
             work: WorkModel::SimulateService(service),
             store_shards: 4,
-            queue: Some(RtQueueConfig {
-                bound: QueueBound {
-                    capacity: CAPACITY,
-                    shed_above: None,
-                },
+            queue: Some(QueueConfig {
+                capacity: CAPACITY,
+                shed_above: None,
                 codel: None,
+                priority_stats: false,
             }),
             ..Default::default()
         });
@@ -1324,7 +1218,7 @@ mod tests {
                         let mut deepest = 0;
                         for i in 0..200 {
                             server.submit(request(t * 200 + i, 0, reply_tx)).unwrap();
-                            deepest = deepest.max(server.queue.lock().pq.len());
+                            deepest = deepest.max(server.q.state.lock().queue.len());
                         }
                         deepest
                     })
@@ -1350,6 +1244,55 @@ mod tests {
         assert!(nacked > 0, "800 submits into capacity 8 never overflowed");
         assert_eq!(served, c.served_per_server()[0]);
         assert_eq!(nacked, c.dropped_per_server()[0] + c.shed_per_server()[0]);
+        c.shutdown();
+    }
+
+    /// Heads CoDel ejects are NACKed even when they were the last of
+    /// the queue: the worker answers them before it parks, not after
+    /// the next arrival wakes it.
+    #[test]
+    fn codel_rejects_are_nacked_before_the_worker_parks() {
+        let service =
+            ServiceModel::calibrated_size_linear(20_000_000.0, 64.0, 1.0, ServiceNoise::None);
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 1,
+            replication: 1,
+            work: WorkModel::SimulateService(service),
+            store_shards: 4,
+            queue: Some(QueueConfig {
+                capacity: 8,
+                shed_above: None,
+                // Every sojourn is above target and every interval is
+                // over: the second head judged and all after it go.
+                codel: Some(brb_sched::CoDelConfig {
+                    target_ns: 1,
+                    interval_ns: 1,
+                }),
+                priority_stats: false,
+            }),
+            ..Default::default()
+        });
+        c.populate(8, |_| 64);
+        let (reply_tx, reply_rx) = unbounded();
+        // The worker serves the first for 20 ms; the other two wait,
+        // then are judged back to back and leave the queue empty.
+        for i in 0..3 {
+            c.servers[0].submit(request(i, 0, &reply_tx)).unwrap();
+        }
+        let mut nacked = Vec::new();
+        for _ in 0..3 {
+            match reply_rx.recv_timeout(std::time::Duration::from_secs(5)) {
+                Ok(RtReply::Nack(n)) => nacked.push((n.req_idx, n.reason)),
+                Ok(RtReply::Served(r)) => assert_eq!(r.req_idx, 0),
+                Err(e) => panic!("a reject is waiting on a parked worker: {e:?}"),
+            }
+        }
+        assert_eq!(
+            nacked,
+            [(1, DropReason::Sojourn), (2, DropReason::Sojourn)],
+            "FIFO among equal priorities, both ejected"
+        );
         c.shutdown();
     }
 
@@ -1413,14 +1356,14 @@ mod tests {
             ..Default::default()
         });
         c.populate(300, |_| 16);
-        let global = c.servers[0].global.as_ref().expect("global mode");
+        let global = &c.servers[0].q;
         let all_parked = || {
             let t0 = Instant::now();
-            while global.queue.lock().parked != 6 {
+            while global.state.lock().parked != 6 {
                 assert!(
                     t0.elapsed() < std::time::Duration::from_secs(5),
                     "workers never all parked: {}",
-                    global.queue.lock().parked
+                    global.state.lock().parked
                 );
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

@@ -13,6 +13,7 @@
 
 use brb_sched::overload::DropReason;
 use brb_sched::Priority;
+use brb_store::ids::GroupId;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use std::time::Instant;
@@ -38,6 +39,8 @@ pub struct RtCancel {
 pub struct RtRequest {
     /// The key to read.
     pub key: u64,
+    /// Replica group of the key: where the global queue files it.
+    pub group: GroupId,
     /// Scheduling priority (lower serves first).
     pub priority: Priority,
     /// Task-local request index, echoed in the reply.
@@ -125,6 +128,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let req = RtRequest {
             key: 7,
+            group: GroupId::new(0),
             priority: Priority(3),
             req_idx: 0,
             task_id: 1,
@@ -160,6 +164,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let req = RtRequest {
             key: 3,
+            group: GroupId::new(0),
             priority: Priority(1),
             req_idx: 2,
             task_id: 5,

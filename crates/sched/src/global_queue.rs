@@ -99,6 +99,23 @@ impl<T> GlobalQueue<T> {
     pub fn len_for_group(&self, group: GroupId) -> usize {
         self.per_group[group.index()].len()
     }
+
+    /// How many replica groups the queue is partitioned into.
+    pub fn num_groups(&self) -> u32 {
+        self.per_group.len() as u32
+    }
+
+    /// [`PriorityQueue::retain`] across every group: the survivors'
+    /// global order is untouched, the removed count returned.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) -> usize {
+        let removed: usize = self
+            .per_group
+            .iter_mut()
+            .map(|q| q.retain(|(_, item)| keep(item)))
+            .sum();
+        self.len -= removed;
+        removed
+    }
 }
 
 impl<T> PriorityQueue<(u64, T)> {

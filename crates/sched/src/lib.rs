@@ -10,9 +10,9 @@
 //!   behind the bottleneck). Plus the task-oblivious **FIFO** baseline and
 //!   two natural extensions used in ablations: per-request **SJF** and
 //!   **EDF** on forecast completion deadlines.
-//! * [`queue`] — server-side queue disciplines: plain FIFO and a *stable*
-//!   priority queue (FIFO among equal priorities, so determinism survives
-//!   priority ties).
+//! * [`queue`] — the *stable* priority queue (FIFO among equal
+//!   priorities, so determinism survives priority ties) behind server
+//!   queues and client hold queues.
 //! * [`credits`] — the practical realization: a logically-centralized
 //!   controller assigning clients credit rates proportional to reported
 //!   demand, with congestion-triggered multiplicative backoff, adapted at
@@ -27,6 +27,9 @@
 //!   enqueue outcomes, admission-control load shedding, a CoDel-style
 //!   AQM (sojourn-time target, inverse-sqrt drop cadence), and the
 //!   client's timeout / retry / hedge policy with typed task failures.
+//! * [`server_queue`] — the one server queue both backends drive: a
+//!   discipline plus the overload lane's bound and AQM, behind
+//!   offer / take / cancel, clock-free.
 
 pub mod credits;
 pub mod global_queue;
@@ -34,15 +37,17 @@ pub mod overload;
 pub mod policy;
 pub mod priority;
 pub mod queue;
+pub mod server_queue;
 
 pub use credits::{
     CongestionDetector, CreditBucket, CreditClient, CreditController, CreditsConfig, GrantTable,
 };
 pub use global_queue::GlobalQueue;
 pub use overload::{
-    AttemptFailure, Bounded, CoDel, CoDelConfig, DispatchBudget, DropReason, EnqueueOutcome,
-    QueueBound, TaskFailure, TimeoutConfig, Verdict,
+    AttemptFailure, CoDel, CoDelConfig, DispatchBudget, DropReason, EnqueueOutcome, QueueBound,
+    QueueConfig, TaskFailure, TimeoutConfig, Verdict,
 };
 pub use policy::{PolicyKind, PriorityPolicy, TaskView};
 pub use priority::Priority;
-pub use queue::{FifoQueue, PriorityQueue, RequestQueue};
+pub use queue::{PriorityQueue, RequestQueue};
+pub use server_queue::{Bounded, ServerQueue};

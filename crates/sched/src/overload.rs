@@ -18,9 +18,9 @@
 //!   inverse square root of the drop count — the classic control law
 //!   that backs off load proportionally to how persistent the standing
 //!   queue is.
-//! * [`Bounded`] — a thin wrapper gluing a [`QueueBound`] onto any
-//!   [`RequestQueue`] discipline, for callers that own their queue
-//!   directly.
+//! * [`QueueConfig`] — the two together, as spec files and both
+//!   backends' cluster configs carry them; [`crate::ServerQueue`] is the
+//!   one place that applies them.
 //! * [`TimeoutConfig`], [`DispatchBudget`], [`TaskFailure`] — the client
 //!   side: per-attempt timeouts, capped-exponential retries under a
 //!   budget, hedges under a budget, and the typed terminal outcome of a
@@ -32,8 +32,6 @@
 //! identical requests — and the live runtime, which calls the same
 //! functions on wall-clock time, decides the same way.
 
-use crate::priority::Priority;
-use crate::queue::RequestQueue;
 use serde::{Deserialize, Serialize};
 
 /// Why an enqueue attempt (or an AQM inspection at dequeue) rejected a
@@ -141,6 +139,52 @@ impl CoDelConfig {
         }
         if self.interval_ns == 0 {
             return Err("CoDel interval must be positive".into());
+        }
+        Ok(())
+    }
+}
+
+/// Server-side queue bounds and AQM. Queues are unbounded when absent —
+/// the pre-overload behavior every golden hash pins.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct QueueConfig {
+    /// Per-queue capacity: arrivals finding this many queued are
+    /// tail-dropped and NACKed back to the client.
+    pub capacity: usize,
+    /// Admission-control watermark: arrivals finding at least this many
+    /// queued are shed before the queue fills (`None` disables
+    /// shedding; must not exceed `capacity`).
+    #[serde(default)]
+    pub shed_above: Option<usize>,
+    /// CoDel-style AQM at dequeue (`None` disables it): head-of-line
+    /// requests whose sojourn exceeded the target for a sustained
+    /// interval are dropped at an inverse-sqrt-tightening cadence.
+    #[serde(default)]
+    pub codel: Option<CoDelConfig>,
+    /// Split the drop/shed counters by priority class (log₂ buckets of
+    /// the assigned priority key) and report them as the additive
+    /// `priority_classes` run field — makes per-class starvation under
+    /// shedding observable (e.g. EqualMax favoring small tasks). Off by
+    /// default: the split is extra report surface, and existing
+    /// serializations must stay byte-identical. Simulator-only.
+    #[serde(default)]
+    pub priority_stats: bool,
+}
+
+impl QueueConfig {
+    /// The tail-drop/shed bound this config describes.
+    pub fn bound(&self) -> QueueBound {
+        QueueBound {
+            capacity: self.capacity,
+            shed_above: self.shed_above,
+        }
+    }
+
+    /// Validates structural invariants.
+    pub fn validate(&self) -> Result<(), String> {
+        self.bound().validate()?;
+        if let Some(codel) = &self.codel {
+            codel.validate()?;
         }
         Ok(())
     }
@@ -420,78 +464,10 @@ impl DispatchBudget {
     }
 }
 
-/// A queue discipline wrapped with a [`QueueBound`]: `try_push` returns
-/// a typed outcome instead of growing without limit.
-#[derive(Debug, Clone)]
-pub struct Bounded<Q> {
-    inner: Q,
-    bound: QueueBound,
-}
-
-impl<Q> Bounded<Q> {
-    /// Wraps `inner` with `bound`.
-    pub fn new(inner: Q, bound: QueueBound) -> Self {
-        Bounded { inner, bound }
-    }
-
-    /// The wrapped bound.
-    pub fn bound(&self) -> QueueBound {
-        self.bound
-    }
-
-    /// Offers `item`; rejections report which mechanism fired.
-    pub fn try_push<T>(&mut self, priority: Priority, item: T) -> EnqueueOutcome
-    where
-        Q: RequestQueue<T>,
-    {
-        match self.bound.admit(self.inner.len()) {
-            EnqueueOutcome::Enqueued => {
-                self.inner.push(priority, item);
-                EnqueueOutcome::Enqueued
-            }
-            dropped => dropped,
-        }
-    }
-
-    /// Dequeues the next item.
-    pub fn pop<T>(&mut self) -> Option<(Priority, T)>
-    where
-        Q: RequestQueue<T>,
-    {
-        self.inner.pop()
-    }
-
-    /// Queued item count.
-    pub fn len<T>(&self) -> usize
-    where
-        Q: RequestQueue<T>,
-    {
-        self.inner.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty<T>(&self) -> bool
-    where
-        Q: RequestQueue<T>,
-    {
-        self.inner.is_empty()
-    }
-}
-
-impl<Q: Default> Bounded<Q> {
-    /// A bounded queue over `Q`'s default construction.
-    pub fn with_bound(bound: QueueBound) -> Self {
-        Bounded {
-            inner: Q::default(),
-            bound,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::FifoQueue;
+    use crate::{Bounded, Priority, PriorityQueue};
 
     #[test]
     fn tail_drop_fires_at_capacity() {
@@ -546,7 +522,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_reports_typed_outcomes() {
-        let mut q: Bounded<FifoQueue<u32>> = Bounded::with_bound(QueueBound {
+        let mut q: Bounded<PriorityQueue<u32>> = Bounded::with_bound(QueueBound {
             capacity: 2,
             shed_above: None,
         });
@@ -556,7 +532,7 @@ mod tests {
             q.try_push(Priority(1), 12),
             EnqueueOutcome::Dropped(DropReason::QueueFull)
         );
-        assert_eq!(q.len::<u32>(), 2);
+        assert_eq!(q.0.len(), 2);
         assert_eq!(q.pop::<u32>().unwrap().1, 10);
         assert_eq!(q.try_push(Priority(1), 12), EnqueueOutcome::Enqueued);
     }

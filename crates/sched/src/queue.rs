@@ -2,14 +2,17 @@
 //!
 //! Each server owns one request queue per the paper's credits realization
 //! ("each server maintains a separate priority-queue"); the C3 baseline
-//! uses FIFO. Both disciplines share one trait so the server model is
-//! generic over them. The priority queue is *stable*: among equal
-//! priorities it serves in insertion order, which keeps simulations
-//! deterministic and avoids starvation-by-tie.
+//! uses FIFO. Both are arms of [`crate::ServerQueue`] — the one server
+//! queue the simulator and the live runtime both drive — beside the
+//! model realization's [`crate::GlobalQueue`]; FIFO needs nothing beyond
+//! a `VecDeque` and lives there. The priority queue here is *stable*:
+//! among equal priorities it serves in insertion order, which keeps
+//! simulations deterministic and avoids starvation-by-tie. It also backs
+//! the clients' hold queues.
 
 use crate::priority::Priority;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A queue of prioritized items.
 pub trait RequestQueue<T> {
@@ -28,39 +31,6 @@ pub trait RequestQueue<T> {
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// First-in, first-out; ignores priorities (task-oblivious servers).
-#[derive(Debug, Clone, Default)]
-pub struct FifoQueue<T> {
-    items: VecDeque<(Priority, T)>,
-}
-
-impl<T> FifoQueue<T> {
-    /// Creates an empty FIFO queue.
-    pub fn new() -> Self {
-        FifoQueue {
-            items: VecDeque::new(),
-        }
-    }
-}
-
-impl<T> RequestQueue<T> for FifoQueue<T> {
-    fn push(&mut self, priority: Priority, item: T) {
-        self.items.push_back((priority, item));
-    }
-
-    fn pop(&mut self) -> Option<(Priority, T)> {
-        self.items.pop_front()
-    }
-
-    fn peek_priority(&self) -> Option<Priority> {
-        self.items.front().map(|(p, _)| *p)
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
     }
 }
 
@@ -185,17 +155,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_ignores_priority() {
-        let mut q = FifoQueue::new();
-        q.push(Priority(9), "first");
-        q.push(Priority(1), "second");
-        assert_eq!(q.peek_priority(), Some(Priority(9)));
-        assert_eq!(q.pop().unwrap().1, "first");
-        assert_eq!(q.pop().unwrap().1, "second");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn priority_queue_orders_by_priority() {
         let mut q = PriorityQueue::new();
         q.push(Priority(30), "c");
@@ -268,19 +227,5 @@ mod tests {
         q.push(Priority(3), "y");
         assert_eq!(q.retain(|_| false), 2);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn len_tracks_both_disciplines() {
-        let mut f: FifoQueue<u32> = FifoQueue::new();
-        let mut p: PriorityQueue<u32> = PriorityQueue::new();
-        for q in [&mut f as &mut dyn RequestQueue<u32>, &mut p] {
-            assert!(q.is_empty());
-            q.push(Priority(1), 1);
-            q.push(Priority(2), 2);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-        }
     }
 }
