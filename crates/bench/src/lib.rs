@@ -1,7 +1,7 @@
 //! # brb-bench — the figure/table regeneration harness
 //!
-//! One module per paper artifact plus the ablation sweeps DESIGN.md calls
-//! out:
+//! One module per paper artifact plus the ablation sweeps (`ROADMAP.md`
+//! open item 5 folds them into `brb-lab` presets and verbs):
 //!
 //! * [`figure1`] — the worked scheduling example (task-oblivious vs
 //!   task-aware), rendered as ASCII timelines and asserted exactly.

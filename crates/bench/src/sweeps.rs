@@ -1,5 +1,5 @@
-//! Ablation sweeps (DESIGN.md experiments A–C), expressed as declarative
-//! `brb-lab` scenarios.
+//! Ablation sweeps, expressed as declarative `brb-lab` scenarios
+//! (`crates/lab/README.md` covers specs and sweep axes).
 //!
 //! * **Load sweep** — where does task-awareness pay? The gap between BRB
 //!   and C3 should widen with load (queueing amplifies ordering choices).

@@ -282,6 +282,16 @@ impl WorkloadConfig {
                 if *num_tracks == 0 || *num_playlists == 0 {
                     return Err("empty playlist catalog".into());
                 }
+                // A catalog names tracks by `u32` popularity rank, and a
+                // popularity table indexes its slots by `u32`.
+                for (what, n) in [("tracks", num_tracks), ("playlists", num_playlists)] {
+                    if *n > u64::from(u32::MAX) {
+                        return Err(format!(
+                            "{n} {what} exceed the playlist catalog's limit of {}",
+                            u32::MAX
+                        ));
+                    }
+                }
             }
         }
         Ok(())
@@ -663,6 +673,25 @@ mod tests {
             WorkloadKind::Synthetic { num_keys, .. } => assert_eq!(num_keys, 1_000_000),
             _ => panic!("unexpected kind"),
         }
+    }
+
+    #[test]
+    fn catalogs_beyond_u32_ranks_fail_validation() {
+        let at = |num_tracks, num_playlists| {
+            let mut cfg = paper_small_config(Strategy::c3(), 1, 1_000);
+            cfg.workload.kind = WorkloadKind::Playlist {
+                num_tracks,
+                num_playlists,
+                playlist_zipf: 0.8,
+            };
+            cfg.validate()
+        };
+        let max = u64::from(u32::MAX);
+        assert!(at(max, 100).is_ok());
+        let err = at(max + 1, 100).unwrap_err();
+        assert!(err.contains("tracks exceed"), "{err}");
+        let err = at(1_000, max + 1).unwrap_err();
+        assert!(err.contains("playlists exceed"), "{err}");
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! behind the paper's multi-seed averaged comparisons.
 //!
 //! [`run_grid`] is the one sweep path. It takes a whole grid — cells ×
-//! strategies × seeds — and runs it **seed-major**: a seed's workload
-//! plan ([`WorkloadPlan`], the expensive half of trace generation) is
-//! built once, each *distinct* trace of that seed is drawn from it once,
-//! and every run the trace serves shares it behind an `Arc`. Runs fan
-//! out across OS threads — each is an independent deterministic
-//! simulation, so results are byte-identical for every worker count
-//! (guarded by tests). [`run_strategies_multi_seed`] and friends are its
-//! one-cell case. Worker count comes from [`worker_count`]
-//! (`BRB_THREADS` overrides the detected parallelism).
+//! strategies × seeds — and runs it **seed-major**: the popularity
+//! tables ([`PlanTables`]) are built once for the whole grid, a seed's
+//! workload plan ([`WorkloadPlan`]: its playlist catalog over those
+//! tables) once per seed, each *distinct* trace of that seed is drawn
+//! from it once, and every run the trace serves shares it behind an
+//! `Arc`. Runs fan out across OS threads — each is an independent
+//! deterministic simulation, so results are byte-identical for every
+//! worker count (guarded by tests). [`run_strategies_multi_seed`] and
+//! friends are its one-cell case. Worker count comes from
+//! [`worker_count`] (`BRB_THREADS` overrides the detected parallelism).
 
 use crate::config::{ExperimentConfig, Strategy};
 use crate::engine::{Counters, EngineWorld};
-use crate::plan::{same_trace, WorkloadPlan};
+use crate::plan::{same_trace, PlanTables, WorkloadPlan};
 use brb_metrics::{Percentiles, SeedSummary};
 use brb_sim::Simulation;
 use brb_workload::taskgen::TaskSpec;
@@ -496,13 +497,18 @@ impl std::error::Error for GridError {}
 /// What one [`run_grid`] execution built and shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GridStats {
-    /// Workload plans built: one per (seed, group of cells whose
-    /// workloads are [`WorkloadPlan::shared_by`] each other).
+    /// Plan tables built: one per group of cells whose workloads are
+    /// [`PlanTables::shared_by`] each other, however many seeds.
+    pub tables_built: usize,
+    /// Seed plans that carry a playlist catalog: one per (seed, playlist
+    /// table group). A synthetic plan is its shared key table and
+    /// nothing else, so it builds nothing here.
     pub plans_built: usize,
     /// Traces drawn: one per (seed, group of cells with the
     /// [`same_trace`]).
     pub traces_drawn: usize,
-    /// Most plans alive at any instant; never more than the worker count.
+    /// Most catalogs alive at any instant; never more than the worker
+    /// count.
     pub peak_live_plans: usize,
 }
 
@@ -526,12 +532,13 @@ pub fn run_grid(
 }
 
 /// A run's coordinates: indices into the grid, the seed list, and the
-/// executor's plan and trace slots.
+/// executor's table, plan and trace slots.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     cell: usize,
     strategy: usize,
     seed: usize,
+    tables_slot: usize,
     plan_slot: usize,
     trace_slot: usize,
     result_slot: usize,
@@ -584,6 +591,8 @@ struct Schedule {
     /// Every run, in claim order: seed-major, then plan group, trace
     /// group, cell, strategy.
     runs: Vec<Run>,
+    /// One still-empty slot per plan group, whatever the seed.
+    tables: Vec<Shared<PlanTables>>,
     /// Per seed, one still-empty slot per plan group.
     plans: Vec<Shared<WorkloadPlan>>,
     /// Per seed, one still-empty slot per trace group.
@@ -598,7 +607,7 @@ fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
         let first_of = |members: &Vec<usize>| cells[members[0]].base;
         let plan_group = match groups
             .iter()
-            .position(|g| WorkloadPlan::shared_by(&first_of(&g[0]).workload, &cell.base.workload))
+            .position(|g| PlanTables::shared_by(&first_of(&g[0]).workload, &cell.base.workload))
         {
             Some(p) => &mut groups[p],
             None => {
@@ -625,10 +634,12 @@ fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
         })
         .collect();
     let mut runs: Vec<Run> = Vec::new();
+    // Tables' users are the seeds' plan builds.
+    let tables = groups.iter().map(|_| Shared::new(num_seeds)).collect();
     let mut plans: Vec<Shared<WorkloadPlan>> = Vec::new();
     let mut traces: Vec<Shared<Vec<TaskSpec>>> = Vec::new();
     for seed in 0..num_seeds {
-        for plan_group in &groups {
+        for (tables_slot, plan_group) in groups.iter().enumerate() {
             // A plan's users are the draws of its traces.
             plans.push(Shared::new(plan_group.len()));
             for members in plan_group {
@@ -639,6 +650,7 @@ fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
                             cell,
                             strategy,
                             seed,
+                            tables_slot,
                             plan_slot: plans.len() - 1,
                             trace_slot: traces.len(),
                             result_slot: result_base[cell] + strategy * num_seeds + seed,
@@ -651,6 +663,7 @@ fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
     }
     Schedule {
         runs,
+        tables,
         plans,
         traces,
     }
@@ -659,25 +672,30 @@ fn schedule(cells: &[GridCell<'_>], num_seeds: usize) -> Schedule {
 /// Runs a whole sweep grid — every cell × its strategies × every seed —
 /// and summarizes each (cell, strategy) across seeds.
 ///
-/// Execution is **seed-major**. Cells whose workloads share a plan
-/// ([`WorkloadPlan::shared_by`]: same catalog numbers and size model,
-/// whatever the load) form a plan group; within it, cells that imply the
-/// [`same_trace`] (they differ only on strategy-side axes such as a
-/// hedge delay or a shed watermark) form a trace group. Per seed, each
-/// plan group's plan is built once — lazily, by the first worker that
-/// needs it — each trace group's trace is drawn from it once, and the
-/// plan is freed the moment its last trace is drawn, the trace the
-/// moment its last run completes. Runs are claimed in that order off an
-/// atomic cursor (they differ wildly in cost, so static chunking would
-/// leave cores idle), which keeps live memory at one plan and one trace
-/// per worker however large the grid: the next seed's plan is not built
-/// before this seed's is done with, and a seed with a single distinct
-/// trace frees its catalog before the first simulation starts.
+/// Execution is **seed-major**. Cells whose workloads share plan tables
+/// ([`PlanTables::shared_by`]: same workload kind and catalog numbers,
+/// whatever the load or size model) form a plan group; within it, cells
+/// that imply the [`same_trace`] (they differ only on strategy-side axes
+/// such as a hedge delay or a shed watermark) form a trace group. Each
+/// plan group's tables are built once for the whole grid — lazily, by
+/// the first worker that needs them — and handed to every seed's plan;
+/// the grid lets go of them once the last seed's plan is built, and they
+/// are freed with the last plan that holds them. Per seed, each plan
+/// group's plan (its catalog) is built once, each trace group's trace is
+/// drawn from it once, and the plan is freed the moment its last trace
+/// is drawn, the trace the moment its last run completes. Runs are
+/// claimed in that order off an atomic cursor (they differ wildly in
+/// cost, so static chunking would leave cores idle), which keeps live
+/// memory at one catalog and one trace per worker however large the
+/// grid: the next seed's catalog is not built before this seed's is
+/// done with, and a seed with a single distinct trace frees its catalog
+/// before the first simulation starts. Nothing outlives the call.
 ///
 /// Every run is a self-contained deterministic simulation (its own RNG
-/// streams, its own calendar) and plan and draw use separate labelled
-/// streams, so the output is byte-identical for every `threads` and
-/// equal to running each cell on its own.
+/// streams, its own calendar), the tables take no randomness, and
+/// catalog and draw use separate labelled streams, so the output is
+/// byte-identical for every `threads` and equal to running each cell on
+/// its own.
 ///
 /// `retrace` maps each drawn trace to the one actually simulated
 /// (identity, or a round trip through the on-disk format). `progress`
@@ -706,6 +724,7 @@ pub fn run_grid_with(
 
     let Schedule {
         runs,
+        tables,
         plans,
         traces,
     } = schedule(cells, seeds.len());
@@ -720,6 +739,7 @@ pub fn run_grid_with(
         runs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
+    let tables_built = AtomicUsize::new(0);
     let plans_built = AtomicUsize::new(0);
     let traces_drawn = AtomicUsize::new(0);
     let live_plans = AtomicUsize::new(0);
@@ -733,14 +753,24 @@ pub fn run_grid_with(
             let cfg = config_of(run);
             let trace = traces[run.trace_slot].get_or_make(|| {
                 let plan = plans[run.plan_slot].get_or_make(|| {
-                    plans_built.fetch_add(1, Ordering::Relaxed);
-                    let live = live_plans.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak_live_plans.fetch_max(live, Ordering::Relaxed);
-                    WorkloadPlan::build(&cfg)
+                    let shared = &tables[run.tables_slot];
+                    let tables = shared.get_or_make(|| {
+                        tables_built.fetch_add(1, Ordering::Relaxed);
+                        PlanTables::build(&cfg.workload)
+                    });
+                    let plan = WorkloadPlan::over(Arc::clone(&tables), cfg.seed);
+                    shared.release(tables);
+                    if plan.catalog().is_some() {
+                        plans_built.fetch_add(1, Ordering::Relaxed);
+                        let live = live_plans.fetch_add(1, Ordering::Relaxed) + 1;
+                        peak_live_plans.fetch_max(live, Ordering::Relaxed);
+                    }
+                    plan
                 });
                 let trace = plan.draw(&cfg);
                 traces_drawn.fetch_add(1, Ordering::Relaxed);
-                if plans[run.plan_slot].release(plan) {
+                let catalog = plan.catalog().is_some();
+                if plans[run.plan_slot].release(plan) && catalog {
                     live_plans.fetch_sub(1, Ordering::Relaxed);
                 }
                 retrace(trace)
@@ -800,6 +830,7 @@ pub fn run_grid_with(
     Ok(GridOutcome {
         summaries,
         stats: GridStats {
+            tables_built: tables_built.into_inner(),
             plans_built: plans_built.into_inner(),
             traces_drawn: traces_drawn.into_inner(),
             peak_live_plans: peak_live_plans.into_inner(),
@@ -999,9 +1030,9 @@ mod tests {
                 "{} plans alive on {threads} workers",
                 out.stats.peak_live_plans
             );
-            let counts = (out.stats.plans_built, out.stats.traces_drawn);
+            let counts = |s: GridStats| (s.tables_built, s.plans_built, s.traces_drawn);
             let first = *stats.get_or_insert(out.stats);
-            assert_eq!(counts, (first.plans_built, first.traces_drawn));
+            assert_eq!(counts(out.stats), counts(first));
         }
         stats.unwrap()
     }
@@ -1019,6 +1050,7 @@ mod tests {
             &[Strategy::c3(), Strategy::equal_max_model()],
             &[1, 2],
         );
+        assert_eq!(stats.tables_built, 1, "one set of tables per grid");
         assert_eq!(stats.plans_built, 2, "one catalog per seed");
         assert_eq!(stats.traces_drawn, 12, "one trace per (load, seed)");
         // One worker never holds two plans.
@@ -1034,7 +1066,62 @@ mod tests {
             })
             .collect();
         let stats = run_grid(&cells, &[1, 2, 3], 1).unwrap().stats;
-        assert_eq!((stats.plans_built, stats.peak_live_plans), (3, 1));
+        assert_eq!(
+            (stats.tables_built, stats.plans_built, stats.peak_live_plans),
+            (1, 3, 1)
+        );
+    }
+
+    /// The traces a one-worker grid draws, in draw order (seed-major,
+    /// then cell), with its stats.
+    fn drawn_traces(bases: &[ExperimentConfig], seeds: &[u64]) -> (Vec<Vec<TaskSpec>>, GridStats) {
+        let strategies = [Strategy::c3()];
+        let cells: Vec<_> = bases
+            .iter()
+            .map(|base| GridCell {
+                base,
+                strategies: &strategies,
+            })
+            .collect();
+        let drawn = Mutex::new(Vec::new());
+        let retrace = |trace: Vec<TaskSpec>| {
+            drawn.lock().unwrap().push(trace.clone());
+            trace
+        };
+        let stats = run_grid_with(&cells, seeds, 1, retrace, |_, _| {})
+            .unwrap()
+            .stats;
+        (drawn.into_inner().unwrap(), stats)
+    }
+
+    /// Shared tables change what is built, not what is drawn: every
+    /// trace of a grid equals the one its (cell, seed) generates alone,
+    /// tables and catalog from scratch.
+    #[test]
+    fn grid_tables_are_built_once_and_every_trace_matches_a_lone_build() {
+        let loads = [0.3, 0.5, 0.7, 0.85, 0.95, 1.05];
+        let fanouts = [2, 4, 8, 16];
+        for (bases, tables, plans) in [
+            (loads.map(at_load).to_vec(), 1, 2),
+            (fanouts.map(synthetic).to_vec(), 1, 0),
+        ] {
+            let seeds = [1u64, 2];
+            let (drawn, stats) = drawn_traces(&bases, &seeds);
+            assert_eq!(
+                (stats.tables_built, stats.plans_built, stats.traces_drawn),
+                (tables, plans, bases.len() * seeds.len())
+            );
+            let alone = seeds.iter().flat_map(|&seed| {
+                bases.iter().map(move |base| {
+                    let mut cfg = base.clone();
+                    cfg.seed = seed;
+                    EngineWorld::generate_trace(&cfg)
+                })
+            });
+            for (i, (got, want)) in drawn.iter().zip(alone).enumerate() {
+                assert_eq!(*got, want, "trace {i} diverged");
+            }
+        }
     }
 
     /// Cells that differ only on strategy-side axes — a hedge delay (in
@@ -1058,7 +1145,7 @@ mod tests {
             })
             .collect();
         let out = run_grid(&cells, &[1, 2], 2).unwrap();
-        assert_eq!(out.stats.plans_built, 2);
+        assert_eq!((out.stats.tables_built, out.stats.plans_built), (1, 2));
         assert_eq!(out.stats.traces_drawn, 2, "one trace per seed");
         for (summaries, strategies) in out.summaries.iter().zip(&delays) {
             let alone = run_strategies_multi_seed_sequential(&base, strategies, &[1, 2]);
@@ -1090,7 +1177,8 @@ mod tests {
     fn mixed_kinds_do_not_share_a_plan() {
         let bases = [at_load(0.5), synthetic(4), at_load(0.8), synthetic(9)];
         let stats = assert_grid_matches_cells_run_alone(&bases, &[Strategy::c3()], &[1, 2]);
-        assert_eq!(stats.plans_built, 4, "a catalog and a key table per seed");
+        assert_eq!(stats.tables_built, 2, "playlist tables and a key table");
+        assert_eq!(stats.plans_built, 2, "a catalog per seed");
         assert_eq!(stats.traces_drawn, 8);
 
         let mut other_keys = synthetic(4);
@@ -1102,15 +1190,27 @@ mod tests {
         let mut other_sizes = at_load(0.5);
         other_sizes.workload.sizes.cap_bytes = 4_096;
         let workload = |cfg: &ExperimentConfig| cfg.workload.clone();
-        assert!(!WorkloadPlan::shared_by(
+        assert!(!PlanTables::shared_by(
             &workload(&bases[1]),
             &workload(&other_keys)
         ));
-        assert!(!WorkloadPlan::shared_by(
+        assert!(!same_trace(&bases[0], &bases[2]));
+        // A catalog is ranks, priced at draw time: another size model
+        // shares the plan, not the trace.
+        assert!(PlanTables::shared_by(
             &workload(&bases[0]),
             &workload(&other_sizes)
         ));
-        assert!(!same_trace(&bases[0], &bases[2]));
+        assert!(!same_trace(&bases[0], &other_sizes));
+        let stats = assert_grid_matches_cells_run_alone(
+            &[bases[0].clone(), other_sizes],
+            &[Strategy::c3()],
+            &[1, 2],
+        );
+        assert_eq!(
+            (stats.tables_built, stats.plans_built, stats.traces_drawn),
+            (1, 2, 4)
+        );
     }
 
     /// The executor against code that shares nothing with it: one

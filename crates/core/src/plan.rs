@@ -1,46 +1,57 @@
-//! Workload plans: the per-seed half of trace generation.
+//! Workload plans: the reusable halves of trace generation.
 //!
-//! Generating a trace has two halves of very different cost and very
+//! Generating a trace has three parts of very different cost and very
 //! different inputs:
 //!
-//! * the **plan** — the playlist catalog ([`SoundCloudModel`], ~0.1 s at
-//!   a million tracks) for [`WorkloadKind::Playlist`], the key-popularity
-//!   table ([`KeySpace`]) for [`WorkloadKind::Synthetic`]. It is a
-//!   function of the seed, the workload kind's catalog numbers and the
-//!   size model — **not** of load, task count, strategy or any overload
-//!   knob;
+//! * the **tables** ([`PlanTables`]) — the popularity and length
+//!   samplers: for [`WorkloadKind::Playlist`] the track and playlist
+//!   Zipf tables and the length mixture ([`PlaylistTables`], ~30 ms and
+//!   ~13 MB at a million tracks), for [`WorkloadKind::Synthetic`] the key
+//!   popularity table ([`KeySpace`]). A function of the workload kind's
+//!   catalog numbers alone — **not** of the seed, the size model, load,
+//!   task count, strategy or any overload knob;
+//! * the **catalog** ([`PlaylistCatalog`], playlist workloads only) —
+//!   which tracks each playlist lists, as 4-byte popularity ranks, drawn
+//!   from the seed's `"catalog"` stream over the tables (~30 ms and
+//!   ~4 MB for the paper's 100k playlists);
 //! * the **draw** — `num_tasks` arrivals at the configured task rate from
-//!   a fresh `"workload"` stream, microseconds per thousand tasks.
+//!   a fresh `"workload"` stream, keys and value sizes resolved for the
+//!   playlists fetched; microseconds per thousand tasks.
 //!
-//! A sweep over load therefore needs one plan per seed, not one per
-//! (cell, seed): the grid executor in [`crate::experiment`] builds each
-//! seed's plan once and draws every cell's trace from it.
+//! A [`WorkloadPlan`] is a seed's tables and catalog: what its traces are
+//! all drawn from. A sweep over load therefore needs one set of tables
+//! per grid and one catalog per seed, not one of each per (cell, seed):
+//! the grid executor in [`crate::experiment`] builds the tables once,
+//! each seed's catalog once over them, and draws every cell's trace from
+//! its seed's plan.
 //! [`EngineWorld::generate_trace`](crate::engine::EngineWorld::generate_trace)
-//! is `build` then `draw` for the single-run case, so both routes
-//! produce the same bytes (the catalog and the draw use separate
-//! labelled RNG streams; neither sees how often the other ran).
+//! is [`WorkloadPlan::build`] (its own tables) then `draw` for the
+//! single-run case, so both routes produce the same bytes (the catalog
+//! and the draw use separate labelled RNG streams; neither sees how
+//! often the other ran, and the tables take no randomness at all).
 
 use crate::config::{ExperimentConfig, WorkloadConfig, WorkloadKind};
 use brb_sim::RngFactory;
 use brb_workload::keyspace::{KeySpace, Popularity};
-use brb_workload::soundcloud::{SoundCloudConfig, SoundCloudModel};
+use brb_workload::soundcloud::{PlaylistCatalog, PlaylistTables, SoundCloudConfig};
 use brb_workload::taskgen::{TaskGenerator, TaskSpec};
 use brb_workload::PoissonProcess;
+use std::sync::Arc;
 
-/// What a seed's traces are all drawn from.
+/// The seed-independent half of a workload plan.
 #[derive(Debug, Clone)]
-pub enum WorkloadPlan {
+pub enum PlanTables {
     /// Key universe and popularity table of a synthetic workload.
     Synthetic(KeySpace),
-    /// Playlist catalog of a playlist workload.
-    Playlist(SoundCloudModel),
+    /// Popularity and length samplers of a playlist workload.
+    Playlist(PlaylistTables),
 }
 
-impl WorkloadPlan {
-    /// Builds the plan `cfg` implies. Reads `cfg.seed`,
-    /// `cfg.workload.kind` and `cfg.workload.sizes` only.
-    pub fn build(cfg: &ExperimentConfig) -> Self {
-        match &cfg.workload.kind {
+impl PlanTables {
+    /// Builds the tables `workload` implies. Reads `workload.kind` only,
+    /// and of a synthetic kind only its key count and Zipf exponent.
+    pub fn build(workload: &WorkloadConfig) -> Self {
+        match &workload.kind {
             WorkloadKind::Synthetic {
                 num_keys,
                 zipf_exponent,
@@ -51,30 +62,25 @@ impl WorkloadPlan {
                 } else {
                     Popularity::Zipf(*zipf_exponent)
                 };
-                WorkloadPlan::Synthetic(KeySpace::new(*num_keys, pop))
+                PlanTables::Synthetic(KeySpace::new(*num_keys, pop))
             }
             WorkloadKind::Playlist {
                 num_tracks,
                 num_playlists,
                 playlist_zipf,
-            } => {
-                let sc = SoundCloudConfig {
-                    num_tracks: *num_tracks,
-                    num_playlists: *num_playlists,
-                    playlist_zipf: *playlist_zipf,
-                    sizes: cfg.workload.sizes,
-                    ..Default::default()
-                };
-                let mut catalog = RngFactory::new(cfg.seed).stream("catalog");
-                WorkloadPlan::Playlist(SoundCloudModel::build(sc, &mut catalog))
-            }
+            } => PlanTables::Playlist(PlaylistTables::new(&SoundCloudConfig {
+                num_tracks: *num_tracks,
+                num_playlists: *num_playlists,
+                playlist_zipf: *playlist_zipf,
+                ..Default::default()
+            })),
         }
     }
 
-    /// Whether, at any one seed, [`Self::build`] yields the same plan for
-    /// both workloads — everything `build` reads besides the seed. A
-    /// synthetic plan ignores the fan-out distribution and the size model
-    /// (both belong to the draw), so a `mean_fanout` sweep shares one.
+    /// Whether [`Self::build`] yields the same tables for both workloads
+    /// — everything `build` reads. A synthetic table ignores the fan-out
+    /// distribution (it belongs to the draw), so a `mean_fanout` sweep
+    /// shares one; no table reads the size model.
     pub fn shared_by(a: &WorkloadConfig, b: &WorkloadConfig) -> bool {
         match (&a.kind, &b.kind) {
             (
@@ -89,26 +95,59 @@ impl WorkloadPlan {
                     ..
                 },
             ) => keys_a == keys_b && zipf_a == zipf_b,
-            (WorkloadKind::Playlist { .. }, WorkloadKind::Playlist { .. }) => {
-                a.kind == b.kind && a.sizes == b.sizes
-            }
+            (WorkloadKind::Playlist { .. }, WorkloadKind::Playlist { .. }) => a.kind == b.kind,
             _ => false,
         }
+    }
+}
+
+/// What a seed's traces are all drawn from: the (shared) tables plus,
+/// for a playlist workload, the seed's catalog over them.
+#[derive(Debug, Clone)]
+pub struct WorkloadPlan {
+    tables: Arc<PlanTables>,
+    catalog: Option<PlaylistCatalog>,
+}
+
+impl WorkloadPlan {
+    /// Builds `cfg`'s plan, tables included. Reads `cfg.seed` and
+    /// `cfg.workload.kind` only.
+    pub fn build(cfg: &ExperimentConfig) -> Self {
+        Self::over(Arc::new(PlanTables::build(&cfg.workload)), cfg.seed)
+    }
+
+    /// The plan at `seed` over already-built `tables`: a playlist
+    /// workload's catalog from the seed's `"catalog"` stream, nothing
+    /// for a synthetic one.
+    pub fn over(tables: Arc<PlanTables>, seed: u64) -> Self {
+        let catalog = match &*tables {
+            PlanTables::Synthetic(_) => None,
+            PlanTables::Playlist(playlists) => {
+                let mut rng = RngFactory::new(seed).stream("catalog");
+                Some(PlaylistCatalog::build(playlists, &mut rng))
+            }
+        };
+        WorkloadPlan { tables, catalog }
+    }
+
+    /// The seed's playlist catalog; `None` for a synthetic workload.
+    pub(crate) fn catalog(&self) -> Option<&PlaylistCatalog> {
+        self.catalog.as_ref()
     }
 
     /// Draws `cfg`'s trace: `cfg.workload.num_tasks` tasks at its task
     /// rate from a fresh `"workload"` stream of `cfg.seed`. `self` must
-    /// be the plan of `cfg` — built from it, or from a config at the same
-    /// seed whose workload is [`Self::shared_by`] `cfg`'s.
+    /// be the plan of `cfg` — built from it, or at the same seed over
+    /// tables [`PlanTables::shared_by`] `cfg`'s workload.
     ///
     /// # Panics
     /// Panics if the plan's kind is not `cfg`'s.
     pub fn draw(&self, cfg: &ExperimentConfig) -> Vec<TaskSpec> {
         let workload = &cfg.workload;
         let task_rate = workload.task_rate(&cfg.cluster);
-        let rng = RngFactory::new(cfg.seed).stream("workload");
-        match (self, &workload.kind) {
-            (WorkloadPlan::Synthetic(keyspace), WorkloadKind::Synthetic { fanout, .. }) => {
+        let mut rng = RngFactory::new(cfg.seed).stream("workload");
+        match (&*self.tables, &self.catalog, &workload.kind) {
+            (PlanTables::Synthetic(keyspace), None, WorkloadKind::Synthetic { fanout, .. }) => {
                 TaskGenerator::new(
                     PoissonProcess::new(task_rate),
                     fanout.clone(),
@@ -118,10 +157,15 @@ impl WorkloadPlan {
                 )
                 .take(workload.num_tasks)
             }
-            (WorkloadPlan::Playlist(catalog), WorkloadKind::Playlist { .. }) => {
-                let mut rng = rng;
+            (PlanTables::Playlist(tables), Some(catalog), WorkloadKind::Playlist { .. }) => {
                 catalog
-                    .generate_trace(workload.num_tasks, task_rate, &mut rng)
+                    .generate_trace(
+                        tables,
+                        &workload.sizes,
+                        workload.num_tasks,
+                        task_rate,
+                        &mut rng,
+                    )
                     .tasks
             }
             _ => panic!("workload plan drawn for a config of the other kind"),
@@ -129,9 +173,9 @@ impl WorkloadPlan {
     }
 }
 
-/// Whether two configs imply the same trace at any one seed: a shared
-/// plan and the same draw (task count, task rate, and — synthetic only —
-/// fan-out distribution and size model). Cells that differ only on
+/// Whether two configs imply the same trace at any one seed: shared
+/// tables and the same draw (task count, task rate, size model and —
+/// synthetic only — fan-out distribution). Cells that differ only on
 /// strategy-side axes (hedge delay, shed watermark) share one trace.
 pub fn same_trace(a: &ExperimentConfig, b: &ExperimentConfig) -> bool {
     a.workload.kind == b.workload.kind

@@ -189,7 +189,7 @@ mod tests {
                 spec.name
             );
             assert!(stats.peak_live_plans <= threads, "{}: {stats:?}", spec.name);
-            let counts = (stats.plans_built, stats.traces_drawn);
+            let counts = (stats.tables_built, stats.plans_built, stats.traces_drawn);
             let first = first.get_or_insert(counts);
             assert_eq!(counts, *first, "{}: sharing depends on threads", spec.name);
         }
@@ -206,8 +206,16 @@ mod tests {
                 .build()
                 .unwrap_or_else(|e| panic!("{preset}: {e}"));
             let stats = assert_matches_cells_run_alone(&spec);
-            // No preset changes the catalog from cell to cell.
-            assert_eq!(stats.plans_built, 2, "{preset}: one plan per seed");
+            // No preset changes the catalog from cell to cell: one set
+            // of tables for the grid, and a catalog per seed unless the
+            // workload is synthetic (its plan is the key table alone).
+            assert_eq!(stats.tables_built, 1, "{preset}: one set of tables");
+            let playlist = matches!(
+                spec.lower().unwrap()[0].base.workload.kind,
+                brb_core::config::WorkloadKind::Playlist { .. }
+            );
+            let catalogs = if playlist { 2 } else { 0 };
+            assert_eq!(stats.plans_built, catalogs, "{preset}: catalogs");
         }
     }
 
@@ -220,7 +228,11 @@ mod tests {
             .build()
             .unwrap();
         let stats = assert_matches_cells_run_alone(&spec);
-        assert_eq!(stats.plans_built, 2, "6 load cells × 2 seeds: 2 catalogs");
+        assert_eq!(
+            (stats.tables_built, stats.plans_built),
+            (1, 2),
+            "6 load cells × 2 seeds: one set of tables, 2 catalogs"
+        );
         assert_eq!(stats.traces_drawn, 12);
         assert_eq!(stats.peak_live_plans, 1);
     }
@@ -235,7 +247,10 @@ mod tests {
             .build()
             .unwrap();
         let stats = assert_matches_cells_run_alone(&spec);
-        assert_eq!((stats.plans_built, stats.traces_drawn), (2, 2));
+        assert_eq!(
+            (stats.tables_built, stats.plans_built, stats.traces_drawn),
+            (1, 2, 2)
+        );
     }
 
     #[test]
@@ -250,7 +265,13 @@ mod tests {
             .build()
             .unwrap();
         let stats = assert_matches_cells_run_alone(&spec);
-        assert_eq!(stats.plans_built, 2, "one key table per seed, no catalog");
+        // The key table depends on neither seed nor fan-out: one for the
+        // whole grid, and no catalog at all.
+        assert_eq!(
+            (stats.tables_built, stats.plans_built),
+            (1, 0),
+            "one key table, no catalog"
+        );
         assert_eq!(stats.traces_drawn, 8, "fan-out and load both redraw");
     }
 

@@ -7,7 +7,8 @@
 //! congestion signal is sent to the controller and the credits allocations
 //! are adapted accordingly at 1s intervals."
 //!
-//! Mechanics (our realization; recorded in DESIGN.md §5.4):
+//! Mechanics (our realization; the paper leaves them open, and
+//! `crates/sched/README.md` says who drives them on each backend):
 //!
 //! * Clients report per-server demand *rates* every measurement interval
 //!   (100 ms default).

@@ -199,12 +199,19 @@ impl AliasTable {
         let mut alias: Vec<u32> = (0..n as u32).collect();
 
         // Index worklists; filled in slot order so construction is
-        // deterministic for a given weight vector.
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, p) in prob.iter_mut().enumerate() {
+        // deterministic for a given weight vector. Sized exactly, counted
+        // first: pairing moves a slot from `large` to `small` only after
+        // popping one off `small`, so neither list outgrows its initial
+        // length (at a million slots, doubling would overshoot by MBs).
+        let mut num_small = 0;
+        for p in prob.iter_mut() {
             *p *= scale;
-            if *p < 1.0 {
+            num_small += usize::from(*p < 1.0);
+        }
+        let mut small: Vec<u32> = Vec::with_capacity(num_small);
+        let mut large: Vec<u32> = Vec::with_capacity(n - num_small);
+        for (i, &p) in prob.iter().enumerate() {
+            if p < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
@@ -236,6 +243,12 @@ impl AliasTable {
     /// Whether the table is empty (never true post-construction).
     pub fn is_empty(&self) -> bool {
         self.prob.is_empty()
+    }
+
+    /// Bytes the table holds on the heap: 12 per slot.
+    pub fn heap_bytes(&self) -> usize {
+        self.prob.capacity() * std::mem::size_of::<f64>()
+            + self.alias.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Draws a slot index in `0..len()`.
@@ -485,6 +498,59 @@ mod tests {
         assert_eq!(t.pmf(0), 1.0);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
+    }
+
+    /// The build before its worklists were sized up front, kept verbatim
+    /// (growable lists, scale and classify in one pass): the exact-sized
+    /// build must pair the same slots in the same order, bit for bit.
+    fn from_weights_growable(weights: Vec<f64>) -> AliasTable {
+        let total: f64 = weights.iter().sum();
+        let n = weights.len();
+        let scale = n as f64 / total;
+        let mut prob = weights;
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, p) in prob.iter_mut().enumerate() {
+            *p *= scale;
+            if *p < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            alias[s as usize] = l;
+            prob[l as usize] -= 1.0 - prob[s as usize];
+            if prob[l as usize] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(large.iter()) {
+            prob[i as usize] = 1.0;
+        }
+        AliasTable { prob, alias }
+    }
+
+    #[test]
+    fn exact_sized_worklists_pair_like_growable_ones() {
+        let zipf = |n: u64, s: f64| -> Vec<f64> { (1..=n).map(|r| (r as f64).powf(-s)).collect() };
+        for weights in [
+            vec![1.0, 5.0, 0.25, 3.75, 0.0, 2.0],
+            vec![7.0],
+            vec![1.0; 33],
+            zipf(1_000, 0.9),
+            zipf(50_000, 1.2),
+            zipf(4_096, 0.0),
+        ] {
+            let want = from_weights_growable(weights.clone());
+            let got = AliasTable::from_weights(weights);
+            assert_eq!(got.alias, want.alias);
+            let bits = |t: &AliasTable| t.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

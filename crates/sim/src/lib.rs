@@ -5,8 +5,9 @@
 //! deterministic discrete-event simulation (DES) kernel with
 //! nanosecond-resolution virtual time.
 //!
-//! Design goals, in the spirit of the event-driven networking stacks this
-//! repository follows (see `DESIGN.md`):
+//! Design goals, in the spirit of event-driven networking stacks (the
+//! timer wheel, hop lane and samplers are described in
+//! `crates/sim/README.md`):
 //!
 //! * **Determinism** — identical seeds produce identical event orderings.
 //!   The calendar breaks time ties by insertion sequence, and all randomness

@@ -114,17 +114,19 @@ impl Ring {
     }
 
     /// The replica groups `server` belongs to (exactly R groups when
-    /// `num_partitions >= num_servers`).
-    pub fn groups_of_server(&self, server: ServerId) -> Vec<GroupId> {
+    /// `num_partitions >= num_servers`), the group it is primary of
+    /// first. Computed as it is iterated — no allocation, so a global
+    /// queue can scan them on every pull.
+    pub fn groups_of_server(&self, server: ServerId) -> impl Iterator<Item = GroupId> {
         assert!(
             server.raw() < self.num_servers as u64,
             "server out of range"
         );
         let n = self.num_servers as u64;
+        let num_groups = self.num_groups() as u64;
         (0..self.replication as u64)
-            .map(|i| GroupId::new((server.raw() + n - i) % n))
-            .filter(|g| g.raw() < self.num_groups() as u64)
-            .collect()
+            .map(move |i| GroupId::new((server.raw() + n - i) % n))
+            .filter(move |g| g.raw() < num_groups)
     }
 }
 
@@ -167,8 +169,14 @@ mod tests {
     fn every_server_in_r_groups() {
         let r = Ring::paper_default();
         for s in 0..9u64 {
-            let groups = r.groups_of_server(ServerId::new(s));
-            assert_eq!(groups.len(), 3, "server {s}");
+            let groups: Vec<GroupId> = r.groups_of_server(ServerId::new(s)).collect();
+            // Primary group first, then walking back round the ring: the
+            // order the global queue scans (and breaks exact ties) in.
+            let want: Vec<GroupId> = [s, (s + 8) % 9, (s + 7) % 9]
+                .into_iter()
+                .map(GroupId::new)
+                .collect();
+            assert_eq!(groups, want, "server {s}");
             for g in groups {
                 assert!(r.server_in_group(ServerId::new(s), g));
                 assert!(r.replicas_of_group(g).contains(&ServerId::new(s)));

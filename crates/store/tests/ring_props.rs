@@ -33,7 +33,7 @@ proptest! {
         }
 
         for s in 0..servers as u64 {
-            let groups = ring.groups_of_server(ServerId::new(s));
+            let groups: Vec<GroupId> = ring.groups_of_server(ServerId::new(s)).collect();
             prop_assert!(groups.len() <= replication as usize);
             for g in groups {
                 prop_assert!(ring.replicas_of_group(g).contains(&ServerId::new(s)));

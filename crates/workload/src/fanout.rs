@@ -36,7 +36,7 @@ pub enum FanoutDist {
 impl FanoutDist {
     /// The SoundCloud-calibrated mixture used as the paper-trace
     /// substitute: mean ≈ 8.6 with a heavy tail reaching 128 requests
-    /// (playlist fetches; see DESIGN.md §2).
+    /// (playlist fetches; see the [`crate::soundcloud`] module doc).
     pub fn soundcloud_like() -> Self {
         FanoutDist::Empirical {
             ranges: vec![

@@ -73,6 +73,14 @@ impl KeySpace {
         self.popularity
     }
 
+    /// Bytes the popularity table holds on the heap (12 per key under
+    /// Zipf, none when uniform).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.zipf
+            .as_ref()
+            .map_or(0, |z| z.alias_table().heap_bytes())
+    }
+
     /// Maps a popularity rank to its (permuted) key id via an affine
     /// bijection `rank ↦ rank·m + b (mod n)` with `gcd(m, n) = 1`.
     pub fn key_for_rank(&self, rank: u64) -> u64 {
@@ -87,13 +95,18 @@ impl KeySpace {
         }
     }
 
-    /// Draws a key according to the popularity model.
-    pub fn sample_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let rank = match &self.zipf {
+    /// Draws a popularity rank (0 = hottest): [`Self::sample_key`]
+    /// without the rank → key map, taking the same random numbers.
+    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match &self.zipf {
             None => rng.random_range(0..self.num_keys),
             Some(z) => z.sample(rng),
-        };
-        self.key_for_rank(rank)
+        }
+    }
+
+    /// Draws a key according to the popularity model.
+    pub fn sample_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        self.key_for_rank(self.sample_rank(rng))
     }
 }
 
@@ -124,6 +137,19 @@ mod tests {
             for r in 0..n {
                 let twice = (r.wrapping_mul(ks.multiplier) % n + ks.offset) % n;
                 assert_eq!(ks.key_for_rank(r), twice, "n={n} rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn sample_key_is_sample_rank_mapped() {
+        for pop in [Popularity::Uniform, Popularity::Zipf(0.9)] {
+            let ks = KeySpace::new(1_000, pop);
+            let mut by_key = StdRng::seed_from_u64(6);
+            let mut by_rank = StdRng::seed_from_u64(6);
+            for _ in 0..1_000 {
+                let rank = ks.sample_rank(&mut by_rank);
+                assert_eq!(ks.sample_key(&mut by_key), ks.key_for_rank(rank));
             }
         }
     }

@@ -7,7 +7,9 @@
 //! 70% of system capacity.
 //!
 //! The production trace is proprietary, so this crate builds the closest
-//! synthetic equivalent (see `DESIGN.md` §2 for the substitution argument):
+//! synthetic equivalent (the [`soundcloud`] module doc argues the
+//! substitution; `crates/workload/README.md` covers the catalog layout and
+//! the RNG-consumption contract traces are pinned to):
 //!
 //! * [`pareto::GeneralizedPareto`] — inverse-CDF sampler with the published
 //!   ETC value-size parameters (θ=0, σ=214.476, k=0.348238).

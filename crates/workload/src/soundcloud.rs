@@ -14,6 +14,13 @@
 //! * **tasks** that pick a playlist by Zipf popularity and fetch *all* of
 //!   its tracks — giving correlated key sets across tasks, unlike
 //!   independent per-request sampling.
+//!
+//! The model comes in two halves: [`PlaylistTables`], the popularity and
+//! length samplers, which depend on the catalog numbers only and can
+//! serve every seed of a sweep; and [`PlaylistCatalog`], which playlist
+//! lists which tracks — the part a seed decides — stored as 4-byte
+//! popularity ranks. Keys and value sizes are resolved when a trace is
+//! drawn, for the playlists it actually fetches.
 
 use crate::fanout::{FanoutDist, FanoutSampler};
 use crate::keyspace::{KeySpace, Popularity};
@@ -54,65 +61,197 @@ impl Default for SoundCloudConfig {
     }
 }
 
-/// Slots of the build's direct-mapped `key → size` cache (1 MiB). Over
-/// half of a million-track catalog's size derivations hit it; a full
-/// per-track table would catch two thirds, but its 4 MB would sit in
-/// the heap under every trace drawn afterwards and raise the peak
-/// footprint of the simulations that follow.
-const SIZE_CACHE_SLOTS: usize = 1 << 16;
+/// Slots of a draw's direct-mapped `rank → request` cache (96 KiB),
+/// indexed by rank, so the hottest 4096 tracks never evict each other.
+/// A hit skips both the rank → key map and the size derivation.
+const DRAW_CACHE_SLOTS: usize = 1 << 12;
 
-/// A generated playlist catalog plus popularity models; reusable across
-/// traces (every load cell of a sweep draws from its seed's one catalog).
+/// The seed-independent half of a playlist workload: track popularity,
+/// playlist lengths and playlist popularity. A function of the catalog
+/// numbers alone (`num_tracks`, `num_playlists`, `length_dist`, both
+/// Zipf exponents) — not of the seed or the size model — so one set of
+/// tables serves every seed of a sweep.
 #[derive(Debug, Clone)]
-pub struct SoundCloudModel {
-    config: SoundCloudConfig,
-    /// Every playlist's requests back to back, value sizes resolved at
-    /// build time: tracks are distinct within a playlist and a track's
-    /// byte size is a fixed property of its key, so trace generation can
-    /// reuse these verbatim instead of re-deriving sizes for every
-    /// fetching task. One allocation, not one per playlist.
-    requests: Vec<RequestSpec>,
-    /// Playlist `i` is `requests[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
+pub struct PlaylistTables {
+    tracks: KeySpace,
+    lengths: FanoutSampler,
     playlist_pop: Zipf,
 }
 
-impl SoundCloudModel {
-    /// Builds the catalog and playlist population from `config`, using
-    /// `rng` (a dedicated labelled stream) for all structural randomness:
-    /// per playlist one length draw, then one track draw per membership
-    /// attempt — the consumption order traces are pinned to.
-    pub fn build<R: Rng>(config: SoundCloudConfig, rng: &mut R) -> Self {
+impl PlaylistTables {
+    /// Builds the samplers `config` describes; `config.sizes` is not read.
+    ///
+    /// # Panics
+    /// Panics if there are no playlists, or more tracks than a `u32` rank
+    /// can name.
+    pub fn new(config: &SoundCloudConfig) -> Self {
         assert!(config.num_playlists > 0, "need at least one playlist");
-        let lengths = FanoutSampler::new(config.length_dist.clone());
-        let tracks = KeySpace::new(config.num_tracks, Popularity::Zipf(config.track_zipf));
-        let num_playlists = config.num_playlists as usize;
-        let mut requests: Vec<RequestSpec> = Vec::new();
-        let mut offsets = Vec::with_capacity(num_playlists + 1);
+        assert!(
+            config.num_tracks <= u64::from(u32::MAX),
+            "{} tracks exceed the catalog's u32 ranks",
+            config.num_tracks
+        );
+        PlaylistTables {
+            tracks: KeySpace::new(config.num_tracks, Popularity::Zipf(config.track_zipf)),
+            lengths: FanoutSampler::new(config.length_dist.clone()),
+            playlist_pop: Zipf::new(config.num_playlists, config.playlist_zipf),
+        }
+    }
+
+    fn num_playlists(&self) -> usize {
+        self.playlist_pop.universe() as usize
+    }
+
+    /// Bytes the two popularity tables hold on the heap: 12 per track
+    /// and 12 per playlist.
+    pub fn heap_bytes(&self) -> usize {
+        self.tracks.heap_bytes() + self.playlist_pop.alias_table().heap_bytes()
+    }
+}
+
+/// The per-seed half of a playlist workload: which tracks each playlist
+/// lists, as popularity ranks — everything the seed decides and nothing
+/// the [`PlaylistTables`] can recompute. Ranks, not keys or sizes: the
+/// rank → key map is a bijection and a track's size a pure function of
+/// its key, so both are resolved at draw time, for the playlists a trace
+/// fetches (a 2000-task cell touches under a tenth of them).
+#[derive(Debug, Clone)]
+pub struct PlaylistCatalog {
+    /// Every playlist's track ranks back to back.
+    ranks: Vec<u32>,
+    /// Playlist `i` is `ranks[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+}
+
+impl PlaylistCatalog {
+    /// Builds the playlist population over `tables`, using `rng` (a
+    /// dedicated labelled stream) for all structural randomness: per
+    /// playlist one length draw, then one track-rank draw per membership
+    /// attempt — the consumption order traces are pinned to.
+    ///
+    /// # Panics
+    /// Panics if the memberships outnumber a `u32` offset.
+    pub fn build<R: Rng>(tables: &PlaylistTables, rng: &mut R) -> Self {
+        let tracks = &tables.tracks;
+        // Reserve a quarter past the expected membership count, then
+        // shrink to fit: growing by doubling would hold the old and the
+        // new buffer at once on its last step (6 MB for the paper shape's
+        // 3.4 MB), while reserved pages nothing writes are never resident.
+        let mean_len = tables.lengths.dist().mean().min(tracks.num_keys() as f64);
+        let expected = mean_len * tables.num_playlists() as f64;
+        let mut ranks: Vec<u32> = Vec::with_capacity((expected * 1.25) as usize);
+        let mut offsets = Vec::with_capacity(tables.num_playlists() + 1);
         offsets.push(0);
         let mut seen = KeySet::new();
-        // A track's size is a pure function of its key, and hot tracks sit
-        // in many playlists: a million-track catalog resolves ~860k
-        // memberships over ~280k distinct tracks.
-        let mut size_cache = vec![(u64::MAX, 0u64); SIZE_CACHE_SLOTS];
-        for _ in 0..num_playlists {
-            let want = lengths.sample(rng) as usize;
-            let len = want.min(config.num_tracks as usize);
-            push_distinct(&mut requests, len, &tracks, rng, &mut seen, |key| {
-                let slot = &mut size_cache[key as usize % SIZE_CACHE_SLOTS];
-                if slot.0 != key {
-                    *slot = (key, config.sizes.size_of(key));
-                }
-                slot.1
-            });
-            offsets.push(requests.len());
+        for _ in 0..tables.num_playlists() {
+            let want = tables.lengths.sample(rng) as usize;
+            let len = want.min(tracks.num_keys() as usize);
+            push_distinct(
+                &mut ranks,
+                len,
+                &mut seen,
+                || tracks.sample_rank(rng),
+                |&rank| u64::from(rank),
+                // `PlaylistTables::new` bounds every rank by `u32::MAX`.
+                |rank| rank as u32,
+            );
+            offsets.push(u32::try_from(ranks.len()).expect("catalog exceeds u32 memberships"));
         }
-        let playlist_pop = Zipf::new(config.num_playlists, config.playlist_zipf);
+        ranks.shrink_to_fit();
+        PlaylistCatalog { ranks, offsets }
+    }
+
+    /// Number of playlists.
+    pub fn num_playlists(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Playlist memberships over the whole population.
+    pub fn memberships(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// The track ranks of playlist `i`, in membership order.
+    fn ranks(&self, i: usize) -> &[u32] {
+        &self.ranks[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Bytes the catalog holds on the heap: 4 per membership and 4 per
+    /// playlist boundary.
+    pub fn heap_bytes(&self) -> usize {
+        (self.ranks.capacity() + self.offsets.capacity()) * std::mem::size_of::<u32>()
+    }
+
+    /// Generates a trace of `num_tasks` playlist-fetch tasks with Poisson
+    /// arrivals at `task_rate_per_sec`. `tables` must be the ones this
+    /// catalog was built over; `sizes` prices each track.
+    pub fn generate_trace<R: Rng>(
+        &self,
+        tables: &PlaylistTables,
+        sizes: &SizeModel,
+        num_tasks: usize,
+        task_rate_per_sec: f64,
+        rng: &mut R,
+    ) -> Trace {
+        let mut arrivals = PoissonProcess::new(task_rate_per_sec);
+        // No rank is `u64::MAX`, so every slot starts empty.
+        let empty = (
+            u64::MAX,
+            RequestSpec {
+                key: 0,
+                value_bytes: 0,
+            },
+        );
+        let mut cache = vec![empty; DRAW_CACHE_SLOTS];
+        let mut tasks = Vec::with_capacity(num_tasks);
+        for id in 0..num_tasks {
+            let arrival_ns = arrivals.next_arrival_ns(rng);
+            let pl = tables.playlist_pop.sample(rng) as usize;
+            let requests = self
+                .ranks(pl)
+                .iter()
+                .map(|&rank| {
+                    let rank = u64::from(rank);
+                    let slot = &mut cache[rank as usize % DRAW_CACHE_SLOTS];
+                    if slot.0 != rank {
+                        let key = tables.tracks.key_for_rank(rank);
+                        let value_bytes = sizes.size_of(key);
+                        *slot = (rank, RequestSpec { key, value_bytes });
+                    }
+                    slot.1
+                })
+                .collect();
+            tasks.push(TaskSpec {
+                id: id as u64,
+                arrival_ns,
+                requests,
+            });
+        }
+        Trace::new(tasks)
+    }
+}
+
+/// Both halves of a playlist workload plus the configuration they came
+/// from — the self-contained form for one-off traces. A sweep keeps the
+/// halves apart instead, so its seeds share one [`PlaylistTables`]
+/// (`brb_core::plan`).
+#[derive(Debug, Clone)]
+pub struct SoundCloudModel {
+    config: SoundCloudConfig,
+    tables: PlaylistTables,
+    catalog: PlaylistCatalog,
+}
+
+impl SoundCloudModel {
+    /// Builds the tables and, from `rng`, the catalog
+    /// ([`PlaylistCatalog::build`] says what it draws).
+    pub fn build<R: Rng>(config: SoundCloudConfig, rng: &mut R) -> Self {
+        let tables = PlaylistTables::new(&config);
+        let catalog = PlaylistCatalog::build(&tables, rng);
         SoundCloudModel {
             config,
-            requests,
-            offsets,
-            playlist_pop,
+            tables,
+            catalog,
         }
     }
 
@@ -123,18 +262,13 @@ impl SoundCloudModel {
 
     /// Number of playlists in the population.
     pub fn num_playlists(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The requests (track key + resolved value size) of playlist `i`.
-    pub fn playlist(&self, i: usize) -> &[RequestSpec] {
-        &self.requests[self.offsets[i]..self.offsets[i + 1]]
+        self.catalog.num_playlists()
     }
 
     /// Mean playlist length of the *built* population (sampled lengths, not
     /// the theoretical distribution mean).
     pub fn mean_playlist_len(&self) -> f64 {
-        self.requests.len() as f64 / self.num_playlists() as f64
+        self.catalog.memberships() as f64 / self.num_playlists() as f64
     }
 
     /// Generates a trace of `num_tasks` playlist-fetch tasks with Poisson
@@ -145,20 +279,13 @@ impl SoundCloudModel {
         task_rate_per_sec: f64,
         rng: &mut R,
     ) -> Trace {
-        let mut arrivals = PoissonProcess::new(task_rate_per_sec);
-        let mut tasks = Vec::with_capacity(num_tasks);
-        for id in 0..num_tasks {
-            let arrival_ns = arrivals.next_arrival_ns(rng);
-            let pl = self.playlist_pop.sample(rng) as usize;
-            tasks.push(TaskSpec {
-                id: id as u64,
-                arrival_ns,
-                // Sizes were resolved once at build time; a fetch is a
-                // straight copy of the playlist's request list.
-                requests: self.playlist(pl).to_vec(),
-            });
-        }
-        Trace::new(tasks)
+        self.catalog.generate_trace(
+            &self.tables,
+            &self.config.sizes,
+            num_tasks,
+            task_rate_per_sec,
+            rng,
+        )
     }
 }
 
@@ -178,10 +305,26 @@ mod tests {
         SoundCloudModel::build(config, &mut StdRng::seed_from_u64(seed))
     }
 
-    /// The build as it stood before the flat layout — one `Vec` and one
-    /// freshly allocated hash set per playlist, a size derivation per
-    /// membership — kept verbatim as the oracle the fast build must match
-    /// playlist for playlist, draw for draw.
+    /// Playlist `i` of `m` as requests: keys and sizes resolved.
+    fn playlist(m: &SoundCloudModel, i: usize) -> Vec<RequestSpec> {
+        m.catalog
+            .ranks(i)
+            .iter()
+            .map(|&rank| {
+                let key = m.tables.tracks.key_for_rank(u64::from(rank));
+                RequestSpec {
+                    key,
+                    value_bytes: m.config().sizes.size_of(key),
+                }
+            })
+            .collect()
+    }
+
+    /// The materialized build as it stood before the flat layouts — one
+    /// `Vec` of requests and one freshly allocated hash set per playlist,
+    /// dedup on keys, a size derivation per membership — kept verbatim as
+    /// the oracle the rank catalog must match playlist for playlist,
+    /// draw for draw.
     fn build_oracle<R: Rng>(config: &SoundCloudConfig, rng: &mut R) -> Vec<Vec<RequestSpec>> {
         let lengths = FanoutSampler::new(config.length_dist.clone());
         let tracks = KeySpace::new(config.num_tracks, Popularity::Zipf(config.track_zipf));
@@ -205,6 +348,29 @@ mod tests {
             playlists.push(members);
         }
         playlists
+    }
+
+    /// The matching oracle draw: each task copies its playlist verbatim.
+    fn draw_oracle<R: Rng>(
+        config: &SoundCloudConfig,
+        playlists: &[Vec<RequestSpec>],
+        num_tasks: usize,
+        rate: f64,
+        rng: &mut R,
+    ) -> Vec<TaskSpec> {
+        let mut arrivals = PoissonProcess::new(rate);
+        let popularity = Zipf::new(config.num_playlists, config.playlist_zipf);
+        (0..num_tasks)
+            .map(|id| {
+                let arrival_ns = arrivals.next_arrival_ns(rng);
+                let pl = popularity.sample(rng) as usize;
+                TaskSpec {
+                    id: id as u64,
+                    arrival_ns,
+                    requests: playlists[pl].clone(),
+                }
+            })
+            .collect()
     }
 
     fn has_repeat(playlist: &[RequestSpec]) -> bool {
@@ -271,11 +437,7 @@ mod tests {
                 let oracle = build_oracle(&config, &mut oracle_rng);
                 assert_eq!(fast.num_playlists(), oracle.len(), "{name} seed {seed}");
                 for (i, want) in oracle.iter().enumerate() {
-                    assert_eq!(
-                        fast.playlist(i),
-                        &want[..],
-                        "{name} seed {seed} playlist {i}"
-                    );
+                    assert_eq!(playlist(&fast, i), *want, "{name} seed {seed} playlist {i}");
                     repeats |= has_repeat(want);
                 }
                 // Same stream position afterwards: whatever draws from
@@ -285,23 +447,63 @@ mod tests {
                     oracle_rng.random::<u64>(),
                     "{name} seed {seed}: RNG consumption diverged"
                 );
+                // And the draw resolves the same requests the oracle
+                // copies, task for task.
+                let trace = fast.generate_trace(600, 5_000.0, &mut StdRng::seed_from_u64(seed));
+                let want = draw_oracle(
+                    &config,
+                    &oracle,
+                    600,
+                    5_000.0,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                assert_eq!(trace.tasks, want, "{name} seed {seed}: trace diverged");
             }
             assert_eq!(repeats, expect_repeats, "{name}: escape hatch coverage");
         }
     }
 
     #[test]
+    fn tables_ignore_the_size_model() {
+        // A catalog is ranks; only the draw prices them.
+        let config = SoundCloudConfig {
+            num_tracks: 5_000,
+            num_playlists: 500,
+            ..Default::default()
+        };
+        let mut small = config.clone();
+        small.sizes.cap_bytes = 512;
+        let a = SoundCloudModel::build(config, &mut StdRng::seed_from_u64(3));
+        let b = SoundCloudModel::build(small, &mut StdRng::seed_from_u64(3));
+        for i in 0..a.num_playlists() {
+            assert_eq!(a.catalog.ranks(i), b.catalog.ranks(i));
+        }
+        let trace = b.generate_trace(200, 1_000.0, &mut StdRng::seed_from_u64(4));
+        assert!(trace
+            .tasks
+            .iter()
+            .flat_map(|t| &t.requests)
+            .all(|r| r.value_bytes <= 512));
+    }
+
+    #[test]
     fn playlists_have_distinct_tracks() {
         let m = small_model(1);
         for i in 0..m.num_playlists() {
-            let p = m.playlist(i);
-            assert!(!has_repeat(p), "playlist {i} repeats a track");
+            let p = playlist(&m, i);
+            assert!(!has_repeat(&p), "playlist {i} repeats a track");
             assert!(!p.is_empty());
-            // Build-time sizes match the key-deterministic size model.
-            for r in p {
-                assert_eq!(r.value_bytes, m.config().sizes.size_of(r.key));
-            }
         }
+    }
+
+    #[test]
+    fn catalog_is_four_bytes_per_membership() {
+        let m = small_model(2);
+        let c = &m.catalog;
+        assert_eq!(
+            c.heap_bytes(),
+            4 * (c.memberships() + c.num_playlists() + 1)
+        );
     }
 
     #[test]
@@ -353,6 +555,8 @@ mod tests {
         let mut sizes = std::collections::HashMap::new();
         for task in &t.tasks {
             for r in &task.requests {
+                // Draw-time sizes match the key-deterministic size model.
+                assert_eq!(r.value_bytes, m.config().sizes.size_of(r.key));
                 let prev = sizes.insert(r.key, r.value_bytes);
                 if let Some(p) = prev {
                     assert_eq!(p, r.value_bytes);
@@ -366,7 +570,16 @@ mod tests {
         let a = small_model(9);
         let b = small_model(9);
         for i in 0..a.num_playlists() {
-            assert_eq!(a.playlist(i), b.playlist(i));
+            assert_eq!(a.catalog.ranks(i), b.catalog.ranks(i));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the catalog's u32 ranks")]
+    fn more_tracks_than_u32_ranks_rejected() {
+        PlaylistTables::new(&SoundCloudConfig {
+            num_tracks: u64::from(u32::MAX) + 1,
+            ..Default::default()
+        });
     }
 }

@@ -105,19 +105,20 @@ const SCAN_DEDUP_MAX: usize = 128;
 // brb-lint: allow(D002) — membership-only dedup scratch, never iterated
 pub(crate) type KeySet = std::collections::HashSet<u64>;
 
-/// Appends `len` requests to `out`, their keys drawn from `keyspace` and
-/// distinct within the batch whenever the key space allows it (a playlist
-/// lists each track once). Exactly one key draw per attempt, nothing
-/// else, is taken from `rng` — the consumption traces are pinned to.
-/// `seen` is scratch, reused across batches so only the first long batch
-/// allocates.
-pub(crate) fn push_distinct<R: Rng + ?Sized>(
-    out: &mut Vec<RequestSpec>,
+/// Appends `len` members to `out`, each made by `make` from an id that
+/// `draw` samples, the ids distinct within the batch whenever the id
+/// space allows it (a playlist lists each track once). `id_of` reads a
+/// member's id back for the scan. One `draw` per attempt, nothing else —
+/// callers make `draw` exactly one key or rank draw, the consumption
+/// traces are pinned to. `seen` is scratch, reused across batches so
+/// only the first long batch allocates.
+pub(crate) fn push_distinct<T>(
+    out: &mut Vec<T>,
     len: usize,
-    keyspace: &KeySpace,
-    rng: &mut R,
     seen: &mut KeySet,
-    mut size_of: impl FnMut(u64) -> u64,
+    mut draw: impl FnMut() -> u64,
+    id_of: impl Fn(&T) -> u64,
+    mut make: impl FnMut(u64) -> T,
 ) {
     let start = out.len();
     let scan = len <= SCAN_DEDUP_MAX;
@@ -126,20 +127,17 @@ pub(crate) fn push_distinct<R: Rng + ?Sized>(
     }
     let mut attempts = 0usize;
     while out.len() - start < len {
-        let key = keyspace.sample_key(rng);
+        let id = draw();
         attempts += 1;
         let fresh = if scan {
-            out[start..].iter().all(|r| r.key != key)
+            out[start..].iter().all(|member| id_of(member) != id)
         } else {
-            seen.insert(key)
+            seen.insert(id)
         };
         // Hot Zipf keys repeat often; bound the resampling work and
         // accept a duplicate only if the space is effectively exhausted.
         if fresh || attempts > len * 64 {
-            out.push(RequestSpec {
-                key,
-                value_bytes: size_of(key),
-            });
+            out.push(make(id));
         }
     }
 }
@@ -196,14 +194,17 @@ impl<R: Rng, K: Borrow<KeySpace>> TaskGenerator<R, K> {
         let keyspace = self.keyspace.borrow();
         let fanout = want.min(keyspace.num_keys() as usize);
         let mut requests = Vec::with_capacity(fanout);
-        let sizes = self.sizes;
+        let (sizes, rng) = (self.sizes, &mut self.rng);
         push_distinct(
             &mut requests,
             fanout,
-            keyspace,
-            &mut self.rng,
             &mut self.seen,
-            |key| sizes.size_of(key),
+            || keyspace.sample_key(rng),
+            |r: &RequestSpec| r.key,
+            |key| RequestSpec {
+                key,
+                value_bytes: sizes.size_of(key),
+            },
         );
         let id = self.next_id;
         self.next_id += 1;

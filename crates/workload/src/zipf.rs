@@ -75,7 +75,8 @@ impl Zipf {
     }
 
     /// The alias structure behind [`Self::sample`] — exposed so tests can
-    /// reconstruct the sampled distribution and compare it to [`Self::pmf`].
+    /// reconstruct the sampled distribution and compare it to [`Self::pmf`],
+    /// and footprint checks can size it.
     pub fn alias_table(&self) -> &AliasTable {
         &self.alias
     }

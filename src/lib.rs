@@ -4,8 +4,11 @@
 //! *BRB: BetteR Batch Scheduling to Reduce Tail Latencies in Cloud Data
 //! Stores* (Reda, Suresh, Canini, Braithwaite — ACM SIGCOMM 2015).
 //!
-//! See the `README.md` for an architecture overview, `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See the `README.md` for a quickstart and the crate map, each crate's
+//! own `README.md` (under `crates/`) for its design and contracts, and
+//! `ROADMAP.md` for the architecture map and what is still open —
+//! including a generated paper-vs-measured table, which does not exist
+//! yet; `brb-bench`'s `figure2` binary checks the paper's claims today.
 //!
 //! ## Crate map
 //!
