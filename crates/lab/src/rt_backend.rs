@@ -3,17 +3,23 @@
 //! `brb-lab/report-v1` pipeline as the simulator.
 //!
 //! `brb-lab run <scenario> --backend rt` routes here. Each lowered cell
-//! becomes, per (strategy × seed), a fresh in-process cluster driven by
-//! the **open-loop** Poisson load generator at the cell's offered load —
-//! latency is recorded from intended arrivals, the measurement model the
-//! simulator uses (a closed-loop harness would coordinated-omit queueing
-//! delay and make live numbers incomparable to simulated ones).
+//! draws every seed's task trace once, through the simulator's own plan
+//! path ([`EngineWorld::generate_trace`], then the JSONL round trip in
+//! replay mode), and replays it per strategy against a fresh in-process
+//! cluster populated over the workload's key universe. Both backends
+//! therefore serve one request stream — arrivals, playlists, keys — and
+//! every strategy the same slice of it (common random numbers, as on
+//! the simulator). The trace driver ([`brb_rt::try_run_load`]) is open
+//! loop: each task is submitted at its intended arrival and its latency
+//! recorded from there, the measurement model the simulator uses (a
+//! closed-loop harness would coordinated-omit queueing delay and make
+//! live numbers incomparable to simulated ones).
 //!
 //! ## What the live backend can and cannot honor
 //!
 //! Axes lower faithfully where real threads can express them: cluster
-//! shape (servers / cores / replication), offered load (arrival rate
-//! against the service model's capacity), fan-out sweeps, scheduling
+//! shape (servers / cores / replication), offered load and fan-out
+//! sweeps (through the drawn trace), scheduling
 //! policy, selector choice, forecast quality, the constant mesh
 //! latency (accounted into every recorded latency as a request +
 //! response hop — a uniform shift is exact for a constant-latency
@@ -39,18 +45,16 @@
 //! instead of a panic or a silent approximation:
 //!
 //! * the oracle selector (needs instantaneous global queue state),
-//! * non-constant latency models, telemetry snapshots, replay mode,
+//! * non-constant latency models, telemetry snapshots,
 //! * per-priority drop/shed accounting (`priority_stats` — the live
 //!   transport does not tag failures with engine priority classes).
 //!
-//! Two mappings remain deliberate approximations and are documented in
-//! the report semantics (`crates/rt/README.md`): playlist workloads
-//! flatten to the SoundCloud fan-out mixture over a uniform key
-//! universe (synthetic workloads keep their Zipf key popularity and
-//! service noise is sampled live from the same model the simulator
-//! draws), and transient latency spikes become extra *service* time
-//! held by the worker — the in-process transport has no wire to delay,
-//! so a spike occupies the server instead of only the message.
+//! One mapping remains a deliberate approximation, documented in the
+//! report semantics (`crates/rt/README.md`): transient latency spikes
+//! become extra *service* time held by the worker — the in-process
+//! transport has no wire to delay, so a spike occupies the server
+//! instead of only the message. Service noise is sampled live from the
+//! model the simulator draws, on the runtime's own per-worker streams.
 //!
 //! A live run that dies mid-flight — a cluster thread panics,
 //! or the cluster shuts down under a waiting task — surfaces as
@@ -58,18 +62,18 @@
 //! what used to be a hang into a typed failure.
 
 use crate::error::ScenarioError;
-use crate::runner::CellResult;
+use crate::runner::{retrace, CellResult};
 use crate::spec::{ScenarioCell, ScenarioSpec};
 use brb_core::config::{ExperimentConfig, SelectorKind, Strategy, WorkloadKind};
 use brb_core::experiment::{OverloadStats, RunResult, StrategySummary};
+use brb_core::EngineWorld;
 use brb_net::LatencyModel;
 use brb_rt::{
-    try_run_load, LoadGenConfig, LoadMode, RtCluster, RtClusterConfig, RtCreditsConfig,
-    RtQueueMode, SpikeModel, WorkModel,
+    try_run_load, RtCluster, RtClusterConfig, RtCreditsConfig, RtQueueMode, SpikeModel, WorkModel,
 };
 use brb_sched::{CreditsConfig, PolicyKind};
 use brb_select::SelectorSpec;
-use brb_workload::FanoutDist;
+use brb_workload::taskgen::TaskSpec;
 
 fn unsupported(what: impl Into<String>) -> ScenarioError {
     ScenarioError::RtUnsupported { what: what.into() }
@@ -156,20 +160,11 @@ fn lower_strategy(strategy: &Strategy) -> Result<RtStrategy, ScenarioError> {
     }
 }
 
-/// The live workload shape: fan-out distribution, key universe and key
-/// popularity. Synthetic workloads keep their Zipf exponent; playlists
-/// flatten to the SoundCloud fan-out mixture over uniform keys (the
-/// documented approximation).
-fn lower_workload_kind(kind: &WorkloadKind) -> (FanoutDist, u64, f64) {
+/// The keys `0..n` a workload's traces fetch: what the cluster holds.
+fn key_universe(kind: &WorkloadKind) -> u64 {
     match kind {
-        WorkloadKind::Synthetic {
-            fanout,
-            num_keys,
-            zipf_exponent,
-        } => (fanout.clone(), *num_keys, *zipf_exponent),
-        WorkloadKind::Playlist { num_tracks, .. } => {
-            (FanoutDist::soundcloud_like(), *num_tracks, 0.0)
-        }
+        WorkloadKind::Synthetic { num_keys, .. } => *num_keys,
+        WorkloadKind::Playlist { num_tracks, .. } => *num_tracks,
     }
 }
 
@@ -245,13 +240,15 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
     })
 }
 
-/// Runs one (cell × strategy × seed) against a fresh live cluster.
+/// Runs one (cell × strategy × seed) against a fresh live cluster,
+/// replaying the seed's `trace`.
 fn run_one(
     cell: &ScenarioCell,
     cluster_template: &RtClusterConfig,
     strategy: &Strategy,
     rt: RtStrategy,
     seed: u64,
+    trace: &[TaskSpec],
 ) -> Result<RunResult, ScenarioError> {
     let mut config = cluster_template.clone();
     config.policy = rt.policy;
@@ -267,43 +264,28 @@ fn run_one(
         congestion_queue_threshold: cell.base.congestion_queue_threshold,
     });
     if config.credits.is_some() {
-        // The load generator drives ONE aggregate client carrying the
+        // The trace driver runs ONE aggregate client carrying the
         // whole offered load, so the credits lane's fair-share seeding
         // and outstanding weighting must describe that real population
         // of one — seeding buckets at `capacity / sim_num_clients`
         // would starve the only client N-fold until the controller
         // adapts. The sim's logical client count still shapes the
-        // workload itself (task rate, fanout).
+        // workload itself (task rate, fan-out).
         config.num_clients = 1;
     }
     config.hedge_delay_ns = rt.hedge_delay_ns;
     let overload_lane = config.queue.is_some() || config.timeout.is_some();
 
-    let (fanout, key_range, key_zipf) = lower_workload_kind(&cell.base.workload.kind);
-    let task_rate = cell.base.workload.task_rate(&cell.base.cluster);
     let cluster = RtCluster::start(config);
-    cluster.populate_etc(key_range);
-    let report = try_run_load(
-        &cluster,
-        &LoadGenConfig {
-            tasks: cell.base.workload.num_tasks,
-            mode: LoadMode::Open {
-                task_rate_per_sec: task_rate,
-            },
-            fanout,
-            key_range,
-            key_zipf,
-            seed,
-        },
-    )
-    .map_err(rt_failed)?;
+    cluster.populate_etc(key_universe(&cell.base.workload.kind));
+    let report = try_run_load(&cluster, trace, seed).map_err(rt_failed)?;
     cluster.shutdown_checked().map_err(rt_failed)?;
 
     // The live lane fills every counter it actually measures — including
     // the credits lane (demand reports, congestion signals) and the
     // hedging lane (hedges issued, duplicate responses), which are now
     // native — the mapping is documented next to the report-v1 schema
-    // (crates/rt/README.md). With the overload knobs off the loadgen
+    // (crates/rt/README.md). With the overload knobs off the driver
     // guarantees `completed == tasks` and all-zero failure counters, so
     // the report stays byte-identical to the legacy shape
     // (`overload: None` omits the additive keys).
@@ -349,9 +331,6 @@ pub fn run_spec_rt_with_progress(
     spec: &ScenarioSpec,
     mut progress: impl FnMut(usize, usize),
 ) -> Result<Vec<CellResult>, ScenarioError> {
-    if spec.replay {
-        return Err(unsupported("replay mode (trace JSONL round-trips)"));
-    }
     let cells = spec.lower()?;
     let num_cells = cells.len();
     cells
@@ -366,6 +345,17 @@ pub fn run_spec_rt_with_progress(
                 .iter()
                 .map(lower_strategy)
                 .collect::<Result<_, _>>()?;
+            // Each seed's trace is drawn once and every strategy replays
+            // it, as on the simulator's grid.
+            let traces: Vec<Vec<TaskSpec>> = cell
+                .seeds
+                .iter()
+                .map(|&seed| {
+                    let mut cfg = cell.base.clone();
+                    cfg.seed = seed;
+                    retrace(spec)(EngineWorld::generate_trace(&cfg))
+                })
+                .collect();
             let summaries = cell
                 .strategies
                 .iter()
@@ -374,7 +364,10 @@ pub fn run_spec_rt_with_progress(
                     let runs: Vec<RunResult> = cell
                         .seeds
                         .iter()
-                        .map(|&seed| run_one(&cell, &cluster_template, strategy, rt, seed))
+                        .zip(&traces)
+                        .map(|(&seed, trace)| {
+                            run_one(&cell, &cluster_template, strategy, rt, seed, trace)
+                        })
                         .collect::<Result<_, _>>()?;
                     Ok(StrategySummary::from_runs(runs))
                 })
@@ -544,6 +537,40 @@ mod tests {
         assert!(run.overload.is_none(), "hedging alone keeps legacy shape");
     }
 
+    /// Trace fidelity: a live run replays exactly the trace the
+    /// simulator draws at its cell and seed — every task completes, and
+    /// one request goes out per key of it (`fetch_async` sends one per
+    /// key) — for generated and replayed playlist traces, under direct,
+    /// credits and model dispatch alike.
+    #[test]
+    fn live_runs_replay_the_simulators_trace() {
+        for preset in ["figure2-small", "playlist", "trace-replay"] {
+            let spec = ScenarioBuilder::from_spec(crate::registry::spec(preset).unwrap())
+                .tasks(300)
+                .scale_catalog(true)
+                .strategies(vec![
+                    Strategy::c3(),
+                    Strategy::equal_max_credits(),
+                    Strategy::equal_max_model(),
+                ])
+                .build()
+                .unwrap();
+            let cells = spec.lower().unwrap();
+            let results = run_spec_rt(&spec).unwrap();
+            assert_eq!(results.len(), cells.len());
+            for (cell, result) in cells.iter().zip(&results) {
+                for run in result.summaries.iter().flat_map(|s| &s.runs) {
+                    let trace =
+                        EngineWorld::generate_trace(&cell.config_for(Strategy::c3(), run.seed));
+                    let keys: usize = trace.iter().map(TaskSpec::fanout).sum();
+                    let at = format!("{preset}/{}/seed {}", run.strategy, run.seed);
+                    assert_eq!(run.completed_tasks, trace.len(), "{at}: tasks");
+                    assert_eq!(run.dispatched, keys as u64, "{at}: requests");
+                }
+            }
+        }
+    }
+
     #[test]
     fn unsupported_features_fail_typed() {
         let oracle = tiny()
@@ -556,12 +583,6 @@ mod tests {
             .unwrap();
         match run_spec_rt(&oracle) {
             Err(ScenarioError::RtUnsupported { what }) => assert!(what.contains("oracle")),
-            other => panic!("expected RtUnsupported, got {other:?}"),
-        }
-
-        let replay = tiny().replay(true).build().unwrap();
-        match run_spec_rt(&replay) {
-            Err(ScenarioError::RtUnsupported { what }) => assert!(what.contains("replay")),
             other => panic!("expected RtUnsupported, got {other:?}"),
         }
 

@@ -55,12 +55,7 @@ fn run_lowered(
             strategies: &cell.strategies,
         })
         .collect();
-    let retrace: fn(Vec<TaskSpec>) -> Vec<TaskSpec> = if spec.replay {
-        through_jsonl
-    } else {
-        |trace| trace
-    };
-    let outcome = run_grid_with(&grid, &spec.seeds, threads, retrace, progress)?;
+    let outcome = run_grid_with(&grid, &spec.seeds, threads, retrace(spec), progress)?;
     let results = cells
         .into_iter()
         .zip(outcome.summaries)
@@ -71,6 +66,16 @@ fn run_lowered(
         })
         .collect();
     Ok((results, outcome.stats))
+}
+
+/// What each drawn trace becomes before it runs, on either backend:
+/// itself, or in replay mode its JSONL round trip.
+pub(crate) fn retrace(spec: &ScenarioSpec) -> fn(Vec<TaskSpec>) -> Vec<TaskSpec> {
+    if spec.replay {
+        through_jsonl
+    } else {
+        |trace| trace
+    }
 }
 
 /// Record/replay mode: round-trips a generated trace through the JSONL

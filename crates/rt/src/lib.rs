@@ -13,10 +13,11 @@
 //! * service times are waited out with a hybrid sleep/spin
 //!   ([`timing`]) — raw `thread::sleep` adds 50µs–1ms of OS timer slack
 //!   per request, more than the differences the strategies create;
-//! * the load generator ([`run_load`]) offers both a closed-loop window
-//!   and an **open-loop Poisson** mode that records latency from each
-//!   task's *intended* arrival, so a saturated cluster cannot hide its
-//!   queueing delay (coordinated omission);
+//! * the trace driver ([`try_run_load`]) replays the simulator's drawn
+//!   trace **open loop** — each task submitted at its intended arrival,
+//!   its latency recorded from it — so a saturated cluster cannot hide
+//!   its queueing delay (coordinated omission), and both backends serve
+//!   the same request stream;
 //! * replica selection is feedback-driven through `brb-select`
 //!   ([`brb_select::SelectorSpec`]), consuming the `queue_len` /
 //!   `service_ns` fields servers piggyback on every response.
@@ -74,6 +75,6 @@ pub mod transport;
 pub use client::{RtClient, TaskFailure, TaskOutcome, TaskResolution, TaskResponse, TaskTicket};
 pub use credits::RtCreditsConfig;
 pub use error::RtError;
-pub use loadgen::{run_load, try_run_load, LoadGenConfig, LoadMode, LoadReport};
+pub use loadgen::{try_run_load, LoadReport};
 pub use server::{RtCluster, RtClusterConfig, RtQueueMode, SpikeModel, WorkModel};
 pub use transport::{RtCancel, RtNack, RtReply, RtRequest, RtResponse};

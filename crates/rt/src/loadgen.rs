@@ -1,28 +1,25 @@
-//! Load generation for the threaded runtime.
+//! The trace driver: replays a drawn workload against the threaded
+//! runtime.
 //!
-//! Two modes drive an [`RtCluster`] with batch reads:
+//! [`try_run_load`] takes the tasks the simulator draws
+//! ([`TaskSpec`]s: intended arrival, keys) and offers them **open loop**:
+//! task *i* is submitted at `start + arrival_ns` whatever the cluster is
+//! doing, and its latency is measured from that *intended* arrival. A
+//! saturated cluster therefore records the queueing delay it actually
+//! inflicts — the measurement model the simulator (and the paper) uses.
+//! A generator that waited for replies before offering more would
+//! coordinate with the system under test and hide that delay
+//! (coordinated omission).
 //!
-//! * **Closed loop** — a fixed window of in-flight tasks; a new task is
-//!   issued only when an old one completes. Simple, but it *coordinates
-//!   with the system under test*: when the cluster stalls, the generator
-//!   stops offering load, so queueing delay silently vanishes from the
-//!   recorded distribution (coordinated omission).
-//! * **Open loop** — tasks arrive on a Poisson schedule of *intended*
-//!   arrival times that does not care how the cluster is doing, and each
-//!   task's latency is measured from its intended arrival. A saturated
-//!   cluster therefore records the queueing delay it actually inflicts —
-//!   the measurement model the simulator (and the paper) uses.
-//!
-//! Both modes share one corrected recording path
-//! ([`crate::client::TaskTicket::wait_outcome_from`]): latency runs from
-//! the measurement origin (submit instant or intended arrival) to the
-//! server-side completion instant of the task's last response, so
-//! draining tickets late never inflates a sample.
+//! Recording is corrected ([`crate::client::TaskTicket::wait_outcome_from`]):
+//! latency runs from the intended arrival to the server-side completion
+//! instant of the task's last response, so draining tickets late never
+//! inflates a sample.
 //!
 //! Under the overload lane tasks can *fail* — dropped, shed, or timed
 //! out — and the report splits them out with the same conservation
 //! contract the simulator pins: `completed + dropped + timed_out + shed
-//! == issued`, checked at the end of every run. Latency histograms
+//! == tasks`, checked at the end of every run. Latency histograms
 //! record completed tasks only; failed tasks count against goodput.
 
 use crate::client::{RtClient, TaskFailure, TaskOutcome, TaskResolution, TaskTicket};
@@ -30,76 +27,23 @@ use crate::error::RtError;
 use crate::server::RtCluster;
 use crate::timing;
 use brb_metrics::{Histogram, Percentiles};
-use brb_workload::{FanoutDist, PoissonProcess, Zipf};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use brb_workload::taskgen::TaskSpec;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// How tasks are offered to the cluster.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadMode {
-    /// A fixed window of in-flight tasks (latency from submit).
-    Closed {
-        /// In-flight task window.
-        concurrency: usize,
-    },
-    /// Poisson arrivals at a fixed rate, latency from *intended* arrival
-    /// (coordinated-omission-free).
-    Open {
-        /// Mean task arrival rate, tasks/second.
-        task_rate_per_sec: f64,
-    },
-}
-
-/// Load-generation parameters.
-#[derive(Debug, Clone)]
-pub struct LoadGenConfig {
-    /// Total tasks to issue.
-    pub tasks: usize,
-    /// Closed- or open-loop offering.
-    pub mode: LoadMode,
-    /// Fan-out distribution for task sizes.
-    pub fanout: FanoutDist,
-    /// Keys are drawn from `0..key_range` (populate the cluster with at
-    /// least this many keys first).
-    pub key_range: u64,
-    /// Zipf exponent for key popularity (`0.0` = uniform; `> 0` makes
-    /// low keys hot, reproducing replica-group hot spots).
-    pub key_zipf: f64,
-    /// RNG seed for the arrival/key/fan-out stream.
-    pub seed: u64,
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig {
-            tasks: 1_000,
-            mode: LoadMode::Closed { concurrency: 16 },
-            fanout: FanoutDist::soundcloud_like(),
-            key_range: 10_000,
-            key_zipf: 0.0,
-            seed: 1,
-        }
-    }
-}
-
-/// Results of one load-generation run.
+/// Results of one replayed trace.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Wall-clock task latency percentiles (ms) over *completed* tasks,
-    /// measured from each task's origin (submit or intended arrival by
-    /// mode).
+    /// measured from each task's intended arrival.
     pub task_latency_ms: Percentiles,
     /// Wall-clock per-request latency percentiles (ms): submit →
     /// response send, plus the cluster's accounted network RTT
     /// ([`crate::RtClusterConfig::network_rtt_ns`]).
     pub request_latency_ms: Percentiles,
-    /// Total wall time of the run (first submission → last drain).
+    /// Total wall time of the run (trace start → last drain).
     pub wall: Duration,
-    /// Completed tasks per second (== `goodput`).
-    pub tasks_per_sec: f64,
-    /// Tasks issued.
+    /// Tasks issued (the conservation denominator).
     pub tasks: usize,
     /// Served requests recorded across completed tasks.
     pub requests: u64,
@@ -108,8 +52,6 @@ pub struct LoadReport {
     /// Mean worker utilization during the run: service time accumulated
     /// by all workers over `wall × total_workers`.
     pub utilization: f64,
-    /// Tasks issued (alias of `tasks`; the conservation denominator).
-    pub issued: usize,
     /// Tasks every request of which was served.
     pub completed: usize,
     /// Tasks that failed on a tail/CoDel drop with no retry left.
@@ -190,8 +132,7 @@ impl Collector {
 
 /// Polls every in-flight ticket once, collecting those that resolved —
 /// the overload lane's drain: retries and deadline timers progress
-/// through these polls while the generator holds the submission
-/// schedule.
+/// through these polls while the driver holds the submission schedule.
 fn poll_inflight(
     inflight: &mut VecDeque<(TaskTicket, Instant)>,
     col: &mut Collector,
@@ -210,41 +151,29 @@ fn poll_inflight(
     Ok(())
 }
 
-/// Runs a load against `cluster` through a fresh client.
+/// Replays `trace` against `cluster` through a fresh client whose
+/// selector stream is seeded by `selector_seed` (seeded runs differ in
+/// replica choice the way the simulator's do). Each task fetches the keys
+/// of its `requests`, submitted at its intended arrival. Runtime failures
+/// (a panicked worker thread, a shut-down cluster) come back as a typed
+/// [`RtError`].
 ///
 /// # Panics
-/// Panics if the configuration is degenerate (no tasks, zero
-/// concurrency, non-positive rate) or the run fails
-/// ([`try_run_load`] is the non-panicking form).
-pub fn run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> LoadReport {
-    try_run_load(cluster, cfg).expect("live run failed")
-}
-
-/// [`run_load`], returning runtime failures (a panicked worker thread, a
-/// shut-down cluster) as a typed [`RtError`] instead of panicking.
-///
-/// # Panics
-/// Still panics on a degenerate configuration (no tasks, zero
-/// concurrency, non-positive rate) — those are caller bugs, not runtime
-/// conditions.
-pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadReport, RtError> {
-    assert!(cfg.tasks > 0, "need at least one task");
-    cfg.fanout.validate().expect("invalid fan-out distribution");
-    assert!(
-        cfg.key_zipf >= 0.0 && cfg.key_zipf.is_finite(),
-        "key_zipf must be a finite non-negative exponent"
-    );
-
-    // The run seed also seeds the client's selector stream, so seeded
-    // runs differ in replica choice the way the simulator's do.
-    let client: RtClient = cluster.client_seeded(cfg.seed);
+/// Panics on an empty trace or a task without requests — caller bugs,
+/// not runtime conditions.
+pub fn try_run_load(
+    cluster: &RtCluster,
+    trace: &[TaskSpec],
+    selector_seed: u64,
+) -> Result<LoadReport, RtError> {
+    assert!(!trace.is_empty(), "need at least one task");
+    let client: RtClient = cluster.client_seeded(selector_seed);
     // Hedging rides the overload lane's poll path too: its timers live
     // inside ticket polls, and duplicate replies break the legacy
     // `is_ready` reply-count shortcut.
     let overload_lane = cluster.config().queue.is_some()
         || cluster.config().timeout.is_some()
         || cluster.config().hedge_delay_ns.is_some();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut col = Collector::new();
     let served_before = cluster.served_per_server();
     let busy_before = cluster.busy_ns_per_server();
@@ -252,84 +181,42 @@ pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadRepo
     let congestion_before = cluster.congestion_signals();
     let started = Instant::now();
 
-    // Alias-table Zipf ranks when popularity is skewed; plain uniform
-    // draws otherwise (building the table for exponent 0 would be waste).
-    let zipf = (cfg.key_zipf > 0.0).then(|| Zipf::new(cfg.key_range, cfg.key_zipf));
-    let sample_keys = |rng: &mut StdRng| -> Vec<u64> {
-        let n = cfg.fanout.sample(rng) as usize;
-        (0..n)
-            .map(|_| match &zipf {
-                Some(z) => z.sample(rng),
-                None => rng.random_range(0..cfg.key_range),
-            })
-            .collect()
-    };
-
-    match cfg.mode {
-        LoadMode::Closed { concurrency } => {
-            assert!(concurrency > 0, "need at least one in-flight slot");
-            let mut inflight: VecDeque<(TaskTicket, Instant)> =
-                VecDeque::with_capacity(concurrency);
-            for _ in 0..cfg.tasks {
-                let keys = sample_keys(&mut rng);
-                // Origin *before* dispatch: submission itself (selection,
-                // rate-limit stalls, channel sends) is part of the latency.
-                let origin = Instant::now();
-                inflight.push_back((client.fetch_async(&keys), origin));
-                if inflight.len() >= concurrency {
-                    let (ticket, origin) = inflight.pop_front().expect("non-empty window");
-                    col.collect(ticket, origin)?;
+    let mut inflight: VecDeque<(TaskTicket, Instant)> = VecDeque::new();
+    let mut keys: Vec<u64> = Vec::new();
+    // Poll slice while holding the schedule: deadline timers and backoff
+    // redispatches live inside ticket polls, so under the overload lane
+    // the driver must keep polling between submissions or retries would
+    // only fire at collection time.
+    const POLL_SLICE: Duration = Duration::from_millis(1);
+    for task in trace {
+        let due = started + Duration::from_nanos(task.arrival_ns);
+        keys.clear();
+        keys.extend(task.requests.iter().map(|r| r.key));
+        if overload_lane {
+            loop {
+                poll_inflight(&mut inflight, &mut col)?;
+                let now = Instant::now();
+                if now >= due {
+                    break;
                 }
+                timing::wait_until(due.min(now + POLL_SLICE));
             }
-            for (ticket, origin) in inflight {
+        } else {
+            timing::wait_until(due);
+        }
+        inflight.push_back((client.fetch_async(&keys), due));
+        if !overload_lane {
+            // Legacy drain: pop finished heads without blocking — the
+            // selector only learns from responses at collection time, so
+            // feedback must flow *during* the run, not after it.
+            while inflight.front().is_some_and(|(t, _)| t.is_ready()) {
+                let (ticket, origin) = inflight.pop_front().expect("non-empty front");
                 col.collect(ticket, origin)?;
             }
         }
-        LoadMode::Open { task_rate_per_sec } => {
-            assert!(
-                task_rate_per_sec > 0.0 && task_rate_per_sec.is_finite(),
-                "need a positive task rate"
-            );
-            let mut arrivals = PoissonProcess::new(task_rate_per_sec);
-            let mut inflight: VecDeque<(TaskTicket, Instant)> = VecDeque::new();
-            // Poll slice while holding the schedule: deadline timers and
-            // backoff redispatches live inside ticket polls, so under the
-            // overload lane the generator must keep polling between
-            // submissions or retries would only fire at collection time.
-            const POLL_SLICE: Duration = Duration::from_millis(1);
-            for _ in 0..cfg.tasks {
-                // Draw the schedule and the task before waiting, so the
-                // random stream is a deterministic function of the seed.
-                let due = started + Duration::from_nanos(arrivals.next_arrival_ns(&mut rng));
-                let keys = sample_keys(&mut rng);
-                if overload_lane {
-                    loop {
-                        poll_inflight(&mut inflight, &mut col)?;
-                        let now = Instant::now();
-                        if now >= due {
-                            break;
-                        }
-                        timing::wait_until(due.min(now + POLL_SLICE));
-                    }
-                } else {
-                    timing::wait_until(due);
-                }
-                inflight.push_back((client.fetch_async(&keys), due));
-                if !overload_lane {
-                    // Legacy drain: pop finished heads without blocking —
-                    // the selector only learns from responses at
-                    // collection time, so feedback must flow *during* the
-                    // run, not after it.
-                    while inflight.front().is_some_and(|(t, _)| t.is_ready()) {
-                        let (ticket, origin) = inflight.pop_front().expect("non-empty front");
-                        col.collect(ticket, origin)?;
-                    }
-                }
-            }
-            for (ticket, origin) in inflight {
-                col.collect(ticket, origin)?;
-            }
-        }
+    }
+    for (ticket, origin) in inflight {
+        col.collect(ticket, origin)?;
     }
 
     let wall = started.elapsed();
@@ -352,10 +239,9 @@ pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadRepo
     // resolved exactly one way.
     assert_eq!(
         col.completed as u64 + col.dropped + col.timed_out + col.shed,
-        cfg.tasks as u64,
+        trace.len() as u64,
         "task conservation violated"
     );
-    let goodput = col.completed as f64 / wall.as_secs_f64();
     let zeroed = Percentiles {
         count: 0,
         mean: 0.0,
@@ -369,18 +255,16 @@ pub fn try_run_load(cluster: &RtCluster, cfg: &LoadGenConfig) -> Result<LoadRepo
         task_latency_ms: Percentiles::from_histogram_ns(&col.task_hist).unwrap_or(zeroed),
         request_latency_ms: Percentiles::from_histogram_ns(&col.request_hist).unwrap_or(zeroed),
         wall,
-        tasks_per_sec: goodput,
-        tasks: cfg.tasks,
+        tasks: trace.len(),
         requests: col.requests,
         served_per_server,
         utilization,
-        issued: cfg.tasks,
         completed: col.completed,
         dropped: col.dropped,
         timed_out: col.timed_out,
         shed: col.shed,
         retries: col.retries,
-        goodput,
+        goodput: col.completed as f64 / wall.as_secs_f64(),
         hedges_issued: client.hedged_total(),
         duplicate_responses: client.duplicate_responses(),
         demand_reports: cluster.demand_reports() - demand_before,
@@ -396,6 +280,24 @@ mod tests {
     use brb_sched::QueueConfig;
     use brb_sched::TimeoutConfig;
     use brb_store::service::{ServiceModel, ServiceNoise};
+    use brb_workload::keyspace::{KeySpace, Popularity};
+    use brb_workload::taskgen::{SizeModel, TaskGenerator};
+    use brb_workload::{FanoutDist, PoissonProcess};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `tasks` Poisson arrivals at `rate` tasks/s, each fetching `fanout`
+    /// uniform keys out of `0..keys`.
+    fn trace(tasks: usize, rate: f64, fanout: FanoutDist, keys: u64) -> Vec<TaskSpec> {
+        TaskGenerator::new(
+            PoissonProcess::new(rate),
+            fanout,
+            KeySpace::new(keys, Popularity::Uniform),
+            SizeModel::facebook_etc(),
+            StdRng::seed_from_u64(1),
+        )
+        .take(tasks)
+    }
 
     fn cluster() -> RtCluster {
         let c = RtCluster::start(RtClusterConfig {
@@ -414,64 +316,49 @@ mod tests {
     #[test]
     fn load_run_completes_and_reports() {
         let c = cluster();
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 300,
-                mode: LoadMode::Closed { concurrency: 8 },
-                key_range: 2_000,
-                ..Default::default()
-            },
-        );
+        let tasks = trace(300, 20_000.0, FanoutDist::soundcloud_like(), 2_000);
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         assert_eq!(report.task_latency_ms.count, 300);
         assert_eq!(report.tasks, 300);
         assert!(report.task_latency_ms.p50 > 0.0);
         assert!(report.request_latency_ms.count >= 300);
         assert_eq!(report.request_latency_ms.count, report.requests);
-        assert!(report.tasks_per_sec > 0.0);
+        assert!(report.goodput > 0.0);
         // Knobs off: every task completes and nothing is dropped.
         assert_eq!(report.completed, 300);
         assert_eq!(report.dropped + report.timed_out + report.shed, 0);
         assert_eq!(report.retries, 0);
-        let total: u64 = report.served_per_server.iter().sum();
-        assert!(total >= 300, "at least one request per task");
-        assert_eq!(total, report.requests);
+        // One request per key of the trace, each served once.
+        let keys: usize = tasks.iter().map(TaskSpec::fanout).sum();
+        assert_eq!(report.requests, keys as u64);
+        assert_eq!(
+            report.served_per_server.iter().sum::<u64>(),
+            report.requests
+        );
         c.shutdown();
     }
 
     #[test]
     fn open_loop_run_completes_and_reports() {
         let c = cluster();
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 200,
-                // Fast arrivals; Instant service keeps the run short.
-                mode: LoadMode::Open {
-                    task_rate_per_sec: 20_000.0,
-                },
-                key_range: 2_000,
-                ..Default::default()
-            },
-        );
+        // Fast arrivals; Instant service keeps the run short.
+        let tasks = trace(200, 20_000.0, FanoutDist::soundcloud_like(), 2_000);
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         assert_eq!(report.task_latency_ms.count, 200);
         assert_eq!(report.request_latency_ms.count, report.requests);
         assert_eq!(report.completed, 200);
+        // The schedule is the trace's: the run lasts at least until the
+        // last intended arrival.
+        let last = tasks.last().unwrap().arrival_ns;
+        assert!(report.wall >= Duration::from_nanos(last));
         c.shutdown();
     }
 
     #[test]
     fn replication_spreads_load_across_servers() {
         let c = cluster();
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 500,
-                mode: LoadMode::Closed { concurrency: 16 },
-                key_range: 2_000,
-                ..Default::default()
-            },
-        );
+        let tasks = trace(500, 20_000.0, FanoutDist::soundcloud_like(), 2_000);
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         // Every server holds replicas for 2/3 of the key space; none
         // should be idle.
         assert!(
@@ -482,12 +369,11 @@ mod tests {
         c.shutdown();
     }
 
-    /// The coordinated-omission regression. A closed-loop generator
-    /// measuring from submit would report ≈ the service time no matter
-    /// how overloaded the cluster is (it politely waits before
-    /// offering). Open-loop arrivals at 1.3× capacity build a backlog;
-    /// latency measured from *intended* arrival must surface that
-    /// queueing delay.
+    /// The coordinated-omission regression. A driver measuring from
+    /// submit would report ≈ the service time no matter how overloaded
+    /// the cluster is. Open-loop arrivals at 1.3× capacity build a
+    /// backlog; latency measured from *intended* arrival must surface
+    /// that queueing delay.
     #[test]
     fn open_loop_records_queueing_delay_under_saturation() {
         const SERVICE_NS: f64 = 300_000.0; // 300µs per request
@@ -503,18 +389,8 @@ mod tests {
         });
         c.populate(64, |_| 64);
         // Capacity is 1/300µs ≈ 3333 tasks/s at fan-out 1; offer 1.3×.
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 400,
-                mode: LoadMode::Open {
-                    task_rate_per_sec: 1.3 / (SERVICE_NS / 1e9),
-                },
-                fanout: FanoutDist::Fixed(1),
-                key_range: 64,
-                ..Default::default()
-            },
-        );
+        let tasks = trace(400, 1.3 / (SERVICE_NS / 1e9), FanoutDist::Fixed(1), 64);
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         // 400 tasks at 30% overload leave ≈ 400·0.3·300µs ≈ 36ms of
         // backlog by the end; the *median* recorded latency must be many
         // service times of queueing delay, which submit-based recording
@@ -537,7 +413,7 @@ mod tests {
     /// The overload lane end to end: sustained 1.5× overload into a
     /// tightly bounded queue with immediate-retry timeouts must fail
     /// some tasks — and the report must conserve
-    /// `completed + dropped + timed_out + shed == issued` while
+    /// `completed + dropped + timed_out + shed == tasks` while
     /// recording latency for completed tasks only.
     #[test]
     fn overload_run_conserves_tasks_and_reports_goodput() {
@@ -566,21 +442,16 @@ mod tests {
             ..Default::default()
         });
         c.populate(64, |_| 64);
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 300,
-                mode: LoadMode::Open {
-                    task_rate_per_sec: 2.0 * 1.5 / (SERVICE_NS / 1e9),
-                },
-                fanout: FanoutDist::Fixed(1),
-                key_range: 64,
-                ..Default::default()
-            },
+        let tasks = trace(
+            300,
+            2.0 * 1.5 / (SERVICE_NS / 1e9),
+            FanoutDist::Fixed(1),
+            64,
         );
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         assert_eq!(
             report.completed as u64 + report.dropped + report.timed_out + report.shed,
-            report.issued as u64,
+            report.tasks as u64,
             "conservation"
         );
         assert!(
@@ -589,7 +460,7 @@ mod tests {
         );
         assert!(report.completed > 0, "overload must not starve everything");
         assert_eq!(report.task_latency_ms.count as usize, report.completed);
-        assert!(report.goodput > 0.0 && report.goodput == report.tasks_per_sec);
+        assert!(report.goodput > 0.0);
         c.shutdown();
     }
 
@@ -621,19 +492,12 @@ mod tests {
             ..Default::default()
         });
         c.populate(64, |_| 64);
-        let report = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 60,
-                mode: LoadMode::Closed { concurrency: 4 },
-                fanout: FanoutDist::Fixed(1),
-                key_range: 64,
-                ..Default::default()
-            },
-        );
+        // ≈ 40% of the two servers' ~4ms-per-request capacity.
+        let tasks = trace(60, 200.0, FanoutDist::Fixed(1), 64);
+        let report = try_run_load(&c, &tasks, 1).unwrap();
         assert_eq!(
             report.completed as u64 + report.dropped + report.timed_out + report.shed,
-            report.issued as u64,
+            report.tasks as u64,
             "conservation under hedging"
         );
         assert_eq!(report.completed, 60, "hedging must not fail tasks");
@@ -656,9 +520,9 @@ mod tests {
     }
 
     /// Fault injection: a worker that panics mid-run must fail the run
-    /// with a typed error — never hang the generator. The timeout
-    /// config keeps every other task resolving while the poisoned key's
-    /// task dies with the worker.
+    /// with a typed error — never hang the driver. The timeout config
+    /// keeps every other task resolving while the poisoned key's task
+    /// dies with the worker.
     #[test]
     fn worker_panic_fails_the_run_typed() {
         let c = RtCluster::start(RtClusterConfig {
@@ -678,17 +542,12 @@ mod tests {
             ..Default::default()
         });
         c.populate(64, |_| 8);
-        let err = try_run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 200,
-                mode: LoadMode::Closed { concurrency: 4 },
-                fanout: FanoutDist::Fixed(1),
-                key_range: 64, // key 13 is in range: the fault will fire
-                ..Default::default()
-            },
-        )
-        .expect_err("run over a poisoned key must fail");
+        let tasks = trace(200, 20_000.0, FanoutDist::Fixed(1), 64);
+        assert!(
+            tasks.iter().any(|t| t.requests[0].key == 13),
+            "the trace must reach the poisoned key"
+        );
+        let err = try_run_load(&c, &tasks, 1).expect_err("run over a poisoned key must fail");
         assert_eq!(err, RtError::WorkerPanicked);
         assert!(c.panicked());
         assert!(c.shutdown_checked().is_err());
@@ -698,26 +557,6 @@ mod tests {
     #[should_panic(expected = "at least one task")]
     fn degenerate_config_rejected() {
         let c = cluster();
-        let _ = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 0,
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "in-flight slot")]
-    fn zero_concurrency_rejected() {
-        let c = cluster();
-        let _ = run_load(
-            &c,
-            &LoadGenConfig {
-                tasks: 1,
-                mode: LoadMode::Closed { concurrency: 0 },
-                ..Default::default()
-            },
-        );
+        let _ = try_run_load(&c, &[], 1);
     }
 }

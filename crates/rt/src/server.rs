@@ -465,8 +465,8 @@ impl RtCluster {
         self.build_client(client_idx, client_idx)
     }
 
-    /// [`Self::client`] with an explicit selector seed — the load
-    /// generator passes the run seed through here so a random selector
+    /// [`Self::client`] with an explicit selector seed — the trace
+    /// driver passes the run seed through here so a random selector
     /// draws a different stream per seeded run (matching the
     /// simulator's per-run selector seeding), not the same stream for
     /// every run of a fresh cluster.

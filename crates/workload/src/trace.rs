@@ -110,7 +110,8 @@ impl Trace {
         Ok(())
     }
 
-    /// Reads a trace from JSON Lines, validating arrival order.
+    /// Reads a trace from JSON Lines, validating arrival order and that
+    /// every task reads at least one key.
     pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
         let mut tasks = Vec::new();
         let mut prev_arrival = 0u64;
@@ -125,11 +126,17 @@ impl Trace {
                     format!("line {}: {e}", lineno + 1),
                 )
             })?;
-            if task.arrival_ns < prev_arrival {
-                return Err(io::Error::new(
+            let invalid = |what: &str| {
+                io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("line {}: arrivals out of order", lineno + 1),
-                ));
+                    format!("line {}: {what}", lineno + 1),
+                )
+            };
+            if task.requests.is_empty() {
+                return Err(invalid("task has no requests"));
+            }
+            if task.arrival_ns < prev_arrival {
+                return Err(invalid("arrivals out of order"));
             }
             prev_arrival = task.arrival_ns;
             tasks.push(task);
@@ -195,6 +202,15 @@ mod tests {
         let out_of_order = format!("{t1}\n{t0}\n");
         let err = Trace::read_jsonl(out_of_order.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of order"));
+    }
+
+    #[test]
+    fn jsonl_rejects_a_task_without_requests() {
+        let t0 = r#"{"id":0,"arrival_ns":1,"requests":[{"key":1,"value_bytes":2}]}"#;
+        let empty = r#"{"id":1,"arrival_ns":2,"requests":[]}"#;
+        let err = Trace::read_jsonl(format!("{t0}\n{empty}\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 2: task has no requests");
     }
 
     #[test]

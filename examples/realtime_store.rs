@@ -6,23 +6,27 @@
 //! ```
 //!
 //! Starts an in-process cluster whose workers wait out the size-derived
-//! service time (a scale model of the paper's servers), then drives
-//! playlist-style batch reads through the **open-loop** Poisson load
-//! generator — latency is measured from each task's intended arrival,
-//! so queueing delay is never coordinated-omitted — under FIFO and under
-//! BRB's UnifIncr policy, and compares measured task latencies.
+//! service time (a scale model of the paper's servers), then replays one
+//! drawn trace of playlist-style batch reads through the **open-loop**
+//! trace driver — each task is submitted at its intended arrival and its
+//! latency measured from there, so queueing delay is never
+//! coordinated-omitted — under FIFO and under BRB's UnifIncr policy, and
+//! compares measured task latencies.
 
 use brb::metrics::Percentiles;
-use brb::rt::{run_load, LoadGenConfig, LoadMode, RtCluster, RtClusterConfig, WorkModel};
+use brb::rt::{try_run_load, RtCluster, RtClusterConfig, WorkModel};
 use brb::sched::PolicyKind;
 use brb::store::service::{ServiceModel, ServiceNoise};
-use brb::workload::taskgen::SizeModel;
-use brb::workload::FanoutDist;
+use brb::workload::keyspace::{KeySpace, Popularity};
+use brb::workload::taskgen::{SizeModel, TaskGenerator, TaskSpec};
+use brb::workload::{FanoutDist, PoissonProcess};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const KEYS: u64 = 20_000;
 const TASKS: usize = 400;
 
-fn run_policy(policy: PolicyKind) -> Percentiles {
+fn run_policy(policy: PolicyKind, trace: &[TaskSpec]) -> Percentiles {
     // Service times scaled down 10x from the paper so the demo finishes
     // quickly; the *relative* behaviour of the policies is unchanged.
     let service = ServiceModel::calibrated_size_linear(
@@ -42,20 +46,7 @@ fn run_policy(policy: PolicyKind) -> Percentiles {
     });
     cluster.populate_etc(KEYS);
 
-    // Offer ~60% of the 6 x 35k req/s capacity as Poisson task arrivals.
-    let report = run_load(
-        &cluster,
-        &LoadGenConfig {
-            tasks: TASKS,
-            mode: LoadMode::Open {
-                task_rate_per_sec: 0.6 * 6.0 * 35_000.0 / FanoutDist::soundcloud_like().mean(),
-            },
-            fanout: FanoutDist::soundcloud_like(),
-            key_range: KEYS,
-            key_zipf: 0.0,
-            seed: 99,
-        },
-    );
+    let report = try_run_load(&cluster, trace, 99).expect("live run");
 
     println!(
         "  {policy:?}: served per server = {:?} (total {}), utilization {:.0}%",
@@ -71,8 +62,19 @@ fn main() {
     println!(
         "threaded cluster: 3 servers x 2 workers, R=2, {KEYS} ETC-sized keys, {TASKS} open-loop batch reads\n"
     );
-    let fifo = run_policy(PolicyKind::Fifo);
-    let brb = run_policy(PolicyKind::UnifIncr);
+    // Offer ~60% of the 6 x 35k req/s capacity as Poisson task arrivals;
+    // both policies replay the same trace.
+    let fanout = FanoutDist::soundcloud_like();
+    let trace = TaskGenerator::new(
+        PoissonProcess::new(0.6 * 6.0 * 35_000.0 / fanout.mean()),
+        fanout,
+        KeySpace::new(KEYS, Popularity::Uniform),
+        SizeModel::facebook_etc(),
+        StdRng::seed_from_u64(99),
+    )
+    .take(TASKS);
+    let fifo = run_policy(PolicyKind::Fifo, &trace);
+    let brb = run_policy(PolicyKind::UnifIncr, &trace);
 
     println!("\nmeasured wall-clock task latency (ms):");
     println!(
