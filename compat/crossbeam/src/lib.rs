@@ -2,13 +2,16 @@
 //! (clonable senders *and* receivers). Nothing here polls: a receiver
 //! with nothing to take sleeps on the condvar, and `send` / the last
 //! `Sender`'s drop pay the wake-up syscall only when the channel's
-//! `waiting` count says a receiver is actually asleep.
+//! `waiting` count says a receiver is actually asleep. The channel's
+//! lock is `parking_lot`'s, so in debug builds the lock-order detector
+//! sees it like every other lock.
 
 pub mod channel {
+    use parking_lot::{Condvar, Mutex};
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::Arc;
 
     struct Chan<T> {
         state: Mutex<State<T>>,
@@ -77,7 +80,7 @@ pub mod channel {
             if self.0.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(value));
             }
-            let mut st = self.0.state.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock();
             st.queue.push_back(value);
             let wake = st.waiting > 0;
             drop(st);
@@ -103,9 +106,8 @@ pub mod channel {
                 // notify: a receiver that read `senders == 1` and is
                 // about to sleep holds it, so locking here waits until
                 // it is asleep (and counted in `waiting`) — otherwise
-                // the notify lands in that window and is lost. Ignore
-                // poisoning: `drop` must not panic.
-                let wake = self.0.state.lock().map_or(true, |st| st.waiting > 0);
+                // the notify lands in that window and is lost.
+                let wake = self.0.state.lock().waiting > 0;
                 if wake {
                     self.0.ready.notify_all();
                 }
@@ -122,7 +124,7 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or every sender is gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.0.state.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
@@ -131,7 +133,7 @@ pub mod channel {
                     return Err(RecvError);
                 }
                 st.waiting += 1;
-                st = self.0.ready.wait(st).expect("channel poisoned");
+                self.0.ready.wait(&mut st);
                 st.waiting -= 1;
             }
         }
@@ -140,7 +142,7 @@ pub mod channel {
         /// `deadline` passes — the wait primitive behind the live
         /// runtime's client-side timeout timers.
         pub fn recv_deadline(&self, deadline: std::time::Instant) -> Result<T, RecvTimeoutError> {
-            let mut st = self.0.state.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
@@ -148,20 +150,11 @@ pub mod channel {
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let now = std::time::Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
+                if std::time::Instant::now() >= deadline {
                     return Err(RecvTimeoutError::Timeout);
-                };
+                }
                 st.waiting += 1;
-                st = self
-                    .0
-                    .ready
-                    .wait_timeout(st, remaining)
-                    .expect("channel poisoned")
-                    .0;
+                self.0.ready.wait_until(&mut st, deadline);
                 st.waiting -= 1;
             }
         }
@@ -173,7 +166,7 @@ pub mod channel {
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.0.state.lock().expect("channel poisoned");
+            let mut st = self.0.state.lock();
             if let Some(v) = st.queue.pop_front() {
                 return Ok(v);
             }
@@ -185,7 +178,7 @@ pub mod channel {
 
         /// Queued message count.
         pub fn len(&self) -> usize {
-            self.0.state.lock().expect("channel poisoned").queue.len()
+            self.0.state.lock().queue.len()
         }
 
         /// Whether no messages are queued.
@@ -196,7 +189,7 @@ pub mod channel {
         /// Receivers currently asleep on this channel.
         #[cfg(test)]
         pub(crate) fn waiting(&self) -> usize {
-            self.0.state.lock().expect("channel poisoned").waiting
+            self.0.state.lock().waiting
         }
 
         /// Blocking iterator: yields until the channel disconnects.

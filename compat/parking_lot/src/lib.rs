@@ -16,9 +16,11 @@ use std::panic::Location;
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicU32;
 use std::sync::{
-    Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,
-    RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
+    Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError,
+    RwLock as StdRwLock, RwLockReadGuard as StdRwLockReadGuard,
+    RwLockWriteGuard as StdRwLockWriteGuard,
 };
+use std::time::Instant;
 
 #[cfg(debug_assertions)]
 mod order;
@@ -119,15 +121,42 @@ impl Condvar {
     /// returning (parking_lot signature: mutates the guard in place).
     #[track_caller]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.park(guard, |g| {
+            self.0.wait(g).unwrap_or_else(PoisonError::into_inner)
+        });
+    }
+
+    /// [`Condvar::wait`] that gives up at `deadline`: returns `true` if
+    /// the deadline passed (parking_lot's `timed_out()`), `false` on a
+    /// wake-up, spurious or not.
+    #[track_caller]
+    pub fn wait_until<T>(&self, guard: &mut MutexGuard<'_, T>, deadline: Instant) -> bool {
+        let mut timed_out = false;
+        self.park(guard, |g| {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            let (g, result) = self
+                .0
+                .wait_timeout(g, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+            timed_out = result.timed_out();
+            g
+        });
+        timed_out
+    }
+
+    /// Runs `wait` on the guard's std guard. The lock is genuinely
+    /// released while parked; the held-lock stack mirrors that, so
+    /// cross-lock waits don't fabricate edges.
+    #[track_caller]
+    fn park<'a, T>(
+        &self,
+        guard: &mut MutexGuard<'a, T>,
+        wait: impl FnOnce(StdMutexGuard<'a, T>) -> StdMutexGuard<'a, T>,
+    ) {
         let inner = guard.inner.take().expect("guard taken");
-        // The lock is genuinely released while parked; mirror that in the
-        // held-lock stack so cross-lock waits don't fabricate edges.
         #[cfg(debug_assertions)]
         order::release(guard.lock_id);
-        let inner = match self.0.wait(inner) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let inner = wait(inner);
         #[cfg(debug_assertions)]
         order::acquire(guard.lock_id, Location::caller());
         guard.inner = Some(inner);

@@ -10,6 +10,7 @@
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
     err.downcast_ref::<String>()
@@ -132,6 +133,44 @@ fn condvar_wait_releases_held_entry() {
         let (m, cv) = &*pair;
         let mut ready = m.lock();
         *ready = true;
+        cv.notify_all();
+    }
+    waiter.join().expect("waiter must finish cleanly");
+}
+
+/// `wait_until` reports a timeout, and a notification as no timeout;
+/// the detector sees the lock held again once it returns — a lock
+/// taken inside it nests, so the reverse order then trips.
+#[test]
+fn condvar_wait_until_times_out_and_reacquires() {
+    let pair = Arc::new((Mutex::new(false), Condvar::new()));
+    let inner = Mutex::new(());
+    {
+        let (m, cv) = &*pair;
+        let mut ready = m.lock();
+        let t0 = Instant::now();
+        assert!(cv.wait_until(&mut ready, t0 + Duration::from_millis(5)));
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        drop(inner.lock()); // records m → inner
+    }
+    let held = inner.lock();
+    let err = catch_unwind(AssertUnwindSafe(|| drop(pair.0.lock())))
+        .expect_err("inner → m reverses the order wait_until's re-acquire set");
+    assert!(panic_message(err).contains("lock-order violation"));
+    drop(held);
+
+    let pair2 = Arc::clone(&pair);
+    let waiter = std::thread::spawn(move || {
+        let (m, cv) = &*pair2;
+        let mut ready = m.lock();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !*ready {
+            assert!(!cv.wait_until(&mut ready, deadline), "notify never arrived");
+        }
+    });
+    {
+        let (m, cv) = &*pair;
+        *m.lock() = true;
         cv.notify_all();
     }
     waiter.join().expect("waiter must finish cleanly");

@@ -7,6 +7,12 @@
 //! feedback mechanism), replacing the load-oblivious global round-robin
 //! counter this client started with.
 //!
+//! BRB schedules tasks, not requests, and a task leaves the client as
+//! one batch per server: every replica is picked under one selector
+//! hold, and each server's picks are one `ServerShared::submit`. A pick
+//! the selector rate-limits first flushes the batches picked so far, so
+//! no request that has its token waits behind a later one's.
+//!
 //! The overload lane adds the client half of the overload contract:
 //! when the cluster carries a timeout config, every attempt gets a
 //! wall-clock deadline; a timeout or a server NACK triggers a
@@ -46,6 +52,7 @@ use brb_workload::taskgen::SizeModel;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,8 +101,6 @@ pub struct TaskResolution {
     pub outcome: TaskOutcome,
 }
 
-type SharedSelector = Arc<Mutex<Box<dyn ReplicaSelector + Send>>>;
-
 /// The piggybacked server state a response carries; `rtt_ns` is the
 /// accounted network round trip (the client-observed response time in a
 /// constant mesh includes it).
@@ -112,12 +117,14 @@ fn feedback_of(resp: &RtResponse, rtt_ns: u64) -> ResponseFeedback {
 /// client uses).
 pub(crate) struct ClientInner {
     ring: Ring,
+    /// Each replica group's servers, in ring order, by group index.
+    replicas: Vec<Vec<ServerId>>,
     cost: CostModel,
     sizes: SizeModel,
     /// Each server's shared state: a dispatch is a direct
     /// [`ServerShared::submit`] on this thread.
     servers: Vec<Arc<ServerShared>>,
-    selector: SharedSelector,
+    selector: Mutex<Box<dyn ReplicaSelector + Send>>,
     epoch: Instant,
     /// Accounted network round trip per request (see
     /// [`crate::RtClusterConfig::network_rtt_ns`]).
@@ -143,29 +150,30 @@ pub(crate) struct ClientInner {
 }
 
 impl ClientInner {
-    /// One pass of the selector over a request's replica group.
-    fn try_select(&self, candidates: &[ServerId], value_bytes: u64) -> Selection {
-        let ctx = SelectionCtx {
-            now_ns: self.epoch.elapsed().as_nanos() as u64,
-            candidates,
-            value_bytes,
-            oracle_queue_depths: None,
-        };
-        self.selector.lock().select(&ctx)
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Runs the selector until it names a replica. A rate-limiting
-    /// selector (C3, credits) may refuse every candidate; the live
-    /// client then waits out the earliest token (bounded per iteration
-    /// so a clock hiccup cannot park the submission thread for long).
-    fn select_replica(&self, candidates: &[ServerId], value_bytes: u64) -> ServerId {
-        const MAX_PAUSE: Duration = Duration::from_millis(1);
+    /// The selector's question for request `r` at `now_ns`.
+    fn ctx(&self, r: &RequestRecord, now_ns: u64) -> SelectionCtx<'_> {
+        SelectionCtx {
+            now_ns,
+            candidates: &self.replicas[r.group.index()],
+            value_bytes: r.bytes,
+            oracle_queue_depths: None,
+        }
+    }
+
+    /// Runs the selector until it names a replica for `r`. A
+    /// rate-limiting selector (C3, credits) may refuse every candidate;
+    /// the live client then waits out the earliest token.
+    fn select_replica(&self, r: &RequestRecord) -> ServerId {
         loop {
-            match self.try_select(candidates, value_bytes) {
+            // Bound first: the guard must not be held through the pause.
+            let selection = self.selector.lock().select(&self.ctx(r, self.now_ns()));
+            match selection {
                 Selection::Dispatch(server) => return server,
-                Selection::RateLimited { retry_in_ns } => {
-                    timing::wait_for(Duration::from_nanos(retry_in_ns).min(MAX_PAUSE));
-                }
+                Selection::RateLimited { retry_in_ns } => pause(retry_in_ns),
             }
         }
     }
@@ -179,6 +187,12 @@ impl ClientInner {
             hedged: self.hedged_total.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Waits out a rate-limited selection (at most 1 ms: a clock hiccup must
+/// not park the submitting thread for long).
+fn pause(retry_in_ns: u64) {
+    timing::wait_for(Duration::from_nanos(retry_in_ns).min(Duration::from_millis(1)));
 }
 
 /// One request slot's lifecycle.
@@ -196,6 +210,73 @@ enum SlotState {
     Settled,
 }
 
+/// One request of a ticket: what it reads, where its attempts stand,
+/// and its answer.
+#[derive(Debug)]
+struct RequestRecord {
+    key: u64,
+    group: GroupId,
+    /// Value size from the catalog (cost forecast, selector input).
+    bytes: u64,
+    priority: Priority,
+    state: SlotState,
+    /// Hedge timer: a hedge fires at `at` if the request is still
+    /// unanswered; `None` once fired or settled, or without hedging.
+    hedge_at: Option<Instant>,
+    value: Option<Bytes>,
+    server: u32,
+    request_ns: u64,
+}
+
+/// Buffers `fetch_async` reuses task after task on one thread: the cost
+/// view the priority policy reads, the priorities it writes, and the
+/// `(server, request)` picks sorted into per-server batches.
+#[derive(Default)]
+struct Scratch {
+    costs: Vec<u64>,
+    request_subtask: Vec<usize>,
+    subtask_costs: Vec<u64>,
+    priorities: Vec<Priority>,
+    picks: Vec<(ServerId, usize)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    /// Forecasts each request's cost from the size catalog, splits the
+    /// task into one sub-task per replica group and fills `priorities`.
+    /// Sub-tasks are indexed by group, so the split is O(n + G) on
+    /// hundreds-of-keys fan-outs; a group the task does not touch is an
+    /// empty sub-task of cost 0, which no policy's ranking sees.
+    fn assign(
+        &mut self,
+        inner: &ClientInner,
+        policy: PolicyKind,
+        requests: &[RequestRecord],
+        arrival_ns: u64,
+    ) {
+        self.costs.clear();
+        self.request_subtask.clear();
+        self.subtask_costs.clear();
+        self.subtask_costs.resize(inner.replicas.len(), 0);
+        for r in requests {
+            let cost = inner.cost.forecast_ns(r.bytes);
+            self.costs.push(cost);
+            self.request_subtask.push(r.group.index());
+            self.subtask_costs[r.group.index()] += cost;
+        }
+        let view = TaskView {
+            arrival_ns,
+            request_costs: &self.costs,
+            request_subtask: &self.request_subtask,
+            subtask_costs: &self.subtask_costs,
+        };
+        policy.assign_into(&view, &mut self.priorities);
+    }
+}
+
 /// A dispatch awaiting selector accounting: every send is balanced by
 /// exactly one `on_response` (its reply arrived) or `on_abandon` (it was
 /// NACKed, superseded and never answered, or the ticket dropped).
@@ -204,6 +285,15 @@ struct OpenDispatch {
     req_idx: usize,
     attempt: u32,
     server: ServerId,
+}
+
+/// Takes attempt `attempt` of request `req_idx` off the open list;
+/// `None` when it was already balanced.
+fn close(open: &mut Vec<OpenDispatch>, req_idx: u32, attempt: u32) -> Option<OpenDispatch> {
+    let pos = open
+        .iter()
+        .position(|o| o.req_idx == req_idx as usize && o.attempt == attempt)?;
+    Some(open.swap_remove(pos))
 }
 
 /// How often a blocked wait wakes to poll the cluster's panic flag.
@@ -225,7 +315,6 @@ const HEDGE_ATTEMPT: u32 = u32::MAX;
 pub struct TaskTicket {
     inner: Arc<ClientInner>,
     task_id: u64,
-    n: usize,
     started: Instant,
     rx: Receiver<RtReply>,
     /// Retained while retries are possible so redispatches reuse the
@@ -233,18 +322,8 @@ pub struct TaskTicket {
     /// config — then a shut-down cluster surfaces as channel
     /// disconnection (the legacy liveness path) instead of a deadline.
     reply_tx: Option<Sender<RtReply>>,
-    keys: Vec<u64>,
-    groups: Vec<GroupId>,
-    priorities: Vec<Priority>,
-    slots: Vec<SlotState>,
-    /// Per-request hedge timer: `Some(at)` = a hedge fires at `at` if
-    /// the slot is still unanswered then; disarmed (`None`) once fired
-    /// or settled. All `None` when the cluster has no hedge delay.
-    hedge_at: Vec<Option<Instant>>,
+    requests: Vec<RequestRecord>,
     open: Vec<OpenDispatch>,
-    values: Vec<Option<Bytes>>,
-    servers: Vec<u32>,
-    request_ns: Vec<u64>,
     /// Latest server-side completion (+RTT) seen so far.
     latest_completed: Option<Instant>,
     /// Slots served (not terminally failed).
@@ -263,7 +342,7 @@ impl std::fmt::Debug for TaskTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskTicket")
             .field("task_id", &self.task_id)
-            .field("n", &self.n)
+            .field("n", &self.requests.len())
             .finish_non_exhaustive()
     }
 }
@@ -346,11 +425,11 @@ impl TaskTicket {
     /// under the overload lane replies include NACKs and retries, so
     /// schedulers should use [`TaskTicket::poll_outcome`] instead.
     pub fn is_ready(&self) -> bool {
-        self.error.is_some() || self.rx.len() >= self.n
+        self.error.is_some() || self.rx.len() >= self.requests.len()
     }
 
     fn resolved(&self) -> bool {
-        self.failure.is_some() || self.served == self.n
+        self.failure.is_some() || self.served == self.requests.len()
     }
 
     /// Drives the state machine: drains replies, fires due timers and
@@ -385,17 +464,15 @@ impl TaskTicket {
             // Sleep until the next deadline/backoff/hedge, a reply, or
             // the watchdog tick — whichever is first.
             let mut wake = now + WATCHDOG;
-            for slot in &self.slots {
-                match slot {
+            for r in &self.requests {
+                match r.state {
                     SlotState::Pending {
                         deadline: Some(d), ..
-                    } => wake = wake.min(*d),
-                    SlotState::Backoff { at, .. } => wake = wake.min(*at),
+                    } => wake = wake.min(d),
+                    SlotState::Backoff { at, .. } => wake = wake.min(at),
                     _ => {}
                 }
-            }
-            for at in self.hedge_at.iter().flatten() {
-                wake = wake.min(*at);
+                wake = r.hedge_at.map_or(wake, |at| wake.min(at));
             }
             match self.rx.recv_deadline(wake) {
                 Ok(reply) => self.handle_reply(reply)?,
@@ -418,16 +495,10 @@ impl TaskTicket {
     fn on_served(&mut self, resp: RtResponse) {
         debug_assert_eq!(resp.task_id, self.task_id);
         // Balance this attempt's dispatch with selector feedback.
-        if let Some(pos) = self
-            .open
-            .iter()
-            .position(|o| o.req_idx == resp.req_idx as usize && o.attempt == resp.attempt)
-        {
-            self.open.swap_remove(pos);
-            let now_ns = self.inner.epoch.elapsed().as_nanos() as u64;
+        if close(&mut self.open, resp.req_idx, resp.attempt).is_some() {
             self.inner.selector.lock().on_response(
                 ServerId::new(resp.server as u64),
-                now_ns,
+                self.inner.now_ns(),
                 &feedback_of(&resp, self.inner.rtt_ns),
             );
         } else if self.inner.hedge_ns.is_some() {
@@ -440,24 +511,26 @@ impl TaskTicket {
             return;
         }
         let i = resp.req_idx as usize;
+        let r = &mut self.requests[i];
         // Any served reply resolves an unresolved slot — a late original
         // beats its own retry, as in the simulator.
-        if matches!(self.slots[i], SlotState::Settled) {
+        if matches!(r.state, SlotState::Settled) {
             return;
         }
-        self.slots[i] = SlotState::Settled;
+        r.state = SlotState::Settled;
+        r.value = resp.value;
+        r.server = resp.server;
+        r.request_ns = resp.total_ns + self.inner.rtt_ns;
+        // First response wins: the hedge timer disarms.
+        r.hedge_at = None;
         self.served += 1;
-        self.values[i] = resp.value;
-        self.servers[i] = resp.server;
-        self.request_ns[i] = resp.total_ns + self.inner.rtt_ns;
         let done_at = resp.completed + Duration::from_nanos(self.inner.rtt_ns);
         if self.latest_completed.is_none_or(|c| done_at > c) {
             self.latest_completed = Some(done_at);
         }
-        // First response wins: purge the losing twin(s) of this request
-        // — release their selector slots now and send cancels chasing
-        // them, so a still-queued duplicate never occupies a server.
-        self.hedge_at[i] = None;
+        // Purge the losing twin(s) of this request — release their
+        // selector slots now and send cancels chasing them, so a
+        // still-queued duplicate never occupies a server.
         if self.inner.hedge_ns.is_some() {
             self.purge_losers(i, resp.attempt);
         }
@@ -489,19 +562,14 @@ impl TaskTicket {
     fn on_nack(&mut self, nack: RtNack) -> Result<(), RtError> {
         debug_assert_eq!(nack.task_id, self.task_id);
         // The NACKed attempt never occupied the server; release it.
-        if let Some(pos) = self
-            .open
-            .iter()
-            .position(|o| o.req_idx == nack.req_idx as usize && o.attempt == nack.attempt)
-        {
-            let o = self.open.swap_remove(pos);
+        if let Some(o) = close(&mut self.open, nack.req_idx, nack.attempt) {
             self.inner.selector.lock().on_abandon(o.server);
         }
         let i = nack.req_idx as usize;
         // Only a NACK for the *current* attempt drives the slot; one for
         // a superseded attempt is accounting only.
         let current = matches!(
-            self.slots[i],
+            self.requests[i].state,
             SlotState::Pending { attempt, .. } if attempt == nack.attempt
         );
         if !current {
@@ -511,14 +579,14 @@ impl TaskTicket {
     }
 
     fn fire_timers(&mut self, now: Instant) -> Result<(), RtError> {
-        for i in 0..self.slots.len() {
+        for i in 0..self.requests.len() {
             if self.failure.is_some() {
                 return Ok(());
             }
-            if self.hedge_at[i].is_some_and(|at| at <= now) {
+            if self.requests[i].hedge_at.is_some_and(|at| at <= now) {
                 self.fire_hedge(i)?;
             }
-            match self.slots[i] {
+            match self.requests[i].state {
                 SlotState::Pending {
                     attempt,
                     deadline: Some(d),
@@ -539,21 +607,24 @@ impl TaskTicket {
     /// skip rather than block when the selector rate-limits. The timer
     /// disarms either way: one hedge per request, never re-armed.
     fn fire_hedge(&mut self, i: usize) -> Result<(), RtError> {
-        self.hedge_at[i] = None;
+        let r = &mut self.requests[i];
+        r.hedge_at = None;
         let hedge_ns = self.inner.hedge_ns.expect("hedge fired without config");
-        if matches!(self.slots[i], SlotState::Settled) {
+        if matches!(r.state, SlotState::Settled) {
             return Ok(());
         }
-        let size = self.inner.sizes.size_of(self.keys[i]);
-        let forecast_ns = self.inner.cost.forecast_ns(size);
+        let forecast_ns = self.inner.cost.forecast_ns(r.bytes);
         if !self.inner.budget().can_hedge(forecast_ns, hedge_ns) {
             return Ok(());
         }
-        let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
         // No deadline: the original attempt's timer still owns the
         // slot's timeout; the hedge only races it to a response.
-        match self.inner.try_select(&replicas, size) {
-            Selection::Dispatch(server) => self.send(i, HEDGE_ATTEMPT, server, Instant::now()),
+        let ctx = self.inner.ctx(r, self.inner.now_ns());
+        let selection = self.inner.selector.lock().select(&ctx);
+        match selection {
+            Selection::Dispatch(server) => {
+                self.send(server, [i].into_iter(), HEDGE_ATTEMPT, Instant::now())
+            }
             Selection::RateLimited { .. } => Ok(()),
         }
     }
@@ -578,7 +649,7 @@ impl TaskTicket {
                 if backoff_ns == 0 {
                     self.redispatch(i, attempt + 1)
                 } else {
-                    self.slots[i] = SlotState::Backoff {
+                    self.requests[i].state = SlotState::Backoff {
                         next_attempt: attempt + 1,
                         at: Instant::now() + Duration::from_nanos(backoff_ns),
                     };
@@ -587,7 +658,7 @@ impl TaskTicket {
             }
             Verdict::Fail(failure) => {
                 self.failure = Some(failure);
-                self.slots[i] = SlotState::Settled;
+                self.requests[i].state = SlotState::Settled;
                 Ok(())
             }
         }
@@ -597,32 +668,96 @@ impl TaskTicket {
     /// runs again (the retry may pick a healthier server), the attempt
     /// id is fresh, and the deadline re-arms from this dispatch.
     fn redispatch(&mut self, i: usize, attempt: u32) -> Result<(), RtError> {
-        let replicas = self.inner.ring.replicas_of_group(self.groups[i]);
-        let size = self.inner.sizes.size_of(self.keys[i]);
-        let server = self.inner.select_replica(&replicas, size);
+        let server = self.inner.select_replica(&self.requests[i]);
         let tc = self
             .inner
             .timeout
             .expect("redispatch without timeout config");
         let now = Instant::now();
-        self.send(i, attempt, server, now)?;
-        self.slots[i] = SlotState::Pending {
+        self.send(server, [i].into_iter(), attempt, now)?;
+        self.requests[i].state = SlotState::Pending {
             attempt,
             deadline: Some(now + Duration::from_nanos(tc.timeout_ns())),
         };
         Ok(())
     }
 
-    /// Submits attempt `attempt` of request `i` to `server` — the one
-    /// place a request leaves the client — and opens its selector
-    /// accounting.
-    /// Hedge duplicates count against the hedge budget, everything else
-    /// toward its denominator.
+    /// The first attempt of every request: each replica is picked under
+    /// one selector hold, at the task's one `now_ns`, and the picks
+    /// leave as one batch per server. A rate-limited pick first flushes
+    /// what was picked before it, then waits and retries with the clock
+    /// read again.
+    fn dispatch_all(
+        &mut self,
+        picks: &mut Vec<(ServerId, usize)>,
+        mut now_ns: u64,
+    ) -> Result<(), RtError> {
+        let mut next = 0;
+        while next < self.requests.len() {
+            let mut limited = None;
+            {
+                let mut selector = self.inner.selector.lock();
+                for r in &self.requests[next..] {
+                    match selector.select(&self.inner.ctx(r, now_ns)) {
+                        Selection::Dispatch(server) => picks.push((server, next)),
+                        Selection::RateLimited { retry_in_ns } => {
+                            limited = Some(retry_in_ns);
+                            break;
+                        }
+                    }
+                    next += 1;
+                }
+            }
+            self.flush(picks)?;
+            if let Some(retry_in_ns) = limited {
+                pause(retry_in_ns);
+                now_ns = self.inner.now_ns();
+            }
+        }
+        Ok(())
+    }
+
+    /// Submits the `(server, request)` picks as one batch per server and
+    /// arms their hedge timers from this flush; leaves `picks` empty.
+    /// When a server has stopped, the picks not yet submitted are
+    /// released from the selector too.
+    fn flush(&mut self, picks: &mut Vec<(ServerId, usize)>) -> Result<(), RtError> {
+        picks.sort_unstable();
+        let hedge_at = self
+            .inner
+            .hedge_ns
+            .map(|ns| Instant::now() + Duration::from_nanos(ns));
+        let mut result = Ok(());
+        let mut rest = &picks[..];
+        while let Some(&(server, _)) = rest.first() {
+            let (batch, tail) = rest.split_at(rest.partition_point(|p| p.0 == server));
+            rest = tail;
+            let sent = self.send(server, batch.iter().map(|p| p.1), 0, self.started);
+            if let Err(e) = sent {
+                let mut selector = self.inner.selector.lock();
+                for &(server, _) in rest {
+                    selector.on_abandon(server);
+                }
+                result = Err(e);
+                break;
+            }
+            for &(_, i) in batch {
+                self.requests[i].hedge_at = hedge_at;
+            }
+        }
+        picks.clear();
+        result
+    }
+
+    /// Submits attempt `attempt` of requests `batch` to `server` as one
+    /// batch — the one place requests leave the client — and opens
+    /// their selector accounting. Hedge duplicates count against the
+    /// hedge budget, everything else toward its denominator.
     fn send(
         &mut self,
-        i: usize,
-        attempt: u32,
         server: ServerId,
+        batch: impl Iterator<Item = usize> + Clone,
+        attempt: u32,
         submitted: Instant,
     ) -> Result<(), RtError> {
         let counter = if attempt == HEDGE_ATTEMPT {
@@ -630,36 +765,40 @@ impl TaskTicket {
         } else {
             &self.inner.dispatched_total
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(batch.clone().count() as u64, Ordering::Relaxed);
         let reply = self
             .reply_tx
-            .clone()
+            .as_ref()
             .expect("dispatch without reply sender");
-        let submitted = self.inner.servers[server.index()].submit(RtRequest {
-            key: self.keys[i],
-            group: self.groups[i],
-            priority: self.priorities[i],
-            req_idx: i as u32,
-            task_id: self.task_id,
-            attempt,
-            submitted,
-            reply,
+        let requests = batch.clone().map(|i| {
+            let r = &self.requests[i];
+            RtRequest {
+                key: r.key,
+                group: r.group,
+                priority: r.priority,
+                req_idx: i as u32,
+                task_id: self.task_id,
+                attempt,
+                submitted,
+                reply: reply.clone(),
+            }
         });
-        // Handed back: the server has stopped. The selector counted the
-        // dispatch when it chose `server`; release it.
-        if submitted.is_err() {
-            self.inner.selector.lock().on_abandon(server);
+        // Handed back: the server has stopped. The selector counted each
+        // dispatch when it chose `server`; release them.
+        if self.inner.servers[server.index()].submit(requests).is_err() {
+            let mut selector = self.inner.selector.lock();
+            batch.for_each(|_| selector.on_abandon(server));
             return Err(if self.inner.panicked.load(Ordering::SeqCst) {
                 RtError::WorkerPanicked
             } else {
                 RtError::ClusterDown
             });
         }
-        self.open.push(OpenDispatch {
-            req_idx: i,
+        self.open.extend(batch.map(|req_idx| OpenDispatch {
+            req_idx,
             attempt,
             server,
-        });
+        }));
         Ok(())
     }
 
@@ -671,9 +810,9 @@ impl TaskTicket {
                 TaskOutcome::Completed(TaskResponse {
                     task_id: self.task_id,
                     latency: completed.saturating_duration_since(origin),
-                    values: std::mem::take(&mut self.values),
-                    servers: std::mem::take(&mut self.servers),
-                    request_ns: std::mem::take(&mut self.request_ns),
+                    values: self.requests.iter_mut().map(|r| r.value.take()).collect(),
+                    servers: self.requests.iter().map(|r| r.server).collect(),
+                    request_ns: self.requests.iter().map(|r| r.request_ns).collect(),
                 })
             }
         };
@@ -701,14 +840,10 @@ impl Drop for TaskTicket {
         let mut selector = self.inner.selector.lock();
         while let Ok(reply) = self.rx.try_recv() {
             let (req_idx, attempt) = match &reply {
-                RtReply::Served(r) => (r.req_idx as usize, r.attempt),
-                RtReply::Nack(n) => (n.req_idx as usize, n.attempt),
+                RtReply::Served(r) => (r.req_idx, r.attempt),
+                RtReply::Nack(n) => (n.req_idx, n.attempt),
             };
-            let Some(pos) = self
-                .open
-                .iter()
-                .position(|o| o.req_idx == req_idx && o.attempt == attempt)
-            else {
+            let Some(o) = close(&mut self.open, req_idx, attempt) else {
                 // Already balanced — under hedging this is a purged
                 // loser's reply arriving after its slot was released;
                 // count the wasted work like the live path does.
@@ -719,16 +854,12 @@ impl Drop for TaskTicket {
                 }
                 continue;
             };
-            let o = self.open.swap_remove(pos);
             match reply {
-                RtReply::Served(resp) => {
-                    let now_ns = self.inner.epoch.elapsed().as_nanos() as u64;
-                    selector.on_response(
-                        ServerId::new(resp.server as u64),
-                        now_ns,
-                        &feedback_of(&resp, self.inner.rtt_ns),
-                    );
-                }
+                RtReply::Served(resp) => selector.on_response(
+                    ServerId::new(resp.server as u64),
+                    self.inner.now_ns(),
+                    &feedback_of(&resp, self.inner.rtt_ns),
+                ),
                 RtReply::Nack(_) => selector.on_abandon(o.server),
             }
         }
@@ -770,11 +901,14 @@ impl RtClient {
     ) -> RtClient {
         RtClient {
             inner: Arc::new(ClientInner {
+                replicas: (0..ring.num_groups())
+                    .map(|g| ring.replicas_of_group(GroupId::new(g as u64)))
+                    .collect(),
                 ring,
                 cost,
                 sizes,
                 servers,
-                selector: Arc::new(Mutex::new(selector)),
+                selector: Mutex::new(selector),
                 epoch: Instant::now(),
                 rtt_ns,
                 timeout,
@@ -805,72 +939,41 @@ impl RtClient {
     /// [`RtError`] and every `wait_outcome*` / `poll_outcome` returns it.
     pub fn fetch_async(&self, keys: &[u64]) -> TaskTicket {
         assert!(!keys.is_empty(), "a task needs at least one key");
+        let inner = &*self.inner;
         let task_id = self.task_counter.fetch_add(1, Ordering::Relaxed);
+        // The task's one clock read: its start, its arrival for the
+        // priority policy, and the selector's `now_ns`.
         let started = Instant::now();
-        let arrival_ns = self.inner.epoch.elapsed().as_nanos() as u64;
-
-        // Split into sub-tasks per replica group and forecast costs from
-        // the size catalog (the client-side knowledge BRB assumes).
-        let n = keys.len();
-        let mut costs = Vec::with_capacity(n);
-        let mut groups = Vec::with_capacity(n);
-        for &key in keys {
-            groups.push(self.inner.ring.group_of_key(key));
-            costs.push(self.inner.cost.forecast_ns(self.inner.sizes.size_of(key)));
-        }
-        // Group → sub-task index via a dense scratch table: replica
-        // groups are few (one per partition set), so this is O(n + G)
-        // where the old linear rescan was O(n·g) — quadratic on the
-        // SoundCloud-style hundreds-of-keys fan-outs.
-        let mut group_slot = vec![usize::MAX; self.inner.ring.num_groups() as usize];
-        let mut request_subtask = Vec::with_capacity(n);
-        let mut subtask_costs: Vec<u64> = Vec::new();
-        for (i, g) in groups.iter().enumerate() {
-            let slot = &mut group_slot[g.index()];
-            if *slot == usize::MAX {
-                *slot = subtask_costs.len();
-                subtask_costs.push(0);
-            }
-            let idx = *slot;
-            request_subtask.push(idx);
-            subtask_costs[idx] += costs[i];
-        }
-        let view = TaskView {
-            arrival_ns,
-            request_costs: &costs,
-            request_subtask: &request_subtask,
-            subtask_costs: &subtask_costs,
-        };
-        let priorities: Vec<Priority> = self.policy.assign(&view);
-
-        // One response channel per task: no cross-task interference.
-        let (tx, rx) = unbounded();
-        let deadline = self
-            .inner
+        let now_ns = started.saturating_duration_since(inner.epoch).as_nanos() as u64;
+        let deadline = inner
             .timeout
             .map(|tc| started + Duration::from_nanos(tc.timeout_ns()));
+        // One response channel per task: no cross-task interference.
+        let (tx, rx) = unbounded();
         let mut ticket = TaskTicket {
             inner: Arc::clone(&self.inner),
             task_id,
-            n,
             started,
             rx,
             reply_tx: Some(tx),
-            keys: keys.to_vec(),
-            groups,
-            priorities,
-            slots: vec![
-                SlotState::Pending {
-                    attempt: 0,
-                    deadline,
-                };
-                n
-            ],
-            hedge_at: vec![None; n],
-            open: Vec::with_capacity(n),
-            values: (0..n).map(|_| None).collect(),
-            servers: vec![0; n],
-            request_ns: vec![0; n],
+            requests: keys
+                .iter()
+                .map(|&key| RequestRecord {
+                    key,
+                    group: inner.ring.group_of_key(key),
+                    bytes: inner.sizes.size_of(key),
+                    priority: Priority(0),
+                    state: SlotState::Pending {
+                        attempt: 0,
+                        deadline,
+                    },
+                    hedge_at: None,
+                    value: None,
+                    server: 0,
+                    request_ns: 0,
+                })
+                .collect(),
+            open: Vec::with_capacity(keys.len()),
             latest_completed: None,
             served: 0,
             retries: 0,
@@ -878,24 +981,16 @@ impl RtClient {
             error: None,
             taken: false,
         };
-        for (i, &key) in keys.iter().enumerate() {
-            let replicas = self.inner.ring.replicas_of_group(ticket.groups[i]);
-            let server = self
-                .inner
-                .select_replica(&replicas, self.inner.sizes.size_of(key));
-            if let Err(e) = ticket.send(i, 0, server, started) {
-                ticket.error = Some(e);
-                break;
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.assign(inner, self.policy, &ticket.requests, now_ns);
+            for (r, &priority) in ticket.requests.iter_mut().zip(&scratch.priorities) {
+                r.priority = priority;
             }
-            // Arm the hedge timer from the actual dispatch instant (a
-            // rate-limited selector may have stalled the loop above).
-            if let Some(ns) = self.inner.hedge_ns {
-                ticket.hedge_at[i] = Some(Instant::now() + Duration::from_nanos(ns));
-            }
-        }
+            ticket.error = ticket.dispatch_all(&mut scratch.picks, now_ns).err();
+        });
         // The reply channel is retained only while later dispatches are
         // possible: retries (timeout config) or hedges.
-        if self.inner.timeout.is_none() && self.inner.hedge_ns.is_none() {
+        if inner.timeout.is_none() && inner.hedge_ns.is_none() {
             ticket.reply_tx = None;
         }
         ticket
@@ -1331,6 +1426,90 @@ mod tests {
         // One retry doubles the dispatch count to 2; 1·100 ≥ 2·1 dries
         // the 1% budget immediately after.
         assert_eq!(res.retries, 1, "budget did not bind");
+        c.shutdown();
+    }
+
+    /// A selector scripted for the flush rule: request 0 dispatches at
+    /// once, request 1 is rate-limited for `LIMIT`, then dispatches;
+    /// `wait_ended` records when that wait ended.
+    struct Scripted {
+        calls: u32,
+        limited_until: Option<Instant>,
+        wait_ended: Arc<Mutex<Option<Instant>>>,
+    }
+
+    const LIMIT: Duration = Duration::from_millis(20);
+
+    impl ReplicaSelector for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn select(&mut self, ctx: &SelectionCtx<'_>) -> Selection {
+            self.calls += 1;
+            if self.calls == 1 {
+                return Selection::Dispatch(ctx.candidates[0]);
+            }
+            let until = *self
+                .limited_until
+                .get_or_insert_with(|| Instant::now() + LIMIT);
+            let now = Instant::now();
+            if now < until {
+                return Selection::RateLimited {
+                    retry_in_ns: (until - now).as_nanos() as u64,
+                };
+            }
+            *self.wait_ended.lock() = Some(now);
+            Selection::Dispatch(ctx.candidates[0])
+        }
+
+        fn on_response(&mut self, _: ServerId, _: u64, _: &ResponseFeedback) {}
+    }
+
+    /// Flush before waiting: a request whose replica is picked goes out
+    /// before a later request of its task waits for a token, so it is
+    /// served while that wait is still running.
+    #[test]
+    fn picked_requests_are_submitted_before_a_rate_limit_wait() {
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 1,
+            replication: 1,
+            work: WorkModel::Instant,
+            store_shards: 4,
+            ..Default::default()
+        });
+        c.populate(8, |_| 64);
+        let wait_ended = Arc::new(Mutex::new(None));
+        let client = RtClient::new(
+            c.ring().clone(),
+            CostModel::new(slow_service(1.0), brb_store::cost::ForecastQuality::Exact),
+            PolicyKind::Fifo,
+            *c.size_model(),
+            c.servers.clone(),
+            Arc::new(AtomicU64::new(0)),
+            Box::new(Scripted {
+                calls: 0,
+                limited_until: None,
+                wait_ended: Arc::clone(&wait_ended),
+            }),
+            0,
+            None,
+            None,
+            Arc::new(AtomicBool::new(false)),
+        );
+        let ticket = client.fetch_async(&[1, 2]);
+        let started = ticket.started;
+        let resp = ticket.wait();
+        let wait_ended = wait_ended.lock().expect("request 1 was dispatched");
+        assert!(wait_ended - started >= LIMIT);
+        let completed_0 = started + Duration::from_nanos(resp.request_ns[0]);
+        assert!(
+            completed_0 < wait_ended,
+            "request 0 completed {:?} into the task, after the rate-limit wait ended at {:?}",
+            completed_0 - started,
+            wait_ended - started
+        );
         c.shutdown();
     }
 

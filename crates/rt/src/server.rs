@@ -8,12 +8,13 @@
 //! the request's channel.
 //!
 //! There is no thread between a client and the queue: the submitting
-//! thread itself runs `ServerShared::submit` — admission, congestion
-//! detection, the push and the wake-up — so a priority takes effect the
-//! moment its request arrives, and a cluster of S×W runs exactly S·W
-//! threads (+1 with credits). Nothing polls: a worker with nothing to
-//! pop parks on the queue's condvar, and `submit` pays the wake-up
-//! syscall only when the queue's `parked` count says one is asleep.
+//! thread itself runs `ServerShared::submit` on a task's batch of
+//! requests for the server — admission, congestion detection, the
+//! pushes and the wake-ups — so a priority takes effect the moment its
+//! request arrives, and a cluster of S×W runs exactly S·W threads (+1
+//! with credits). Nothing polls: a worker with nothing to pop parks on
+//! the queue's condvar, and `submit` wakes one per admitted request
+//! only as far as the queue's `parked` count says workers are asleep.
 //!
 //! The overload lane runs on real queues, through the same
 //! [`ServerQueue`] the simulator drives: `submit` offers (tail-drop at
@@ -289,7 +290,7 @@ pub struct RtCluster {
     config: RtClusterConfig,
     ring: Ring,
     cost: CostModel,
-    servers: Vec<Arc<ServerShared>>,
+    pub(crate) servers: Vec<Arc<ServerShared>>,
     /// Credits lane state when `credits` is configured, else `None`.
     credits: Option<CreditsHub>,
     credits_thread: Option<JoinHandle<()>>,
@@ -679,49 +680,62 @@ impl ServerShared {
         }));
     }
 
-    /// Enqueues `req`, on the submitting thread: admission against the
-    /// bound, the push, the wake-up, congestion detection. A request
-    /// the bound refuses is NACKed (from this server, whichever queue it
-    /// feeds) and counts as submitted; `Err` hands the request back
-    /// because the server has stopped.
+    /// Enqueues a batch — one task's requests for this server — on the
+    /// submitting thread: admission against the bound, the pushes, the
+    /// wake-ups, congestion detection. A request the bound refuses is
+    /// NACKed (from this server, whichever queue it feeds) and counts as
+    /// submitted; `Err` hands the batch back unread because the server
+    /// has stopped.
     ///
-    /// Admission and push share one hold of the queue mutex, so the
-    /// bound stays exact however many clients submit at once. `stop` is
-    /// read under the same hold (its writer brackets the lock before
-    /// the workers' final drain), so nothing is pushed behind a worker
-    /// that has already left; the length mirror moves under it too and
-    /// therefore never drifts.
-    pub(crate) fn submit(&self, req: RtRequest) -> Result<(), RtRequest> {
+    /// One hold of the queue mutex covers the `stop` check, an `offer`
+    /// per request and the length mirror, so the bound stays exact
+    /// however many clients submit at once. `stop` is read under the
+    /// same hold (its writer brackets the lock before the workers'
+    /// final drain), so nothing is pushed behind a worker that has
+    /// already left. The iterator runs under the lock and must take
+    /// none; one `Instant` stamps the whole batch for CoDel.
+    pub(crate) fn submit<I: Iterator<Item = RtRequest>>(&self, mut batch: I) -> Result<(), I> {
         let enqueued = Instant::now();
         let q = &*self.q;
         let mut state = q.state.lock();
         if self.stop.load(Ordering::SeqCst) {
-            return Err(req);
+            return Err(batch);
         }
-        let len = match state.queue.offer(req.group, req.priority, (req, enqueued)) {
-            Ok(len) => len,
-            Err((reason, (req, _))) => {
-                drop(state);
-                self.nack(&req, reason);
-                return Ok(());
+        let (mut admitted, mut len) = (0, state.queue.len());
+        let mut refused = Vec::new();
+        for req in batch.by_ref() {
+            match state.queue.offer(req.group, req.priority, (req, enqueued)) {
+                Ok(new_len) => (admitted, len) = (admitted + 1, new_len),
+                Err((reason, (req, _))) => refused.push((req, reason)),
             }
-        };
-        q.len.store(len, Ordering::Relaxed);
-        let wake = state.parked > 0;
-        drop(state);
-        if wake && q.global {
-            // All, not one: a single wake could land on a worker outside
-            // this group's replica set, which would re-park and strand
-            // the request.
-            q.available.notify_all();
-        } else if wake {
-            q.available.notify_one();
         }
-        // Admitted: the detector sees the length including this arrival.
+        q.len.store(len, Ordering::Relaxed);
+        let wake = admitted.min(state.parked);
+        drop(state);
+        if wake > 0 && q.global {
+            // All, not some: a single wake could land on a worker outside
+            // a request's replica set, which would re-park and strand it.
+            q.available.notify_all();
+        } else {
+            // One per request: a task's requests are served in parallel.
+            for _ in 0..wake {
+                q.available.notify_one();
+            }
+        }
+        for (req, reason) in refused {
+            self.nack(&req, reason);
+        }
+        // The detector sees each admitted arrival's length including it:
+        // nothing is taken under one hold, so they ran up to `len`.
         if let Some(c) = &self.congestion {
-            let now_ns = q.epoch.elapsed().as_nanos() as u64;
-            let signal = c.detector.lock().on_arrival(now_ns, len);
-            if signal {
+            let now_ns = enqueued.saturating_duration_since(q.epoch).as_nanos() as u64;
+            let signals = {
+                let mut detector = c.detector.lock();
+                (len + 1 - admitted..=len)
+                    .filter(|&arrival_len| detector.on_arrival(now_ns, arrival_len))
+                    .count()
+            };
+            for _ in 0..signals {
                 let _ = c.tx.send(CreditMsg::Congestion { server: self.id });
             }
         }
@@ -1177,8 +1191,9 @@ mod tests {
     fn cancel_dequeues_matching_attempt_only() {
         let shared = bare_server(None);
         let (reply_tx, reply_rx) = unbounded();
-        shared.submit(request(0, 0, &reply_tx)).unwrap();
-        shared.submit(request(1, 0, &reply_tx)).unwrap();
+        shared
+            .submit([request(0, 0, &reply_tx), request(1, 0, &reply_tx)].into_iter())
+            .unwrap();
         let cancel = |attempt| RtCancel {
             task_id: 7,
             req_idx: 0,
@@ -1200,29 +1215,33 @@ mod tests {
         assert!(reply_rx.try_recv().is_err());
     }
 
-    /// After `stop`, `submit` hands the request back and touches
+    /// After `stop`, `submit` hands the batch back unread and touches
     /// neither the queue nor its length mirror.
     #[test]
     fn submit_after_stop_returns_the_request() {
         let shared = bare_server(None);
         let (reply_tx, reply_rx) = unbounded();
-        shared.submit(request(0, 0, &reply_tx)).unwrap();
+        shared
+            .submit(std::iter::once(request(0, 0, &reply_tx)))
+            .unwrap();
         shared.stop.store(true, Ordering::SeqCst);
-        let back = shared
-            .submit(request(1, 0, &reply_tx))
+        let mut back = shared
+            .submit([request(1, 0, &reply_tx), request(2, 0, &reply_tx)].into_iter())
             .expect_err("a stopped server took a request");
-        assert_eq!(back.req_idx, 1);
+        assert_eq!(back.next().map(|r| r.req_idx), Some(1));
+        assert_eq!(back.next().map(|r| r.req_idx), Some(2));
         assert_eq!(shared.q.len.load(Ordering::Relaxed), 1);
         assert_eq!(shared.q.state.lock().queue.len(), 1);
         assert!(reply_rx.try_recv().is_err(), "a stop is not a NACK");
     }
 
-    /// The bound is exact under contention: four threads submit at once
-    /// against capacity 8 and one slow worker; the length seen under
-    /// the queue lock never exceeds the capacity, and every request is
-    /// answered exactly once — served or NACKed.
+    /// The bound is exact under contention: four threads submit batches
+    /// of three at once against capacity 8 and one slow worker; the
+    /// length seen under the queue lock never exceeds the capacity, and
+    /// every request is answered exactly once — served or NACKed.
     #[test]
     fn bound_is_exact_under_concurrent_submits() {
+        const BATCHES: u32 = 100;
         const CAPACITY: usize = 8;
         let service = ServiceModel::calibrated_size_linear(50_000.0, 64.0, 1.0, ServiceNoise::None);
         let c = RtCluster::start(RtClusterConfig {
@@ -1250,8 +1269,10 @@ mod tests {
                     scope.spawn(move || {
                         start.wait();
                         let mut deepest = 0;
-                        for i in 0..200 {
-                            server.submit(request(t * 200 + i, 0, reply_tx)).unwrap();
+                        for i in 0..BATCHES {
+                            let first = (t * BATCHES + i) * 3;
+                            let batch = (first..first + 3).map(|j| request(j, 0, reply_tx));
+                            server.submit(batch).unwrap();
                             deepest = deepest.max(server.q.state.lock().queue.len());
                         }
                         deepest
@@ -1267,15 +1288,21 @@ mod tests {
         assert!(deepest <= CAPACITY, "queue reached {deepest}");
         assert!(deepest > 0);
         drop(reply_tx);
+        let submitted = 4 * 3 * BATCHES as u64;
         let (mut served, mut nacked) = (0u64, 0u64);
-        for _ in 0..800 {
+        for _ in 0..submitted {
             match reply_rx.recv_timeout(std::time::Duration::from_secs(10)) {
                 Ok(RtReply::Served(_)) => served += 1,
                 Ok(RtReply::Nack(_)) => nacked += 1,
                 Err(e) => panic!("reply missing after {served}+{nacked}: {e:?}"),
             }
         }
-        assert!(nacked > 0, "800 submits into capacity 8 never overflowed");
+        assert!(reply_rx.try_recv().is_err(), "a request was answered twice");
+        assert_eq!(served + nacked, submitted);
+        assert!(
+            nacked > 0,
+            "{submitted} submits into capacity 8 never overflowed"
+        );
         assert_eq!(served, c.served_per_server()[0]);
         assert_eq!(nacked, c.dropped_per_server()[0] + c.shed_per_server()[0]);
         c.shutdown();
@@ -1311,9 +1338,9 @@ mod tests {
         let (reply_tx, reply_rx) = unbounded();
         // The worker serves the first for 20 ms; the other two wait,
         // then are judged back to back and leave the queue empty.
-        for i in 0..3 {
-            c.servers[0].submit(request(i, 0, &reply_tx)).unwrap();
-        }
+        c.servers[0]
+            .submit((0..3).map(|i| request(i, 0, &reply_tx)))
+            .unwrap();
         let mut nacked = Vec::new();
         for _ in 0..3 {
             match reply_rx.recv_timeout(std::time::Duration::from_secs(5)) {
@@ -1415,6 +1442,47 @@ mod tests {
         }
         assert_eq!(groups_hit.len() as u32, c.ring().num_groups());
         all_parked();
+        c.shutdown();
+    }
+
+    /// One batch wakes as many sleepers as it brings requests: with all
+    /// three workers of a server parked, a three-key task is served in
+    /// parallel — under two services, where one wake-up per batch would
+    /// serve it one request at a time (three services).
+    #[test]
+    fn a_batch_wakes_one_parked_worker_per_request() {
+        const SERVICE: std::time::Duration = std::time::Duration::from_millis(20);
+        let service = ServiceModel::calibrated_size_linear(
+            SERVICE.as_nanos() as f64,
+            64.0,
+            1.0,
+            ServiceNoise::None,
+        );
+        let c = RtCluster::start(RtClusterConfig {
+            num_servers: 1,
+            workers_per_server: 3,
+            replication: 1,
+            work: WorkModel::SimulateService(service),
+            store_shards: 4,
+            ..Default::default()
+        });
+        c.populate(8, |_| 64);
+        let q = &c.servers[0].q;
+        let t0 = Instant::now();
+        while q.state.lock().parked != 3 {
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(5),
+                "workers never all parked: {}",
+                q.state.lock().parked
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let resp = c.client().fetch(&[1, 2, 3]);
+        assert!(
+            resp.latency < 2 * SERVICE,
+            "3 requests on 3 parked workers took {:?}",
+            resp.latency
+        );
         c.shutdown();
     }
 

@@ -1,8 +1,9 @@
 //! Message types and the in-process transport.
 //!
-//! A request goes straight into its server's priority queue, pushed by
-//! the submitting thread (`ServerShared::submit`); replies return over
-//! a per-task channel. A reply is either a served [`RtResponse`] or a
+//! Requests go straight into their server's priority queue, pushed by
+//! the submitting thread one batch per task and server
+//! (`ServerShared::submit`); replies return over a per-task channel. A
+//! reply is either a served [`RtResponse`] or a
 //! typed [`RtNack`] — the overload lane's drop/shed notice, so a
 //! bounded server queue can refuse work without silently stranding the
 //! client. An [`RtCancel`] (the hedging lane's duplicate purge) is a
