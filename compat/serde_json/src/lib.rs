@@ -329,11 +329,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(Error::msg)?;
-                    let c = rest.chars().next().ok_or_else(|| Error::msg("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the run of plain characters up to the next
+                    // quote or escape. Both are ASCII, so the run ends on
+                    // a char boundary; checking only the run keeps a long
+                    // line linear (re-checking the whole rest of the input
+                    // per character made it quadratic).
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(Error::msg)?);
+                    self.pos += run;
                 }
                 None => return Err(Error::msg("unterminated string")),
             }
@@ -403,6 +410,14 @@ mod tests {
         let text = to_string(&xs).unwrap();
         let back: Vec<(u16, f64)> = from_str(&text).unwrap();
         assert_eq!(back, xs);
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_and_escapes() {
+        let s = "plain é ✓ 𝄞 \"quoted\" back\\slash";
+        let back: String = from_str(&to_string(s).unwrap()).unwrap();
+        assert_eq!(back, s);
+        assert!(from_str::<String>("\"unterminated").is_err());
     }
 
     #[test]

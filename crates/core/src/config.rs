@@ -16,7 +16,7 @@ pub use brb_sched::{QueueConfig, TimeoutConfig};
 use brb_store::cost::ForecastQuality;
 use brb_store::service::{ServiceModel, ServiceNoise};
 use brb_workload::taskgen::SizeModel;
-use brb_workload::{task_rate_for_load, FanoutDist};
+use brb_workload::{task_rate_for_load, FanoutDist, MAX_VALUE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// The backend cluster being simulated.
@@ -259,6 +259,12 @@ impl WorkloadConfig {
         }
         if !(self.load > 0.0 && self.load < 1.5) {
             return Err(format!("load {} out of sane range", self.load));
+        }
+        if self.sizes.cap_bytes > MAX_VALUE_BYTES {
+            return Err(format!(
+                "value size cap {} exceeds the limit of {MAX_VALUE_BYTES} bytes",
+                self.sizes.cap_bytes
+            ));
         }
         match &self.kind {
             WorkloadKind::Synthetic {

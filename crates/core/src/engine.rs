@@ -54,6 +54,7 @@ use brb_store::ids::{GroupId, ServerId};
 use brb_store::partition::Ring;
 use brb_store::service::ServiceModel;
 use brb_workload::taskgen::TaskSpec;
+use brb_workload::MAX_TASK_REQUESTS;
 use std::sync::Arc;
 
 /// Slab key of a pooled [`InFlight`] record. Calendar events carry this
@@ -359,8 +360,14 @@ impl EngineWorld {
     /// ignored; its `sizes` model still calibrates service times.
     ///
     /// # Panics
-    /// Panics if the config is invalid, the trace is empty, contains an
-    /// empty task or is not ordered by arrival time.
+    /// Panics if the config is invalid, the trace is empty or is not
+    /// ordered by arrival time, or a task breaks
+    /// [`TaskSpec::check_limits`]: no requests, or more than
+    /// [`MAX_TASK_REQUESTS`] (a task's outstanding count is 16 bits).
+    /// A value larger than [`brb_workload::MAX_VALUE_BYTES`] (sizes are
+    /// 32 bits) panics when its task arrives in the run. The message
+    /// names the task and the bound. `brb_workload::Trace::read_jsonl`
+    /// rejects all of these as errors.
     pub fn with_trace(cfg: ExperimentConfig, trace: Vec<TaskSpec>) -> Self {
         Self::with_shared_trace(cfg, Arc::new(trace))
     }
@@ -374,10 +381,15 @@ impl EngineWorld {
     pub fn with_shared_trace(cfg: ExperimentConfig, trace: Arc<Vec<TaskSpec>>) -> Self {
         cfg.validate().expect("invalid experiment config");
         assert!(!trace.is_empty(), "trace must contain at least one task");
-        assert!(
-            trace.iter().all(|t| !t.requests.is_empty()),
-            "every task needs at least one request"
-        );
+        // Only each task's length here: the value-size bound is checked
+        // where the engine narrows a size to 32 bits, at the task's
+        // arrival, so a world build never rescans a shared trace's
+        // requests (every strategy cell of a sweep builds one).
+        for t in trace.iter() {
+            if t.requests.is_empty() || t.requests.len() > MAX_TASK_REQUESTS {
+                panic!("trace task {}: {}", t.id, t.check_limits().unwrap_err());
+            }
+        }
         assert!(
             trace.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns),
             "trace must be ordered by arrival time"
@@ -795,12 +807,20 @@ impl EngineWorld {
         // borrowed; the vector returns to the builder afterwards.
         let built = std::mem::take(&mut self.builder.requests);
         for (req_idx, r) in built.iter().enumerate() {
+            let value_bytes = u32::try_from(r.value_bytes).unwrap_or_else(|_| {
+                let task = &self.trace[task_idx as usize];
+                panic!(
+                    "trace task {}: {}",
+                    task.id,
+                    task.check_limits().unwrap_err()
+                )
+            });
             let inflight = InFlight {
                 task_idx,
                 req_idx: req_idx as u16,
                 client,
                 group: r.group.raw() as u16,
-                value_bytes: r.value_bytes as u32,
+                value_bytes,
                 priority: r.priority,
                 dispatched_ns: 0,
                 enqueued_ns: 0,
@@ -1537,6 +1557,85 @@ mod tests {
             w.failed_tasks() as u64
         );
         assert_eq!(w.live_requests(), 0, "overload run leaked records");
+    }
+
+    /// One task at `arrival_ns` reading keys `0..n`, `bytes` each.
+    fn wide_task(n: usize, bytes: u64) -> TaskSpec {
+        TaskSpec {
+            id: 0,
+            arrival_ns: 1_000,
+            requests: (0..n as u64)
+                .map(|key| brb_workload::RequestSpec {
+                    key,
+                    value_bytes: bytes,
+                })
+                .collect(),
+        }
+    }
+
+    /// A task at the request limit counts every response: it completes
+    /// on its last one, not when a 16-bit count wraps.
+    #[test]
+    fn a_task_at_the_request_limit_completes_on_its_last_response() {
+        let n = MAX_TASK_REQUESTS;
+        let cfg = paper_small_config(Strategy::c3(), 1, 1);
+        let mut sim = Simulation::new(EngineWorld::with_trace(cfg, vec![wide_task(n, 100)]));
+        EngineWorld::prime(&mut sim);
+        while sim.step().is_some() {
+            let w = sim.world();
+            let answered = w.request_latency.len() as usize;
+            assert_eq!(
+                w.completed_tasks(),
+                usize::from(answered == n),
+                "{answered} of {n} responses"
+            );
+        }
+        let w = sim.world();
+        assert!(w.is_finished());
+        assert_eq!(w.request_latency.len() as usize, n);
+        assert_eq!(w.live_requests(), 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "trace task 0: task has 65536 requests, more than the limit of 65535"
+    )]
+    fn a_task_past_the_request_limit_is_refused() {
+        let cfg = paper_small_config(Strategy::c3(), 1, 1);
+        let n = MAX_TASK_REQUESTS + 1;
+        EngineWorld::with_trace(cfg, vec![wide_task(n, 100)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace task 0: key 0 has a 4294967296-byte value")]
+    fn a_value_past_the_size_limit_is_refused() {
+        let cfg = paper_small_config(Strategy::c3(), 1, 1);
+        let task = wide_task(1, brb_workload::MAX_VALUE_BYTES + 1);
+        let mut sim = Simulation::new(EngineWorld::with_trace(cfg, vec![task]));
+        EngineWorld::prime(&mut sim);
+        sim.run();
+    }
+
+    #[test]
+    fn configs_past_the_request_or_size_limit_are_invalid() {
+        let mut cfg = paper_small_config(Strategy::c3(), 1, 100);
+        cfg.workload.kind = crate::config::WorkloadKind::Synthetic {
+            fanout: brb_workload::FanoutDist::Fixed(65_536),
+            num_keys: 1_000_000,
+            zipf_exponent: 0.9,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("limit of 65535"), "{err}");
+
+        let mut cfg = paper_small_config(Strategy::c3(), 1, 100);
+        cfg.workload.sizes.cap_bytes = brb_workload::MAX_VALUE_BYTES;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.workload.sizes.cap_bytes += 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("exceeds the limit of 4294967295 bytes"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //!
 //! * the **tables** ([`PlanTables`]) — the popularity and length
 //!   samplers: for [`WorkloadKind::Playlist`] the track and playlist
-//!   Zipf tables and the length mixture ([`PlaylistTables`], ~30 ms and
+//!   Zipf tables and the length mixture ([`PlaylistTables`], ~57 ms and
 //!   ~13 MB at a million tracks), for [`WorkloadKind::Synthetic`] the key
 //!   popularity table ([`KeySpace`]). A function of the workload kind's
 //!   catalog numbers alone — **not** of the seed, the size model, load,
 //!   task count, strategy or any overload knob;
 //! * the **catalog** ([`PlaylistCatalog`], playlist workloads only) —
 //!   which tracks each playlist lists, as 4-byte popularity ranks, drawn
-//!   from the seed's `"catalog"` stream over the tables (~30 ms and
-//!   ~4 MB for the paper's 100k playlists);
+//!   from the seed's `"catalog"` stream over the tables (~70 ms and
+//!   ~4 MB for the paper's 100k playlists; measured in
+//!   `crates/workload/README.md`);
 //! * the **draw** — `num_tasks` arrivals at the configured task rate from
 //!   a fresh `"workload"` stream, keys and value sizes resolved for the
 //!   playlists fetched; microseconds per thousand tasks.

@@ -1,6 +1,7 @@
 //! The analysis driver: walks files, classifies lanes, computes test
 //! regions, runs the token rules, applies `allow` suppressions and the
-//! cross-file schema-pin rule (S002).
+//! cross-file rules: the schema pin (S002) and the unwrap ratchet
+//! (U001).
 
 use crate::lexer::{lex, LexOutput, Token, TokenKind};
 use crate::rules::{self, is_schema_literal, Lane};
@@ -171,11 +172,7 @@ fn attr_matches_test(attr: &[&Token]) -> bool {
 /// Lints one already-lexed file; S002 is handled by the caller because it
 /// needs cross-file knowledge.
 fn check_file(file: &SourceFile, lexed: &LexOutput) -> (Vec<Finding>, usize) {
-    let in_test = if file.all_test {
-        vec![true; lexed.tokens.len()]
-    } else {
-        compute_test_mask(&lexed.tokens)
-    };
+    let in_test = test_mask(file, lexed);
     let mut raw = rules::check_tokens(file.lane, &lexed.tokens, &in_test);
     raw.sort_by_key(|&(line, id)| (line, id));
 
@@ -200,6 +197,59 @@ fn check_file(file: &SourceFile, lexed: &LexOutput) -> (Vec<Finding>, usize) {
         });
     }
     (findings, suppressed)
+}
+
+/// Which tokens of `file` are test code: all of them in a test file.
+fn test_mask(file: &SourceFile, lexed: &LexOutput) -> Vec<bool> {
+    if file.all_test {
+        vec![true; lexed.tokens.len()]
+    } else {
+        compute_test_mask(&lexed.tokens)
+    }
+}
+
+/// The U001 scope of a file and its ceiling: a `u001_*` fixture counts
+/// against zero, a crate listed in [`rules::UNWRAP_CEILINGS`] against its
+/// entry, anything else is not counted.
+fn unwrap_scope(path: &Path) -> Option<(&'static str, usize)> {
+    let name = path.file_name().and_then(|n| n.to_str())?;
+    if name.starts_with("u001_") {
+        return Some(("the u001 fixture", 0));
+    }
+    let krate = crate_dir(path)?;
+    rules::UNWRAP_CEILINGS
+        .iter()
+        .find(|(n, _)| *n == krate)
+        .copied()
+}
+
+/// U001's `.unwrap()` sites outside tests, per scope, in file order.
+type UnwrapSites = BTreeMap<(&'static str, usize), Vec<(usize, u32)>>;
+
+fn unwrap_sites(files: &[SourceFile], lexed: &[LexOutput]) -> UnwrapSites {
+    let mut sites = UnwrapSites::new();
+    for (fi, (file, lx)) in files.iter().zip(lexed).enumerate() {
+        let Some(scope) = unwrap_scope(&file.path) else {
+            continue;
+        };
+        let lines = rules::unwrap_lines(&lx.tokens, &test_mask(file, lx));
+        sites
+            .entry(scope)
+            .or_default()
+            .extend(lines.into_iter().map(|line| (fi, line)));
+    }
+    sites
+}
+
+/// `.unwrap()` calls outside test code per [`rules::UNWRAP_CEILINGS`]
+/// crate (and the U001 fixture) over `files` — what U001 compares to
+/// the ceilings.
+pub fn unwrap_counts(files: &[SourceFile]) -> BTreeMap<&'static str, usize> {
+    let lexed: Vec<LexOutput> = files.iter().map(|f| lex(&f.source)).collect();
+    unwrap_sites(files, &lexed)
+        .into_iter()
+        .map(|((scope, _), sites)| (scope, sites.len()))
+        .collect()
 }
 
 /// A directive suppresses its own line and the line directly below it
@@ -238,11 +288,7 @@ pub fn run(files: &[SourceFile]) -> Report {
     let mut declared: BTreeMap<String, (usize, u32)> = BTreeMap::new();
     let mut test_literals: BTreeSet<String> = BTreeSet::new();
     for (fi, (file, lx)) in files.iter().zip(&lexed).enumerate() {
-        let in_test = if file.all_test {
-            vec![true; lx.tokens.len()]
-        } else {
-            compute_test_mask(&lx.tokens)
-        };
+        let in_test = test_mask(file, lx);
         for (ti, t) in lx.tokens.iter().enumerate() {
             if t.kind != TokenKind::Str || !is_schema_literal(&t.text) {
                 continue;
@@ -276,6 +322,22 @@ pub fn run(files: &[SourceFile]) -> Report {
         report.findings.push(f);
     }
 
+    // Pass 4: U001 — a scope over its unwrap ceiling is one finding, at
+    // the first site past the ceiling. Not suppressible: the ceiling is
+    // the allowance.
+    for ((scope, ceiling), sites) in unwrap_sites(files, &lexed) {
+        if sites.len() <= ceiling {
+            continue;
+        }
+        let (fi, line) = sites[ceiling];
+        let mut f = make_finding(&files[fi].path, line, "U001");
+        f.summary = format!(
+            "{} `.unwrap()` calls outside tests in {scope}, above its ceiling of {ceiling}",
+            sites.len()
+        );
+        report.findings.push(f);
+    }
+
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
@@ -284,7 +346,7 @@ pub fn run(files: &[SourceFile]) -> Report {
 
 /// Classifies a path into a lane.
 ///
-/// Fixture convention first: a file whose name starts with `d`/`s`/`r`
+/// Fixture convention first: a file whose name starts with `d`/`s`/`r`/`u`
 /// followed by three digits and `_` (e.g. `d002_hashmap.rs`) gets the
 /// lane of its rule prefix — this lets the fixture corpus exercise every
 /// lane without living inside the real crates. Otherwise the crate
@@ -293,13 +355,13 @@ pub fn lane_for_path(path: &Path) -> Lane {
     if let Some(lane) = fixture_lane(path) {
         return lane;
     }
+    crate_dir(path).map_or(Lane::None, rules::lane_for_crate)
+}
+
+/// The crate directory a path lies in: the component after `crates`.
+fn crate_dir(path: &Path) -> Option<&str> {
     let comps: Vec<&str> = path.iter().filter_map(|c| c.to_str()).collect();
-    for w in comps.windows(2) {
-        if w[0] == "crates" {
-            return rules::lane_for_crate(w[1]);
-        }
-    }
-    Lane::None
+    comps.windows(2).find(|w| w[0] == "crates").map(|w| w[1])
 }
 
 /// The fixture-corpus lane, if the filename follows the
@@ -312,6 +374,8 @@ pub fn fixture_lane(path: &Path) -> Option<Lane> {
             b'd' => return Some(Lane::Deterministic),
             b's' => return Some(Lane::Schema),
             b'r' => return Some(Lane::Rt),
+            // The crate-scoped unwrap ratchet: no lane rules.
+            b'u' => return Some(Lane::None),
             _ => {}
         }
     }

@@ -1,6 +1,7 @@
 //! `brb-lint` — the workspace's custom static-analysis pass.
 //!
-//! Three rule families, scoped per lane (see [`rules::LANE_TABLE`]):
+//! Three rule families scoped per lane (see [`rules::LANE_TABLE`]), and
+//! one crate-scoped ratchet:
 //!
 //! * **D-rules** — bit-exact determinism for the sim-side crates: no
 //!   wall-clock reads, no `HashMap`/`HashSet` in non-test code, no
@@ -13,6 +14,9 @@
 //!   `unwrap()` on channel results outside tests, and no `std::sync`
 //!   locks (the debug lock-order detector in `compat/parking_lot` only
 //!   sees parking_lot locks).
+//! * **U001** — a ratchet on `.unwrap()` outside test code in `brb-lab`
+//!   and `brb-rt`: each crate's count may not rise above its committed
+//!   ceiling ([`rules::UNWRAP_CEILINGS`]), and the ceiling only goes down.
 //!
 //! Everything is built on a small hand-rolled lexer ([`lexer::lex`]) —
 //! no `syn`, no network — that skips comments, strings and raw strings
@@ -29,11 +33,13 @@ pub mod lexer;
 pub mod rules;
 
 pub use engine::{
-    collect_workspace_files, fixture_lane, lane_for_path, load_file, run, Finding, Report,
-    SourceFile,
+    collect_workspace_files, fixture_lane, lane_for_path, load_file, run, unwrap_counts, Finding,
+    Report, SourceFile,
 };
 pub use lexer::{lex, AllowDirective, LexOutput, Token, TokenKind};
-pub use rules::{is_schema_literal, lane_for_crate, rule, Lane, RuleInfo, LANE_TABLE, RULES};
+pub use rules::{
+    is_schema_literal, lane_for_crate, rule, Lane, RuleInfo, LANE_TABLE, RULES, UNWRAP_CEILINGS,
+};
 
 /// Convenience for tests and embedding: lints a single source string
 /// under an explicit lane (the cross-file S002 rule sees only this file).

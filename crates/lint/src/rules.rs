@@ -17,7 +17,8 @@ pub enum Lane {
     Schema,
     /// Live-runtime lock/channel discipline rules (R001–R003).
     Rt,
-    /// Lexed but not checked.
+    /// Lexed but not lane-checked (crate-scoped rules such as U001
+    /// still apply).
     None,
 }
 
@@ -109,7 +110,21 @@ pub const RULES: &[RuleInfo] = &[
         summary: "`std::sync` lock in the live runtime",
         hint: "use parking_lot — the debug lock-order detector only instruments parking_lot locks",
     },
+    RuleInfo {
+        id: "U001",
+        lane: Lane::None,
+        summary: "more `.unwrap()` calls outside tests than the crate's committed ceiling",
+        hint: "return or map the error instead; the ceiling in UNWRAP_CEILINGS (crates/lint/src/rules.rs) only goes down",
+    },
 ];
+
+/// U001's committed ceilings: `.unwrap()` calls outside test code per
+/// crate directory. Crate-scoped rather than lane-scoped (`brb-lab` is a
+/// Schema crate, `brb-rt` an Rt one), and a ratchet: a ceiling is the
+/// count when it was last lowered, may only go down, and
+/// `tests/engine.rs` fails until it is lowered to a smaller count. Both
+/// crates keep every `.unwrap()` in test code today, so both are 0.
+pub const UNWRAP_CEILINGS: &[(&str, usize)] = &[("lab", 0), ("rt", 0)];
 
 /// Looks up a rule by ID.
 pub fn rule(id: &str) -> Option<&'static RuleInfo> {
@@ -336,6 +351,22 @@ fn check_std_sync_locks(tokens: &[Token], in_test: &[bool], out: &mut Vec<RawFin
         }
         i += 6;
     }
+}
+
+/// U001 helper: the lines of every `.unwrap()` call outside test code.
+pub fn unwrap_lines(tokens: &[Token], in_test: &[bool]) -> Vec<u32> {
+    tokens
+        .windows(4)
+        .zip(in_test)
+        .filter(|&(w, &test)| {
+            !test
+                && w[0].is_punct('.')
+                && w[1].is_ident("unwrap")
+                && w[2].is_punct('(')
+                && w[3].is_punct(')')
+        })
+        .map(|(w, _)| w[1].line)
+        .collect()
 }
 
 /// S002 helper: does a string literal look like a schema tag

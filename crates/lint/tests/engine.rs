@@ -2,7 +2,10 @@
 //! lexer's comment/string opacity, the allow-comment suppression
 //! round-trip, and the test-region mask.
 
-use brb_lint::{lex, lint_str, load_file, run, Lane, TokenKind, RULES};
+use brb_lint::{
+    collect_workspace_files, lex, lint_str, load_file, run, unwrap_counts, Lane, TokenKind, RULES,
+    UNWRAP_CEILINGS,
+};
 use std::path::Path;
 
 fn fixtures_dir() -> std::path::PathBuf {
@@ -225,4 +228,67 @@ fn rt_rules_shape() {
     let report = lint_str("bad.rs", Lane::Rt, bad);
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].rule, "R002");
+}
+
+/// U001's ceilings are today's counts: the workspace may not exceed
+/// them (the lint fails), and a ceiling must come down with its count,
+/// so an unwrap removed is never quietly spent again.
+#[test]
+fn unwrap_ceilings_match_the_workspace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files: Vec<_> = collect_workspace_files(&root)
+        .expect("workspace walk")
+        .iter()
+        .map(|p| load_file(p).expect("readable source"))
+        .collect();
+    let counts = unwrap_counts(&files);
+    for &(krate, ceiling) in UNWRAP_CEILINGS {
+        let count = counts.get(krate).copied().unwrap_or(0);
+        assert_eq!(
+            count,
+            ceiling,
+            "crates/{krate}: {count} `.unwrap()` calls outside tests against a ceiling of \
+             {ceiling} — {}",
+            if count > ceiling {
+                "map the error instead"
+            } else {
+                "lower the ceiling in crates/lint/src/rules.rs to the new count"
+            }
+        );
+    }
+}
+
+/// U001 counts only `.unwrap()` calls outside tests in the crates it
+/// ratchets, and reports one finding per crate over its ceiling.
+#[test]
+fn unwrap_ratchet_scope() {
+    let src = "pub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
+    // A crate outside the ratchet: not counted.
+    assert!(lint_str("crates/sim/src/x.rs", Lane::Deterministic, src)
+        .findings
+        .is_empty());
+    let files = |path: &str, source: &str| {
+        vec![brb_lint::SourceFile {
+            path: path.into(),
+            lane: Lane::Rt,
+            all_test: false,
+            source: source.to_string(),
+        }]
+    };
+    let ceiling = UNWRAP_CEILINGS.iter().find(|(k, _)| *k == "rt").unwrap().1;
+    let over = src.repeat(ceiling + 1);
+    assert_eq!(
+        unwrap_counts(&files("crates/rt/src/x.rs", &over))["rt"],
+        ceiling + 1
+    );
+    let report = run(&files("crates/rt/src/x.rs", &over));
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    assert_eq!(report.findings[0].rule, "U001");
+    assert_eq!(report.findings[0].line, ceiling as u32 + 1);
+    // At the ceiling, or in a test file, nothing.
+    let at = src.repeat(ceiling);
+    assert!(run(&files("crates/rt/src/x.rs", &at)).findings.is_empty());
+    let mut test_file = files("crates/rt/tests/x.rs", &over);
+    test_file[0].all_test = true;
+    assert!(run(&test_file).findings.is_empty());
 }

@@ -5,6 +5,7 @@
 //! SoundCloud trace averages 8.6). The fan-out distribution's tail matters:
 //! the more requests a task has, the more likely one of them straggles.
 
+use crate::taskgen::MAX_TASK_REQUESTS;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +72,7 @@ impl FanoutDist {
         match self {
             FanoutDist::Fixed(k) => *k,
             FanoutDist::Uniform { max, .. } => *max,
-            FanoutDist::Geometric { .. } => u32::MAX,
+            FanoutDist::Geometric { .. } => MAX_TASK_REQUESTS as u32,
             FanoutDist::Empirical { ranges } => {
                 ranges.iter().map(|&(_, hi, _)| hi).max().unwrap_or(1)
             }
@@ -79,8 +80,15 @@ impl FanoutDist {
     }
 
     /// Validates structural invariants; called by samplers in debug builds
-    /// and by config loading.
+    /// and by config loading. No bound may exceed
+    /// [`MAX_TASK_REQUESTS`] (a geometric tail is clamped there instead).
     pub fn validate(&self) -> Result<(), String> {
+        if self.max() as usize > MAX_TASK_REQUESTS {
+            return Err(format!(
+                "fan-out bound {} exceeds the limit of {MAX_TASK_REQUESTS} requests per task",
+                self.max()
+            ));
+        }
         match self {
             FanoutDist::Fixed(k) if *k == 0 => Err("fixed fan-out must be >= 1".into()),
             FanoutDist::Uniform { min, max } if *min == 0 || min > max => {
@@ -120,10 +128,11 @@ impl FanoutDist {
             FanoutDist::Geometric { p } => {
                 // Inverse CDF of the geometric on {0,1,...}, then shift
                 // by 1. `1 − u ∈ (0, 1]` keeps the numerator finite; the
-                // clamp bounds the (measure-zero) u → 1 edge.
+                // clamp holds the tail to `MAX_TASK_REQUESTS` (at a mean
+                // fan-out of 100 a draw reaches it with odds below e⁻⁶⁵⁰).
                 let u: f64 = rng.random();
                 let g = (1.0 - u).max(f64::MIN_POSITIVE).ln() / (1.0 - p).ln();
-                1 + g.floor().max(0.0).min(u32::MAX as f64 - 2.0) as u32
+                1 + g.floor().max(0.0).min((MAX_TASK_REQUESTS - 1) as f64) as u32
             }
             FanoutDist::Empirical { ranges } => {
                 let total: f64 = ranges.iter().map(|&(_, _, w)| w).sum();
@@ -305,5 +314,44 @@ mod tests {
         .validate()
         .is_err());
         assert!(FanoutDist::soundcloud_like().validate().is_ok());
+    }
+
+    #[test]
+    fn bounds_past_the_request_limit_are_rejected() {
+        let max = MAX_TASK_REQUESTS as u32;
+        let over = [
+            FanoutDist::Fixed(max + 1),
+            FanoutDist::Uniform {
+                min: 1,
+                max: max + 1,
+            },
+            FanoutDist::Empirical {
+                ranges: vec![(1, 4, 1.0), (5, max + 1, 1.0)],
+            },
+        ];
+        for d in over {
+            let err = d.validate().unwrap_err();
+            assert!(err.contains("limit of 65535"), "{d:?}: {err}");
+        }
+        for d in [
+            FanoutDist::Fixed(max),
+            FanoutDist::Uniform { min: max, max },
+            FanoutDist::Empirical {
+                ranges: vec![(max, max, 1.0)],
+            },
+        ] {
+            assert_eq!(d.validate(), Ok(()), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn geometric_tail_is_clamped_to_the_request_limit() {
+        let d = FanoutDist::Geometric { p: 1e-9 };
+        assert_eq!(d.validate(), Ok(()));
+        assert_eq!(d.max() as usize, MAX_TASK_REQUESTS);
+        let mut rng = StdRng::seed_from_u64(3);
+        let draws: Vec<u32> = (0..1_000).map(|_| d.sample(&mut rng)).collect();
+        assert!(draws.iter().all(|&f| (1..=d.max()).contains(&f)));
+        assert!(draws.contains(&d.max()), "p = 1e-9 must reach the clamp");
     }
 }

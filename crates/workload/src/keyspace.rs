@@ -108,6 +108,26 @@ impl KeySpace {
     pub fn sample_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         self.key_for_rank(self.sample_rank(rng))
     }
+
+    /// Fills `out` with ranks: `out.len()` [`Self::sample_rank`] draws
+    /// taking the same random numbers in the same order, the Zipf table
+    /// read in one batch ([`Zipf::sample_into`]).
+    pub fn sample_ranks_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        match &self.zipf {
+            None => out
+                .iter_mut()
+                .for_each(|rank| *rank = rng.random_range(0..self.num_keys)),
+            Some(z) => z.sample_into(rng, out),
+        }
+    }
+
+    /// Fills `out` with keys: [`Self::sample_ranks_into`], each rank
+    /// then mapped to its key — `out.len()` [`Self::sample_key`] draws.
+    pub fn sample_keys_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        self.sample_ranks_into(rng, out);
+        out.iter_mut()
+            .for_each(|rank| *rank = self.key_for_rank(*rank));
+    }
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -151,6 +171,22 @@ mod tests {
                 let rank = ks.sample_rank(&mut by_rank);
                 assert_eq!(ks.sample_key(&mut by_key), ks.key_for_rank(rank));
             }
+        }
+    }
+
+    #[test]
+    fn batched_keys_are_single_draws() {
+        for pop in [Popularity::Uniform, Popularity::Zipf(0.9)] {
+            let ks = KeySpace::new(1_000, pop);
+            let mut single = StdRng::seed_from_u64(8);
+            let mut batch = StdRng::seed_from_u64(8);
+            for k in [0usize, 1, 7, 65, 200] {
+                let want: Vec<u64> = (0..k).map(|_| ks.sample_key(&mut single)).collect();
+                let mut got = vec![0; k];
+                ks.sample_keys_into(&mut batch, &mut got);
+                assert_eq!(got, want, "{pop:?} k={k}");
+            }
+            assert_eq!(batch.random::<u64>(), single.random::<u64>(), "{pop:?}");
         }
     }
 

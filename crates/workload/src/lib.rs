@@ -39,7 +39,7 @@ pub use fanout::FanoutDist;
 pub use keyspace::KeySpace;
 pub use pareto::GeneralizedPareto;
 pub use poisson::PoissonProcess;
-pub use taskgen::{RequestSpec, TaskGenerator, TaskSpec};
+pub use taskgen::{RequestSpec, TaskGenerator, TaskSpec, MAX_TASK_REQUESTS, MAX_VALUE_BYTES};
 pub use trace::{Trace, TraceStats};
 pub use zipf::Zipf;
 

@@ -25,7 +25,7 @@
 use crate::fanout::{FanoutDist, FanoutSampler};
 use crate::keyspace::{KeySpace, Popularity};
 use crate::poisson::PoissonProcess;
-use crate::taskgen::{push_distinct, KeySet, RequestSpec, SizeModel, TaskSpec};
+use crate::taskgen::{push_distinct, DistinctScratch, RequestSpec, SizeModel, TaskSpec};
 use crate::trace::Trace;
 use crate::zipf::Zipf;
 use rand::Rng;
@@ -142,15 +142,15 @@ impl PlaylistCatalog {
         let mut ranks: Vec<u32> = Vec::with_capacity((expected * 1.25) as usize);
         let mut offsets = Vec::with_capacity(tables.num_playlists() + 1);
         offsets.push(0);
-        let mut seen = KeySet::new();
+        let mut scratch = DistinctScratch::default();
         for _ in 0..tables.num_playlists() {
             let want = tables.lengths.sample(rng) as usize;
             let len = want.min(tracks.num_keys() as usize);
             push_distinct(
                 &mut ranks,
                 len,
-                &mut seen,
-                || tracks.sample_rank(rng),
+                &mut scratch,
+                |ids| tracks.sample_ranks_into(rng, ids),
                 |&rank| u64::from(rank),
                 // `PlaylistTables::new` bounds every rank by `u32::MAX`.
                 |rank| rank as u32,

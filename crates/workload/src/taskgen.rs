@@ -18,6 +18,16 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
+/// Most requests one task may carry: the simulator counts a task's
+/// outstanding requests, and numbers them, in 16 bits. Fan-out
+/// distributions, replayed traces and the engine all check against it.
+pub const MAX_TASK_REQUESTS: usize = u16::MAX as usize;
+
+/// Largest value size a request may name: the simulator carries sizes
+/// in 32 bits. Size models (`cap_bytes`), replayed traces and the engine
+/// all check against it.
+pub const MAX_VALUE_BYTES: u64 = u32::MAX as u64;
+
 /// One read request within a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestSpec {
@@ -47,6 +57,32 @@ impl TaskSpec {
     /// Total bytes the task reads.
     pub fn total_bytes(&self) -> u64 {
         self.requests.iter().map(|r| r.value_bytes).sum()
+    }
+
+    /// Checks what every consumer of a task relies on: at least one and
+    /// at most [`MAX_TASK_REQUESTS`] requests, none larger than
+    /// [`MAX_VALUE_BYTES`]. The error says which bound broke.
+    pub fn check_limits(&self) -> Result<(), String> {
+        if self.requests.is_empty() {
+            return Err("task has no requests".into());
+        }
+        if self.requests.len() > MAX_TASK_REQUESTS {
+            return Err(format!(
+                "task has {} requests, more than the limit of {MAX_TASK_REQUESTS}",
+                self.requests.len()
+            ));
+        }
+        match self
+            .requests
+            .iter()
+            .find(|r| r.value_bytes > MAX_VALUE_BYTES)
+        {
+            Some(r) => Err(format!(
+                "key {} has a {}-byte value, more than the limit of {MAX_VALUE_BYTES}",
+                r.key, r.value_bytes
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -100,44 +136,68 @@ fn splitmix64(mut z: u64) -> u64 {
 /// set, where a scan would go quadratic.
 const SCAN_DEDUP_MAX: usize = 128;
 
-/// Dedup scratch of [`push_distinct`]: insert and clear only, so the
+/// Dedup set of [`push_distinct`]: insert and clear only, so the
 /// hasher's iteration order is never observed.
 // brb-lint: allow(D002) — membership-only dedup scratch, never iterated
-pub(crate) type KeySet = std::collections::HashSet<u64>;
+type KeySet = std::collections::HashSet<u64>;
+
+/// Scratch of [`push_distinct`], reused across batches so only the
+/// first long batch allocates: the dedup set of batches past
+/// [`SCAN_DEDUP_MAX`] and the ids of one draw round, never more than
+/// one batch's length.
+#[derive(Debug, Default)]
+pub(crate) struct DistinctScratch {
+    seen: KeySet,
+    ids: Vec<u64>,
+}
 
 /// Appends `len` members to `out`, each made by `make` from an id that
 /// `draw` samples, the ids distinct within the batch whenever the id
 /// space allows it (a playlist lists each track once). `id_of` reads a
-/// member's id back for the scan. One `draw` per attempt, nothing else —
-/// callers make `draw` exactly one key or rank draw, the consumption
-/// traces are pinned to. `seen` is scratch, reused across batches so
-/// only the first long batch allocates.
+/// member's id back for the scan.
+///
+/// `draw` fills a slice with ids, and must take exactly the random
+/// numbers of that many one-id draws, in order — the consumption traces
+/// are pinned to. Each round asks for `len − accepted` ids: every
+/// attempt accepts at most one id, so the one-id loop would draw at
+/// least that many more, and the round's ids are judged one by one, in
+/// draw order, exactly as that loop judges them. The batch therefore
+/// takes the same words and keeps the same members, and lets the table
+/// behind `draw` overlap its cache misses.
 pub(crate) fn push_distinct<T>(
     out: &mut Vec<T>,
     len: usize,
-    seen: &mut KeySet,
-    mut draw: impl FnMut() -> u64,
+    scratch: &mut DistinctScratch,
+    mut draw: impl FnMut(&mut [u64]),
     id_of: impl Fn(&T) -> u64,
     mut make: impl FnMut(u64) -> T,
 ) {
     let start = out.len();
     let scan = len <= SCAN_DEDUP_MAX;
+    let DistinctScratch { seen, ids } = scratch;
     if !scan {
         seen.clear();
     }
     let mut attempts = 0usize;
     while out.len() - start < len {
-        let id = draw();
-        attempts += 1;
-        let fresh = if scan {
-            out[start..].iter().all(|member| id_of(member) != id)
-        } else {
-            seen.insert(id)
-        };
-        // Hot Zipf keys repeat often; bound the resampling work and
-        // accept a duplicate only if the space is effectively exhausted.
-        if fresh || attempts > len * 64 {
-            out.push(make(id));
+        let round = len - (out.len() - start);
+        if ids.len() < round {
+            ids.resize(round, 0);
+        }
+        let ids = &mut ids[..round];
+        draw(ids);
+        for &id in ids.iter() {
+            attempts += 1;
+            let fresh = if scan {
+                out[start..].iter().all(|member| id_of(member) != id)
+            } else {
+                seen.insert(id)
+            };
+            // Hot Zipf keys repeat often; bound the resampling work and
+            // accept a duplicate only if the space is effectively exhausted.
+            if fresh || attempts > len * 64 {
+                out.push(make(id));
+            }
         }
     }
 }
@@ -154,7 +214,7 @@ pub struct TaskGenerator<R: Rng, K: Borrow<KeySpace> = KeySpace> {
     sizes: SizeModel,
     rng: R,
     next_id: u64,
-    seen: KeySet,
+    scratch: DistinctScratch,
 }
 
 impl<R: Rng, K: Borrow<KeySpace>> TaskGenerator<R, K> {
@@ -177,7 +237,7 @@ impl<R: Rng, K: Borrow<KeySpace>> TaskGenerator<R, K> {
             sizes,
             rng,
             next_id: 0,
-            seen: KeySet::new(),
+            scratch: DistinctScratch::default(),
         }
     }
 
@@ -198,8 +258,8 @@ impl<R: Rng, K: Borrow<KeySpace>> TaskGenerator<R, K> {
         push_distinct(
             &mut requests,
             fanout,
-            &mut self.seen,
-            || keyspace.sample_key(rng),
+            &mut self.scratch,
+            |ids| keyspace.sample_keys_into(rng, ids),
             |r: &RequestSpec| r.key,
             |key| RequestSpec {
                 key,
@@ -237,6 +297,145 @@ mod tests {
             SizeModel::facebook_etc(),
             StdRng::seed_from_u64(seed),
         )
+    }
+
+    /// The one-id loop [`push_distinct`] batches, kept verbatim as the
+    /// oracle its callers are compared against, draw for draw.
+    fn push_distinct_oracle<T>(
+        out: &mut Vec<T>,
+        len: usize,
+        seen: &mut KeySet,
+        mut draw: impl FnMut() -> u64,
+        id_of: impl Fn(&T) -> u64,
+        mut make: impl FnMut(u64) -> T,
+    ) {
+        let start = out.len();
+        let scan = len <= SCAN_DEDUP_MAX;
+        if !scan {
+            seen.clear();
+        }
+        let mut attempts = 0usize;
+        while out.len() - start < len {
+            let id = draw();
+            attempts += 1;
+            let fresh = if scan {
+                out[start..].iter().all(|member| id_of(member) != id)
+            } else {
+                seen.insert(id)
+            };
+            if fresh || attempts > len * 64 {
+                out.push(make(id));
+            }
+        }
+    }
+
+    /// `next_task` as it stood before batched draws: one key per
+    /// attempt through the one-id loop.
+    fn next_task_oracle<R: Rng>(g: &mut TaskGenerator<R>) -> TaskSpec {
+        let arrival_ns = g.arrivals.next_arrival_ns(&mut g.rng);
+        let want = g.fanout.sample(&mut g.rng) as usize;
+        let fanout = want.min(g.keyspace.num_keys() as usize);
+        let mut requests = Vec::with_capacity(fanout);
+        let (sizes, rng, keyspace) = (g.sizes, &mut g.rng, &g.keyspace);
+        push_distinct_oracle(
+            &mut requests,
+            fanout,
+            &mut g.scratch.seen,
+            || keyspace.sample_key(rng),
+            |r: &RequestSpec| r.key,
+            |key| RequestSpec {
+                key,
+                value_bytes: sizes.size_of(key),
+            },
+        );
+        let id = g.next_id;
+        g.next_id += 1;
+        TaskSpec {
+            id,
+            arrival_ns,
+            requests,
+        }
+    }
+
+    #[test]
+    fn batched_next_task_matches_the_per_draw_oracle() {
+        let shapes = [
+            // The calibrated mixture on roomy key spaces: scan dedup.
+            (
+                "zipf",
+                FanoutDist::soundcloud_like(),
+                KeySpace::new(100_000, Popularity::Zipf(0.9)),
+                false,
+                300,
+            ),
+            (
+                "uniform",
+                FanoutDist::soundcloud_like(),
+                KeySpace::new(10_000, Popularity::Uniform),
+                false,
+                300,
+            ),
+            // Fan-outs past the scan limit: hash-set dedup.
+            (
+                "long-zipf",
+                FanoutDist::Uniform { min: 129, max: 400 },
+                KeySpace::new(5_000, Popularity::Zipf(0.9)),
+                false,
+                100,
+            ),
+            (
+                "long-uniform",
+                FanoutDist::Fixed(300),
+                KeySpace::new(100_000, Popularity::Uniform),
+                false,
+                100,
+            ),
+            // A popularity so steep the tail keys are never drawn in
+            // `len * 64` attempts: the duplicate escape hatch, on the
+            // scan path and through the hash set (few tasks: each one
+            // runs its full `len * 64` attempts).
+            (
+                "exhausted",
+                FanoutDist::Fixed(50),
+                KeySpace::new(40, Popularity::Zipf(3.0)),
+                true,
+                20,
+            ),
+            (
+                "long-exhausted",
+                FanoutDist::Fixed(200),
+                KeySpace::new(150, Popularity::Zipf(2.5)),
+                true,
+                10,
+            ),
+        ];
+        for (name, fanout, keyspace, expect_repeats, tasks) in shapes {
+            let mut repeats = false;
+            for seed in 1..=4u64 {
+                let make = || {
+                    TaskGenerator::new(
+                        PoissonProcess::new(10_000.0),
+                        fanout.clone(),
+                        keyspace.clone(),
+                        SizeModel::facebook_etc(),
+                        StdRng::seed_from_u64(seed),
+                    )
+                };
+                let (mut fast, mut oracle) = (make(), make());
+                for i in 0..tasks {
+                    let want = next_task_oracle(&mut oracle);
+                    assert_eq!(fast.next_task(), want, "{name} seed {seed} task {i}");
+                    let distinct: HashSet<u64> = want.requests.iter().map(|r| r.key).collect();
+                    repeats |= distinct.len() < want.requests.len();
+                }
+                assert_eq!(
+                    fast.rng.random::<u64>(),
+                    oracle.rng.random::<u64>(),
+                    "{name} seed {seed}: RNG consumption diverged"
+                );
+            }
+            assert_eq!(repeats, expect_repeats, "{name}: escape hatch coverage");
+        }
     }
 
     #[test]

@@ -110,8 +110,12 @@ impl Trace {
         Ok(())
     }
 
-    /// Reads a trace from JSON Lines, validating arrival order and that
-    /// every task reads at least one key.
+    /// Reads a trace from JSON Lines, validating arrival order and each
+    /// task's [`TaskSpec::check_limits`]: at least one and at most
+    /// [`crate::MAX_TASK_REQUESTS`] requests, none of them larger than
+    /// [`crate::MAX_VALUE_BYTES`], and that there is at least one task.
+    /// Every failure is an `InvalidData` error, naming the line where
+    /// there is one; an `Ok` trace is one the engine can replay.
     pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
         let mut tasks = Vec::new();
         let mut prev_arrival = 0u64;
@@ -132,14 +136,18 @@ impl Trace {
                     format!("line {}: {what}", lineno + 1),
                 )
             };
-            if task.requests.is_empty() {
-                return Err(invalid("task has no requests"));
-            }
+            task.check_limits().map_err(|what| invalid(&what))?;
             if task.arrival_ns < prev_arrival {
                 return Err(invalid("arrivals out of order"));
             }
             prev_arrival = task.arrival_ns;
             tasks.push(task);
+        }
+        if tasks.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "trace has no tasks",
+            ));
         }
         Ok(Trace { tasks })
     }
@@ -151,7 +159,7 @@ mod tests {
     use crate::fanout::FanoutDist;
     use crate::keyspace::{KeySpace, Popularity};
     use crate::poisson::PoissonProcess;
-    use crate::taskgen::{SizeModel, TaskGenerator};
+    use crate::taskgen::{RequestSpec, SizeModel, TaskGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -211,6 +219,55 @@ mod tests {
         let err = Trace::read_jsonl(format!("{t0}\n{empty}\n").as_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "line 2: task has no requests");
+    }
+
+    /// One task line with `n` requests of `bytes` each.
+    fn task_line(arrival_ns: u64, n: usize, bytes: u64) -> String {
+        let requests = (0..n as u64)
+            .map(|key| RequestSpec {
+                key,
+                value_bytes: bytes,
+            })
+            .collect();
+        let task = TaskSpec {
+            id: 0,
+            arrival_ns,
+            requests,
+        };
+        serde_json::to_string(&task).unwrap()
+    }
+
+    #[test]
+    fn jsonl_enforces_the_request_and_size_limits() {
+        let ok = task_line(1, 1, 2);
+        let at_limits = task_line(2, crate::MAX_TASK_REQUESTS, crate::MAX_VALUE_BYTES);
+        let t = Trace::read_jsonl(format!("{ok}\n{at_limits}\n").as_bytes()).unwrap();
+        assert_eq!(t.tasks[1].fanout(), crate::MAX_TASK_REQUESTS);
+
+        let too_many = task_line(2, crate::MAX_TASK_REQUESTS + 1, 2);
+        let err = Trace::read_jsonl(format!("{ok}\n{too_many}\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "line 2: task has 65536 requests, more than the limit of 65535"
+        );
+
+        let too_big = task_line(2, 1, crate::MAX_VALUE_BYTES + 1);
+        let err = Trace::read_jsonl(format!("{ok}\n\n{too_big}\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "line 3: key 0 has a 4294967296-byte value, more than the limit of 4294967295"
+        );
+    }
+
+    #[test]
+    fn jsonl_rejects_a_trace_without_tasks() {
+        for text in ["", "\n\n  \n"] {
+            let err = Trace::read_jsonl(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "trace has no tasks");
+        }
     }
 
     #[test]

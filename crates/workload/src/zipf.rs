@@ -74,6 +74,12 @@ impl Zipf {
         self.alias.sample(rng) as u64
     }
 
+    /// Fills `out` with ranks: as many [`Self::sample`] draws, the same
+    /// words in the same order ([`AliasTable::sample_into`]).
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        self.alias.sample_into(rng, out);
+    }
+
     /// The alias structure behind [`Self::sample`] — exposed so tests can
     /// reconstruct the sampled distribution and compare it to [`Self::pmf`],
     /// and footprint checks can size it.
