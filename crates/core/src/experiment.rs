@@ -856,13 +856,23 @@ pub fn run_strategies_multi_seed(
     strategies: &[Strategy],
     seeds: &[u64],
 ) -> Vec<StrategySummary> {
-    run_strategies_multi_seed_with_threads(base, strategies, seeds, worker_count())
+    run_one_cell(base, strategies, seeds, worker_count())
 }
 
-/// [`run_strategies_multi_seed`] with an explicit worker count — for
-/// differential tests and benchmarks that must not depend on the
-/// machine's parallelism or the `BRB_THREADS` environment.
-pub fn run_strategies_multi_seed_with_threads(
+/// The single-threaded reference: identical results to
+/// [`run_strategies_multi_seed`], kept for differential tests and as the
+/// wall-clock baseline in `examples/kernel_bench.rs`.
+pub fn run_strategies_multi_seed_sequential(
+    base: &ExperimentConfig,
+    strategies: &[Strategy],
+    seeds: &[u64],
+) -> Vec<StrategySummary> {
+    run_one_cell(base, strategies, seeds, 1)
+}
+
+/// [`run_grid`] over the one cell `(base, strategies)` on `threads`
+/// workers.
+fn run_one_cell(
     base: &ExperimentConfig,
     strategies: &[Strategy],
     seeds: &[u64],
@@ -872,17 +882,6 @@ pub fn run_strategies_multi_seed_with_threads(
         .unwrap_or_else(|e| panic!("{e}"))
         .summaries
         .remove(0)
-}
-
-/// The single-threaded reference: identical results to
-/// [`run_strategies_multi_seed`], kept for differential tests and as the
-/// wall-clock baseline in `--bin kernel_bench`.
-pub fn run_strategies_multi_seed_sequential(
-    base: &ExperimentConfig,
-    strategies: &[Strategy],
-    seeds: &[u64],
-) -> Vec<StrategySummary> {
-    run_strategies_multi_seed_with_threads(base, strategies, seeds, 1)
 }
 
 #[cfg(test)]
@@ -957,7 +956,7 @@ mod tests {
         let seeds = [1u64, 2];
         let seq = run_strategies_multi_seed_sequential(&base, &strategies, &seeds);
         for threads in [1usize, 2, 3, 8] {
-            let par = run_strategies_multi_seed_with_threads(&base, &strategies, &seeds, threads);
+            let par = run_one_cell(&base, &strategies, &seeds, threads);
             assert_eq!(seq.len(), par.len());
             for (s, p) in seq.iter().zip(&par) {
                 assert_eq!(s.strategy, p.strategy);

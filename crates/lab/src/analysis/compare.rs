@@ -56,6 +56,28 @@ impl Default for CompareOptions {
     }
 }
 
+impl CompareOptions {
+    /// Checks the bootstrap knobs: at least one resample, and a
+    /// confidence level strictly between 0 and 1.
+    pub fn validate(&self) -> Result<(), AnalysisError> {
+        if self.resamples == 0 {
+            return Err(AnalysisError::InvalidOption {
+                flag: "--resamples",
+                value: self.resamples.to_string(),
+                expected: "at least 1",
+            });
+        }
+        if !(self.confidence > 0.0 && self.confidence < 1.0) {
+            return Err(AnalysisError::InvalidOption {
+                flag: "--confidence",
+                value: self.confidence.to_string(),
+                expected: "strictly between 0 and 1",
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Order-statistic error bars on one metric, both sides: the
 /// distribution-free CI over the per-seed values
 /// ([`brb_metrics::quantile_ci`] at q = 0.5 — the across-seed central
@@ -183,6 +205,7 @@ pub fn compare_report(
     baseline: &str,
     opts: &CompareOptions,
 ) -> Result<CompareReport, AnalysisError> {
+    opts.validate()?;
     if results.is_empty() {
         return Err(AnalysisError::EmptyReport);
     }
@@ -282,7 +305,8 @@ fn metric_delta(
     let (baseline_mean, candidate_mean) = (mean(&m.baseline), mean(&m.candidate));
     let diffs = m.diffs();
     let delta = mean(&diffs);
-    // seeds ≥ 2 is checked up front, so both inference calls succeed.
+    // seeds ≥ 2 and the options are checked up front, so both inference
+    // calls succeed.
     let w = welch_t(&m.candidate, &m.baseline).expect("n >= 2 on both sides");
     let label = format!("cell{cell}/{strategy}/{}", m.metric);
     let ci = paired_bootstrap_ci(

@@ -45,6 +45,34 @@ impl Default for CapacityOptions {
     }
 }
 
+impl CapacityOptions {
+    /// Checks the gates: a tolerance that can still fail a load (0 to
+    /// under 100 %), a non-negative SLO, and a positive operating load.
+    pub fn validate(&self) -> Result<(), AnalysisError> {
+        let invalid = |flag, value: f64, expected| {
+            Err(AnalysisError::InvalidOption {
+                flag,
+                value: value.to_string(),
+                expected,
+            })
+        };
+        if !(0.0..100.0).contains(&self.tolerance_pct) {
+            return invalid(
+                "--goodput-tolerance-pct",
+                self.tolerance_pct,
+                "a percentage in [0, 100)",
+            );
+        }
+        if let Some(slo) = self.slo_p99_ms.filter(|x| !(x.is_finite() && *x >= 0.0)) {
+            return invalid("--slo-p99-ms", slo, "a finite, non-negative latency");
+        }
+        if let Some(load) = self.at_load.filter(|x| !(x.is_finite() && *x > 0.0)) {
+            return invalid("--at", load, "a finite, positive load");
+        }
+        Ok(())
+    }
+}
+
 /// One strategy's health at one swept load.
 #[derive(Debug, Clone)]
 pub struct LoadPoint {
@@ -122,6 +150,7 @@ pub fn capacity_report(
     results: &[CellResult],
     opts: &CapacityOptions,
 ) -> Result<CapacityReport, AnalysisError> {
+    opts.validate()?;
     if results.is_empty() {
         return Err(AnalysisError::EmptyReport);
     }

@@ -88,6 +88,16 @@ pub enum AnalysisError {
         /// What disagreed.
         what: String,
     },
+    /// An analysis option is outside the range it is defined on. Checked
+    /// before any run starts, so a typo costs nothing.
+    InvalidOption {
+        /// The CLI flag that sets the option.
+        flag: &'static str,
+        /// The rejected value.
+        value: String,
+        /// The accepted range.
+        expected: &'static str,
+    },
     /// The report has a header but no records.
     EmptyReport,
     /// A report line failed to parse.
@@ -128,6 +138,11 @@ impl fmt::Display for AnalysisError {
             BackendShapeMismatch { what } => {
                 write!(f, "backends disagree structurally: {what}")
             }
+            InvalidOption {
+                flag,
+                value,
+                expected,
+            } => write!(f, "bad {flag} value {value}: expected {expected}"),
             EmptyReport => write!(f, "report has no records"),
             Parse(msg) => write!(f, "report parse error: {msg}"),
         }

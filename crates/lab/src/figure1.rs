@@ -150,8 +150,8 @@ pub fn render_figure1() -> String {
     out
 }
 
-/// Asserts the exact claims the figure makes. Used by tests and the
-/// binary's self-check.
+/// Asserts the exact claims the figure makes. Used by
+/// `tests/figure1_schedule.rs` and the `figure1_walkthrough` example.
 pub fn verify_figure1() -> Result<(), String> {
     let oblivious = run_figure1(PolicyKind::Fifo);
     if oblivious.t2_completion != 2 || oblivious.t1_completion != 2 {

@@ -24,6 +24,8 @@
 //! * [`analysis`] turns reports into decisions: paired A/B comparison
 //!   against a baseline with significance (`brb-lab compare`), and
 //!   capacity-knee reports over a load sweep (`brb-lab capacity`).
+//! * [`figure1`] is the paper's worked two-task scheduling example,
+//!   scheduled through the real priority policies and checked exactly.
 //!
 //! ```no_run
 //! use brb_lab::{registry, runner, report};
@@ -38,6 +40,7 @@
 pub mod analysis;
 pub mod builder;
 pub mod error;
+pub mod figure1;
 pub mod registry;
 pub mod report;
 pub mod rt_backend;

@@ -514,17 +514,17 @@ fn cmd_compare(rest: &[String]) -> Result<(), CliError> {
             "--backend both needs fresh runs; it cannot ingest --from".into(),
         ));
     }
-    let (spec, results, mut backend_label) = args.resolve_input(backend)?;
-    if both {
-        backend_label = "both".into();
-    }
-    let opts = CompareOptions {
-        backend: backend_label,
+    let mut opts = CompareOptions {
+        backend: String::new(),
         resamples,
         confidence,
         quantile_ci,
         adjust_p,
     };
+    // Before the run, which is where the time goes.
+    opts.validate()?;
+    let (spec, results, backend_label) = args.resolve_input(backend)?;
+    opts.backend = if both { "both".into() } else { backend_label };
     let report = compare_report(&spec, &results, &baseline, &opts)?;
     let mut jsonl = report.to_jsonl_string();
     // --backend both: append the sim-vs-rt strategy-ordering agreement
@@ -597,13 +597,15 @@ fn cmd_capacity(rest: &[String]) -> Result<(), CliError> {
             )))
         }
     };
-    let (spec, results, backend_label) = args.resolve_input(backend)?;
-    let opts = CapacityOptions {
-        backend: backend_label,
+    let mut opts = CapacityOptions {
+        backend: String::new(),
         slo_p99_ms,
         tolerance_pct,
         at_load,
     };
+    opts.validate()?;
+    let (spec, results, backend_label) = args.resolve_input(backend)?;
+    opts.backend = backend_label;
     let report = capacity_report(&spec, &results, &opts)?;
     let markdown = analysis::markdown::render_capacity(&report);
     args.emit(&report.to_jsonl_string(), &markdown)

@@ -4,9 +4,12 @@
 //! ```text
 //! cargo run --example figure1_walkthrough
 //! ```
+//!
+//! Ends with the figure's self-check, and exits nonzero if any of its
+//! exact claims fails.
 
+use brb::lab::figure1::{render_figure1, run_figure1, verify_figure1};
 use brb::sched::{PolicyKind, Priority, PriorityPolicy, TaskView};
-use brb_bench::figure1::{render_figure1, run_figure1};
 
 fn main() {
     println!("== The setup ==\n");
@@ -63,4 +66,12 @@ fn main() {
         oblivious.t2_completion,
         oblivious.t2_completion / aware.t2_completion
     );
+
+    match verify_figure1() {
+        Ok(()) => println!("\nSelf-check: PASS (oblivious T2=2, task-aware T2=1, T1=2 in both)"),
+        Err(e) => {
+            eprintln!("\nSelf-check FAILED: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! * **calendar** — the timer-wheel [`Calendar`] against the reference
 //!   [`HeapCalendar`] on a steady-state 1k-event window with engine-like
-//!   deltas (the `push_pop_1k_window` shape from `benches/micro.rs`).
+//!   deltas.
 //! * **model** — the `brb_sim::dist` fast samplers against the baselines
 //!   they replaced: ziggurat vs. Box–Muller standard normals, ziggurat
 //!   vs. inverse-CDF exponentials, and O(1) alias-table Zipf draws vs.
@@ -13,28 +13,28 @@
 //! * **net** — the compiled `FabricPlan` fast path against the
 //!   per-message `Fabric::delay` slow path: per-hop resolution cost on
 //!   the paper's constant mesh, plus the same sequential sweep run once
-//!   per mode (`PlanMode::PerMessage` is the PR 3 network path, kept
+//!   per mode (`PlanMode::PerMessage` is the original network path, kept
 //!   callable precisely for this before/after and for the differential
 //!   tests).
-//! * **sweep** — a 3-strategy × 4-seed `figure2-small` preset sweep, sequential
-//!   vs. parallel ([`run_strategies_multi_seed_with_threads`]), with the
-//!   engine's own event counts folded into an events/second throughput
-//!   figure. On a multi-core host the speedup tracks the worker count;
-//!   the recorded `threads` field says what this machine offered.
+//! * **sweep** — a 3-strategy × 4-seed `figure2-small` preset sweep,
+//!   sequential vs. parallel ([`run_strategies_multi_seed`] on
+//!   [`worker_count`] threads), with the engine's own event counts folded
+//!   into an events/second throughput figure. On a multi-core host the
+//!   speedup tracks the worker count; the recorded `threads` field says
+//!   what this machine offered.
 //!
-//! Usage: `cargo run --release -p brb-bench --bin kernel_bench [tasks]`
+//! Usage: `cargo run --release --example kernel_bench -- [tasks]`
 //! (default 8000 tasks per cell; the JSON lands in the working directory).
 
-use brb_core::config::Strategy;
-use brb_core::experiment::{
-    run_strategies_multi_seed_sequential, run_strategies_multi_seed_with_threads, worker_count,
-    StrategySummary,
+use brb::core::config::Strategy;
+use brb::core::experiment::{
+    run_strategies_multi_seed, run_strategies_multi_seed_sequential, worker_count, StrategySummary,
 };
-use brb_lab::registry;
-use brb_net::{Fabric, FabricPlan, NetNodeId, PlanMode};
-use brb_sim::dist::{standard_exp, standard_exp_inv_cdf, standard_normal};
-use brb_sim::{BoxMuller, Calendar, DetRng, HeapCalendar, SimTime};
-use brb_workload::Zipf;
+use brb::lab::registry;
+use brb::net::{Fabric, FabricPlan, NetNodeId, PlanMode};
+use brb::sim::dist::{standard_exp, standard_exp_inv_cdf, standard_normal};
+use brb::sim::{BoxMuller, Calendar, DetRng, HeapCalendar, SimTime};
+use brb::workload::Zipf;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::hint::black_box;
@@ -117,7 +117,7 @@ struct HopBench {
 /// the engine forced onto each path.
 #[derive(Debug, Serialize)]
 struct NetSweepBench {
-    /// Forced `Fabric::delay`-per-message build (the PR 3 path).
+    /// Forced `Fabric::delay`-per-message build (the original path).
     per_message_events_per_sec: f64,
     /// Compiled `FabricPlan` + calendar hop lane (the default).
     compiled_events_per_sec: f64,
@@ -335,7 +335,7 @@ fn main() {
 
     eprintln!("sweep: parallel across {threads} threads...");
     let start = Instant::now();
-    let par_out = run_strategies_multi_seed_with_threads(&base, &strategies, &seeds, threads);
+    let par_out = run_strategies_multi_seed(&base, &strategies, &seeds);
     let par_secs = start.elapsed().as_secs_f64();
     assert_eq!(total_events(&par_out), events, "parallel run diverged");
 

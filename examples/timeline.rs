@@ -2,16 +2,16 @@
 //! over a run, per strategy.
 //!
 //! ```text
-//! cargo run --release -p brb-bench --bin timeline -- [--tasks N] [--out DIR]
+//! cargo run --release --example timeline -- [--tasks N] [--out DIR]
 //! ```
 //!
 //! Writes one CSV per Figure 2 strategy (plus a summary to stdout), ready
 //! for plotting.
 
-use brb_core::config::Strategy;
-use brb_core::engine::EngineWorld;
-use brb_lab::registry;
-use brb_sim::Simulation;
+use brb::core::config::Strategy;
+use brb::core::engine::EngineWorld;
+use brb::lab::registry;
+use brb::sim::Simulation;
 
 fn main() {
     let mut num_tasks = 30_000usize;

@@ -8,7 +8,7 @@
 //! own `README.md` (under `crates/`) for its design and contracts, and
 //! `ROADMAP.md` for the architecture map and what is still open —
 //! including a generated paper-vs-measured table, which does not exist
-//! yet; `brb-bench`'s `figure2` binary checks the paper's claims today.
+//! yet; `brb-lab`'s `paper_claims` test checks the paper's claims today.
 //!
 //! ## Crate map
 //!

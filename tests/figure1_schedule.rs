@@ -1,7 +1,7 @@
 //! Integration test pinning the paper's Figure 1 worked example.
 
-use brb_bench::figure1::{run_figure1, verify_figure1};
-use brb_sched::PolicyKind;
+use brb::lab::figure1::{run_figure1, verify_figure1};
+use brb::sched::PolicyKind;
 
 #[test]
 fn figure1_reproduces_exactly() {

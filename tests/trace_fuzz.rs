@@ -19,6 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 
+mod mutation;
+use mutation::mutate;
+
 /// A valid trace whose last task's values sit on the size limit, so a
 /// digit flip in one of them can step over it.
 fn base_trace() -> Vec<u8> {
@@ -44,44 +47,6 @@ fn base_trace() -> Vec<u8> {
     let mut buf = Vec::new();
     Trace::new(tasks).write_jsonl(&mut buf).unwrap();
     buf
-}
-
-/// One mutation: `(kind, a, b)`, positions taken modulo the input.
-fn mutate(bytes: &mut Vec<u8>, (kind, a, b): (u8, usize, usize)) {
-    if bytes.is_empty() {
-        return;
-    }
-    let at = a % bytes.len();
-    match kind {
-        0 => bytes[at] ^= 1 << (b % 8),
-        1 => bytes[at] = b as u8,
-        2 => {
-            // Rewrite a digit: numbers stay numbers, and move.
-            let digits: Vec<usize> = (0..bytes.len())
-                .filter(|&i| bytes[i].is_ascii_digit())
-                .collect();
-            if !digits.is_empty() {
-                bytes[digits[a % digits.len()]] = b'0' + (b % 10) as u8;
-            }
-        }
-        3 => bytes.truncate(at),
-        _ => {
-            let mut lines: Vec<Vec<u8>> =
-                bytes.split(|&c| c == b'\n').map(<[u8]>::to_vec).collect();
-            let (i, j) = (a % lines.len(), b % lines.len());
-            match kind {
-                4 => {
-                    let copy = lines[i].clone();
-                    lines.insert(j, copy);
-                }
-                5 => lines.swap(i, j),
-                _ => {
-                    lines.remove(i);
-                }
-            }
-            *bytes = lines.join(&b'\n');
-        }
-    }
 }
 
 #[test]
