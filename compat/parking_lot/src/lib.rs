@@ -2,8 +2,8 @@
 //! `RwLock` and `Condvar` with parking_lot's panic-free, guard-returning
 //! API (poisoning is swallowed, as parking_lot has none).
 //!
-//! Debug builds additionally run a **lock-order detector** (see
-//! [`order`]-module docs): every lock gets a site ID, each thread tracks
+//! Debug builds additionally run a **lock-order detector** (see the
+//! private `order` module's docs): every lock gets a site ID, each thread tracks
 //! the locks it holds, and a global order graph panics on the first
 //! cyclic acquisition order — naming both acquisition sites — instead of
 //! letting a rare interleaving deadlock a test run. Release builds

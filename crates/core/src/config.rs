@@ -201,19 +201,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// The independent-sampling variant (no cross-task key correlation);
-    /// used by ablations to isolate the effect of correlated playlists.
-    pub fn paper_synthetic() -> Self {
-        WorkloadConfig {
-            kind: WorkloadKind::Synthetic {
-                fanout: FanoutDist::soundcloud_like(),
-                num_keys: 1_000_000,
-                zipf_exponent: 0.9,
-            },
-            ..Self::paper_default()
-        }
-    }
-
     /// Mean fan-out implied by the workload kind. For playlist workloads
     /// this is the length distribution's mean (popularity-independent).
     pub fn mean_fanout(&self) -> f64 {
@@ -673,12 +660,6 @@ mod tests {
             _ => panic!("unexpected kind"),
         }
         assert!(cfg.validate().is_ok());
-
-        let synth = WorkloadConfig::paper_synthetic();
-        match synth.kind {
-            WorkloadKind::Synthetic { num_keys, .. } => assert_eq!(num_keys, 1_000_000),
-            _ => panic!("unexpected kind"),
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::slab::Slab;
 use crate::task::TaskBuilder;
 use crate::timeline::{Timeline, TimelineSample};
 use brb_metrics::Histogram;
-use brb_net::{Fabric, FabricPlan, NetNodeId};
+use brb_net::{Fabric, FabricPlan};
 pub use brb_sched::TaskFailure;
 use brb_sched::{
     AttemptFailure, CongestionDetector, CreditClient, CreditController, CreditsConfig,
@@ -239,13 +239,13 @@ pub struct EngineWorld {
     ring: Ring,
     cost: CostModel,
     service: ServiceModel,
-    /// The fabric compiled into per-hop deltas (`cfg.net` selects the
-    /// compiled fast path or the forced per-message slow path).
+    /// The fabric compiled into one hop resolution (`cfg.net` selects
+    /// the compiled fast path or the forced per-message slow path).
     plan: FabricPlan,
     /// Cached `plan.uniform_const()`: on the paper's constant mesh every
-    /// send path timestamps with this single add — no node-id math, no
-    /// model resolution, no RNG touch — and `prime` feeds the same delta
-    /// to the calendar's hop lane.
+    /// send path timestamps with this single add — no model resolution,
+    /// no RNG touch — and `prime` feeds the same delta to the calendar's
+    /// hop lane.
     hop_const: Option<SimDuration>,
     latency_rng: DetRng,
     group_replicas: Vec<Vec<ServerId>>,
@@ -408,10 +408,7 @@ impl EngineWorld {
         let service = cluster.service_model(mean_bytes);
         let cost = CostModel::new(service, cluster.forecast);
 
-        let fabric = Fabric::uniform(cluster.latency.clone());
-        // Clients, servers and the controller each get a fabric node.
-        let num_nodes = cluster.num_clients as u64 + cluster.num_servers as u64 + 1;
-        let plan = FabricPlan::with_mode(fabric, num_nodes, cfg.net);
+        let plan = FabricPlan::with_mode(Fabric::uniform(cluster.latency.clone()), cfg.net);
         let hop_const = plan.uniform_const();
         let num_groups = ring.num_groups() as usize;
         let group_replicas: Vec<Vec<ServerId>> = (0..num_groups)
@@ -700,52 +697,16 @@ impl EngineWorld {
 
     // ---- internals ----
 
-    /// Samples the one-way delay of one message-class hop through the
-    /// compiled plan. On a constant mesh this is the cached delta — the
-    /// endpoints are never even resolved to fabric nodes; jittered
-    /// meshes (and `PlanMode::PerMessage` builds) resolve the endpoints
-    /// and draw through the latency model exactly as the historical
-    /// `Fabric::one_way` path did.
+    /// Samples the one-way delay of one message. On a constant mesh
+    /// this is the cached delta; jittered meshes (and
+    /// `PlanMode::PerMessage` builds) draw from the latency model on
+    /// `latency_rng`, one draw per message in send order.
     #[inline]
-    fn hop_delay(&mut self, hop: Hop, bytes: u64) -> SimDuration {
+    fn hop_delay(&mut self) -> SimDuration {
         if let Some(d) = self.hop_const {
             return d;
         }
-        let (from, to) = self.hop_nodes(hop);
-        self.plan.delay(from, to, bytes, &mut self.latency_rng)
-    }
-
-    /// Resolves a message-class hop to its directed fabric endpoints.
-    fn hop_nodes(&self, hop: Hop) -> (NetNodeId, NetNodeId) {
-        match hop {
-            Hop::ClientToServer { client, server } => {
-                (self.client_node(client), self.server_node(server))
-            }
-            Hop::ServerToClient { server, client } => {
-                (self.server_node(server), self.client_node(client))
-            }
-            Hop::ClientToController { client } => {
-                (self.client_node(client), self.controller_node())
-            }
-            Hop::ControllerToClient { client } => {
-                (self.controller_node(), self.client_node(client))
-            }
-            Hop::ServerToController { server } => {
-                (self.server_node(server), self.controller_node())
-            }
-        }
-    }
-
-    fn client_node(&self, c: u16) -> NetNodeId {
-        NetNodeId::new(c as u64)
-    }
-
-    fn server_node(&self, s: u16) -> NetNodeId {
-        NetNodeId::new(self.cfg.cluster.num_clients as u64 + s as u64)
-    }
-
-    fn controller_node(&self) -> NetNodeId {
-        NetNodeId::new(self.cfg.cluster.num_clients as u64 + self.cfg.cluster.num_servers as u64)
+        self.plan.fabric().delay(&mut self.latency_rng)
     }
 
     // ---- pooled-record lifecycle ----
@@ -884,13 +845,7 @@ impl EngineWorld {
                 // A request for the (magic) shared queue still crosses
                 // the network, as if to the group's primary.
                 let wire_to = dest.unwrap_or(self.group_replicas[g][0]).raw() as u16;
-                let delay = self.hop_delay(
-                    Hop::ClientToServer {
-                        client,
-                        server: wire_to,
-                    },
-                    head.value_bytes as u64,
-                );
+                let delay = self.hop_delay();
                 ctx.schedule_in(delay, Ev::ReqAtServer(wire_to, id));
                 if let Some(hedge_ns) = self.hedge_ns {
                     // The pending hedge timer holds a second reference
@@ -1007,7 +962,7 @@ impl EngineWorld {
             .is_some_and(|c| c.on_arrival(ctx.now().as_nanos(), queue_len))
         {
             self.counters.congestion_signals += 1;
-            let delay = self.hop_delay(Hop::ServerToController { server }, 64);
+            let delay = self.hop_delay();
             ctx.schedule_in(delay, Ev::CongestionAtController(server));
         }
         let worker = match self.realization {
@@ -1066,19 +1021,12 @@ impl EngineWorld {
     }
 
     fn handle_svc_done(&mut self, ctx: &mut Ctx<'_, Ev>, server: u16, id: ReqId, service_ns: u64) {
-        let req = self.requests.get(id).0;
         let srv = &mut self.servers[server as usize];
         srv.busy_cores -= 1;
         srv.busy_ns += service_ns;
         srv.served += 1;
         let queue_len = self.queues[self.queue_of(server)].len() as u32;
-        let delay = self.hop_delay(
-            Hop::ServerToClient {
-                server,
-                client: req.client,
-            },
-            req.value_bytes as u64,
-        );
+        let delay = self.hop_delay();
         ctx.schedule_in(delay, Ev::RespAtClient(id, server, queue_len, service_ns));
         self.start_service(ctx, server);
     }
@@ -1197,13 +1145,7 @@ impl EngineWorld {
             self.counters.hedges_issued += 1;
             self.counters.dispatched += 1;
             let server = server.raw() as u16;
-            let delay = self.hop_delay(
-                Hop::ClientToServer {
-                    client: req.client,
-                    server,
-                },
-                dup.value_bytes as u64,
-            );
+            let delay = self.hop_delay();
             ctx.schedule_in(delay, Ev::ReqAtServer(server, dup_id));
         }
     }
@@ -1227,8 +1169,7 @@ impl EngineWorld {
             DropReason::Shed => self.counters.requests_shed += 1,
             DropReason::QueueFull | DropReason::Sojourn => self.counters.requests_dropped += 1,
         }
-        let client = self.req(id).client;
-        let delay = self.hop_delay(Hop::ServerToClient { server, client }, 64);
+        let delay = self.hop_delay();
         ctx.schedule_in(delay, Ev::Nack(id, server, reason));
     }
 
@@ -1381,7 +1322,7 @@ impl EngineWorld {
                 self.recycle_payload(demands);
             } else {
                 let payload = self.payloads.insert(demands);
-                let delay = self.hop_delay(Hop::ClientToController { client: c as u16 }, 256);
+                let delay = self.hop_delay();
                 ctx.schedule_in(delay, Ev::DemandAtController(c as u16, payload));
             }
         }
@@ -1419,7 +1360,7 @@ impl EngineWorld {
             let replacement = self.take_payload();
             let grant = std::mem::replace(&mut self.grant_scratch[c], replacement);
             let payload = self.payloads.insert(grant);
-            let delay = self.hop_delay(Hop::ControllerToClient { client: c as u16 }, 256);
+            let delay = self.hop_delay();
             ctx.schedule_in(delay, Ev::GrantAtClient(c as u16, payload));
         }
         if !self.finished {
@@ -1443,25 +1384,6 @@ impl EngineWorld {
             self.pump(ctx, client);
         }
     }
-}
-
-/// The engine's message classes: every directed hop a message can take
-/// across the fabric, by role. `hop_delay` resolves a class to concrete
-/// fabric endpoints only when the mesh actually needs per-pair
-/// resolution — constant meshes never touch the node-id math.
-#[derive(Debug, Clone, Copy)]
-enum Hop {
-    /// Request dispatch (original or hedge duplicate), value bytes on
-    /// the wire.
-    ClientToServer { client: u16, server: u16 },
-    /// Response back to the owning client, value bytes on the wire.
-    ServerToClient { server: u16, client: u16 },
-    /// Demand report to the credits controller (~256 B).
-    ClientToController { client: u16 },
-    /// Grant delivery from the credits controller (~256 B).
-    ControllerToClient { client: u16 },
-    /// Congestion signal to the credits controller (~64 B).
-    ServerToController { server: u16 },
 }
 
 impl World for EngineWorld {

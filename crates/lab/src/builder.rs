@@ -52,11 +52,6 @@ impl ScenarioBuilder {
         ScenarioBuilder { spec }
     }
 
-    /// The spec as accumulated so far, without validation.
-    pub fn spec_unchecked(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
     // -- metadata ---------------------------------------------------------
 
     /// Sets the one-line description.
@@ -263,12 +258,6 @@ impl ScenarioBuilder {
     /// Sets the warm-up fraction excluded from statistics.
     pub fn warmup_fraction(mut self, fraction: f64) -> Self {
         self.spec.run.warmup_fraction = fraction;
-        self
-    }
-
-    /// Sets the congestion-signal queue threshold (credits realization).
-    pub fn congestion_threshold(mut self, threshold: usize) -> Self {
-        self.spec.run.congestion_queue_threshold = threshold;
         self
     }
 

@@ -199,67 +199,14 @@ fn cmd_show(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_run(rest: &[String]) -> Result<(), CliError> {
-    let mut target = None;
-    let mut tasks: Option<usize> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut out: Option<String> = None;
-    let mut quiet = false;
-    let mut backend = Backend::Sim;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--backend" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--backend needs a value".into()))?;
-                backend = match v.as_str() {
-                    "sim" => Backend::Sim,
-                    "rt" => Backend::Rt,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "bad --backend value {other:?} (expected sim or rt)"
-                        )))
-                    }
-                };
-            }
-            "--tasks" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--tasks needs a value".into()))?;
-                tasks = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --tasks value {v:?}")))?,
-                );
-            }
-            "--seeds" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--seeds needs a value".into()))?;
-                let parsed: Result<Vec<u64>, _> = v.split(',').map(str::parse).collect();
-                seeds =
-                    Some(parsed.map_err(|_| CliError::Usage(format!("bad --seeds value {v:?}")))?);
-            }
-            "--out" => {
-                out = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError::Usage("--out needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--quiet" => quiet = true,
-            other if target.is_none() => target = Some(other.to_string()),
-            other => return Err(CliError::Usage(format!("unexpected argument {other:?}"))),
-        }
-    }
-    let target = target.ok_or_else(|| CliError::Usage("run needs a scenario".into()))?;
-    let mut spec = resolve(&target)?;
-    if let Some(n) = tasks {
-        spec.workload.num_tasks = n;
-    }
-    if let Some(s) = seeds {
-        spec.seeds = s;
-    }
-    spec.validate()?;
+    let args = CommonArgs::parse(rest, Verb::Run, |_, _| Ok(false))?;
+    let backend = args.backend_or_sim()?;
+    let target = args
+        .target
+        .clone()
+        .ok_or_else(|| CliError::Usage("run needs a scenario".into()))?;
+    let spec = args.prepared_spec(&target)?;
+    let (quiet, out) = (args.quiet, args.out);
 
     let cells = spec.sweep.num_cells();
     let runs = cells * spec.strategies.len() * spec.seeds.len();
@@ -303,11 +250,36 @@ fn cmd_run(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-// -- analysis verbs ---------------------------------------------------------
+// -- argument parsing -------------------------------------------------------
 
-/// Arguments shared by `compare` and `capacity`.
+/// Which verb is parsing its arguments: `run` takes no `--from` or
+/// `--md`, and takes any first free argument as its scenario.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verb {
+    Run,
+    Analysis,
+}
+
+/// The value after `flag`, parsed by `parse`: a missing value or a
+/// `None` from `parse` is a usage error naming the flag.
+fn flag_value<T>(
+    iter: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, CliError> {
+    let v = iter
+        .next()
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+    parse(v).ok_or_else(|| CliError::Usage(format!("bad {flag} value {v:?}")))
+}
+
+fn owned(v: &str) -> Option<String> {
+    Some(v.to_string())
+}
+
+/// Arguments shared by `run`, `compare` and `capacity`.
 #[derive(Default)]
-struct AnalysisArgs {
+struct CommonArgs {
     target: Option<String>,
     from: Option<String>,
     backend: Option<String>,
@@ -318,51 +290,72 @@ struct AnalysisArgs {
     quiet: bool,
 }
 
-impl AnalysisArgs {
-    /// Consumes one flag (plus its value) from `iter`; `Ok(false)` when
-    /// the flag is not one of the shared set.
-    fn consume(
-        &mut self,
-        arg: &str,
-        iter: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, CliError> {
-        let value = |iter: &mut std::slice::Iter<'_, String>, flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match arg {
-            "--from" => self.from = Some(value(iter, "--from")?),
-            "--backend" => self.backend = Some(value(iter, "--backend")?),
-            "--tasks" => {
-                let v = value(iter, "--tasks")?;
-                self.tasks = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --tasks value {v:?}")))?,
-                );
+impl CommonArgs {
+    /// Parses `rest`, offering each argument to the verb's own flags
+    /// (`extra` returns `Ok(true)` when it consumed one) before the
+    /// shared set.
+    fn parse(
+        rest: &[String],
+        verb: Verb,
+        mut extra: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, CliError>,
+    ) -> Result<Self, CliError> {
+        let analysis = verb == Verb::Analysis;
+        let mut args = CommonArgs::default();
+        let mut iter = rest.iter();
+        while let Some(arg) = iter.next() {
+            if extra(arg, &mut iter)? {
+                continue;
             }
-            "--seeds" => {
-                let v = value(iter, "--seeds")?;
-                let parsed: Result<Vec<u64>, _> = v.split(',').map(str::parse).collect();
-                self.seeds =
-                    Some(parsed.map_err(|_| CliError::Usage(format!("bad --seeds value {v:?}")))?);
+            match arg.as_str() {
+                "--from" if analysis => args.from = Some(flag_value(&mut iter, "--from", owned)?),
+                "--md" if analysis => args.md = Some(flag_value(&mut iter, "--md", owned)?),
+                "--backend" => args.backend = Some(flag_value(&mut iter, "--backend", owned)?),
+                "--tasks" => {
+                    args.tasks = Some(flag_value(&mut iter, "--tasks", |v| v.parse().ok())?)
+                }
+                "--seeds" => {
+                    args.seeds = Some(flag_value(&mut iter, "--seeds", |v| {
+                        v.split(',').map(str::parse).collect::<Result<_, _>>().ok()
+                    })?);
+                }
+                "--out" => {
+                    let out = flag_value(&mut iter, "--out", owned);
+                    args.out = Some(match verb {
+                        Verb::Analysis => out?,
+                        Verb::Run => {
+                            out.map_err(|_| CliError::Usage("--out needs a path".into()))?
+                        }
+                    });
+                }
+                "--quiet" => args.quiet = true,
+                other if args.target.is_none() && !(analysis && other.starts_with('-')) => {
+                    args.target = Some(other.to_string());
+                }
+                other => return Err(CliError::Usage(format!("unexpected argument {other:?}"))),
             }
-            "--out" => self.out = Some(value(iter, "--out")?),
-            "--md" => self.md = Some(value(iter, "--md")?),
-            "--quiet" => self.quiet = true,
-            other if self.target.is_none() && !other.starts_with('-') => {
-                self.target = Some(other.to_string());
-            }
-            _ => return Ok(false),
         }
-        Ok(true)
+        Ok(args)
+    }
+
+    /// The `--backend` of `run` and `capacity`: `sim` (the default) or
+    /// `rt`.
+    fn backend_or_sim(&self) -> Result<Backend, CliError> {
+        match self.backend.as_deref() {
+            None | Some("sim") => Ok(Backend::Sim),
+            Some("rt") => Ok(Backend::Rt),
+            Some(other) => Err(CliError::Usage(format!(
+                "bad --backend value {other:?} (expected sim or rt)"
+            ))),
+        }
     }
 
     /// Resolves the input to analyze: an ingested report (`--from`) or a
-    /// fresh run of the scenario. Returns the backend label for headers.
+    /// fresh run of the scenario, whose prepared spec must pass `check`
+    /// before the run starts. Returns the backend label for headers.
     fn resolve_input(
         &self,
         backend: Backend,
+        check: impl FnOnce(&ScenarioSpec) -> Result<(), AnalysisError>,
     ) -> Result<(ScenarioSpec, Vec<CellResult>, String), CliError> {
         if let Some(path) = &self.from {
             if self.tasks.is_some() || self.seeds.is_some() {
@@ -380,6 +373,7 @@ impl AnalysisArgs {
             .clone()
             .ok_or_else(|| CliError::Usage("need a scenario (or --from report.jsonl)".into()))?;
         let spec = self.prepared_spec(&target)?;
+        check(&spec)?;
         let results = run_backend(&spec, backend, self.quiet)?;
         Ok((
             spec,
@@ -455,48 +449,25 @@ fn run_backend(
     })
 }
 
+// -- analysis verbs ---------------------------------------------------------
+
 fn cmd_compare(rest: &[String]) -> Result<(), CliError> {
-    let mut args = AnalysisArgs::default();
     let mut baseline: Option<String> = None;
     let mut resamples: u32 = 2_000;
     let mut confidence: f64 = 0.95;
     let mut quantile_ci = false;
     let mut adjust_p = false;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let args = CommonArgs::parse(rest, Verb::Analysis, |arg, iter| {
+        match arg {
             "--quantile-ci" => quantile_ci = true,
             "--adjust-p" => adjust_p = true,
-            "--baseline" => {
-                baseline = Some(
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage("--baseline needs a value".into()))?,
-                );
-            }
-            "--resamples" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--resamples needs a value".into()))?;
-                resamples = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --resamples value {v:?}")))?;
-            }
-            "--confidence" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--confidence needs a value".into()))?;
-                confidence = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --confidence value {v:?}")))?;
-            }
-            other => {
-                if !args.consume(other, &mut iter)? {
-                    return Err(CliError::Usage(format!("unexpected argument {other:?}")));
-                }
-            }
+            "--baseline" => baseline = Some(flag_value(iter, "--baseline", owned)?),
+            "--resamples" => resamples = flag_value(iter, "--resamples", |v| v.parse().ok())?,
+            "--confidence" => confidence = flag_value(iter, "--confidence", |v| v.parse().ok())?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let baseline =
         baseline.ok_or_else(|| CliError::Usage("compare needs --baseline <strategy>".into()))?;
     let both = args.backend.as_deref() == Some("both");
@@ -523,7 +494,14 @@ fn cmd_compare(rest: &[String]) -> Result<(), CliError> {
     };
     // Before the run, which is where the time goes.
     opts.validate()?;
-    let (spec, results, backend_label) = args.resolve_input(backend)?;
+    let (spec, results, backend_label) = args.resolve_input(backend, |spec| {
+        // `compare_report` refuses this too, but only after the run.
+        let seeds = spec.seeds.len();
+        if seeds < 2 {
+            return Err(AnalysisError::TooFewSeeds { seeds });
+        }
+        Ok(())
+    })?;
     opts.backend = if both { "both".into() } else { backend_label };
     let report = compare_report(&spec, &results, &baseline, &opts)?;
     let mut jsonl = report.to_jsonl_string();
@@ -548,55 +526,23 @@ fn cmd_compare(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_capacity(rest: &[String]) -> Result<(), CliError> {
-    let mut args = AnalysisArgs::default();
     let mut slo_p99_ms: Option<f64> = None;
     let mut tolerance_pct: f64 = 5.0;
     let mut at_load: Option<f64> = None;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let args = CommonArgs::parse(rest, Verb::Analysis, |arg, iter| {
+        match arg {
             "--slo-p99-ms" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--slo-p99-ms needs a value".into()))?;
-                slo_p99_ms = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --slo-p99-ms value {v:?}")))?,
-                );
+                slo_p99_ms = Some(flag_value(iter, "--slo-p99-ms", |v| v.parse().ok())?)
             }
             "--goodput-tolerance-pct" => {
-                let v = iter.next().ok_or_else(|| {
-                    CliError::Usage("--goodput-tolerance-pct needs a value".into())
-                })?;
-                tolerance_pct = v.parse().map_err(|_| {
-                    CliError::Usage(format!("bad --goodput-tolerance-pct value {v:?}"))
-                })?;
+                tolerance_pct = flag_value(iter, "--goodput-tolerance-pct", |v| v.parse().ok())?;
             }
-            "--at" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--at needs a value".into()))?;
-                at_load = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --at value {v:?}")))?,
-                );
-            }
-            other => {
-                if !args.consume(other, &mut iter)? {
-                    return Err(CliError::Usage(format!("unexpected argument {other:?}")));
-                }
-            }
+            "--at" => at_load = Some(flag_value(iter, "--at", |v| v.parse().ok())?),
+            _ => return Ok(false),
         }
-    }
-    let backend = match args.backend.as_deref() {
-        None | Some("sim") => Backend::Sim,
-        Some("rt") => Backend::Rt,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "bad --backend value {other:?} (expected sim or rt)"
-            )))
-        }
-    };
+        Ok(true)
+    })?;
+    let backend = args.backend_or_sim()?;
     let mut opts = CapacityOptions {
         backend: String::new(),
         slo_p99_ms,
@@ -604,7 +550,7 @@ fn cmd_capacity(rest: &[String]) -> Result<(), CliError> {
         at_load,
     };
     opts.validate()?;
-    let (spec, results, backend_label) = args.resolve_input(backend)?;
+    let (spec, results, backend_label) = args.resolve_input(backend, |_| Ok(()))?;
     opts.backend = backend_label;
     let report = capacity_report(&spec, &results, &opts)?;
     let markdown = analysis::markdown::render_capacity(&report);

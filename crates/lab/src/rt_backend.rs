@@ -224,7 +224,6 @@ fn lower_cluster(base: &ExperimentConfig) -> Result<RtClusterConfig, ScenarioErr
         policy: PolicyKind::Fifo, // overridden per strategy below
         selector: SelectorSpec::LeastOutstanding, // overridden per strategy
         work: WorkModel::SimulateService(service),
-        store_shards: 16,
         sizes: base.workload.sizes,
         forecast: cluster.forecast,
         num_clients: cluster.num_clients,

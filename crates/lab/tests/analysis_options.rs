@@ -1,7 +1,8 @@
 //! Out-of-range analysis options fail typed, naming the flag, before
 //! anything runs: from the library (`compare_report` / `capacity_report`
 //! check their options before looking at the results) and from the
-//! `brb-lab` CLI (nonzero exit, no run started, no panic).
+//! `brb-lab` CLI (nonzero exit, no run started, no panic). The CLI
+//! refuses a single-seed `compare` before running it, too.
 
 use brb_lab::analysis::{
     capacity_report, compare_report, AnalysisError, CapacityOptions, CompareOptions,
@@ -139,4 +140,65 @@ fn in_range_options_pass() {
         ..CapacityOptions::default()
     };
     assert_eq!(edges.validate(), Ok(()));
+}
+
+#[test]
+fn compare_refuses_a_single_seed_before_running() {
+    let out = Command::new(env!("CARGO_BIN_EXE_brb-lab"))
+        .args([&COMPARE[..], &["--seeds", "1"]].concat())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("at least 2 seeds"), "{stderr}");
+    assert!(
+        !stderr.lines().any(|l| l.trim_start().starts_with("run ")),
+        "a run started: {stderr}"
+    );
+}
+
+/// Every verb parses its flags through one parser; each refusal keeps
+/// its wording and its usage exit code (2).
+#[test]
+fn flag_refusals_name_the_flag() {
+    let cases: [(&[&str], &str); 8] = [
+        (
+            &["run", "figure2-small", "--tasks"],
+            "--tasks needs a value",
+        ),
+        (
+            &["run", "figure2-small", "--tasks", "x"],
+            "bad --tasks value \"x\"",
+        ),
+        (
+            &["run", "figure2-small", "--seeds", "1,x"],
+            "bad --seeds value \"1,x\"",
+        ),
+        (&["run", "figure2-small", "--out"], "--out needs a path"),
+        (
+            &["run", "figure2-small", "--md", "m"],
+            "unexpected argument \"--md\"",
+        ),
+        (
+            &["run", "figure2-small", "--backend", "both"],
+            "bad --backend value \"both\" (expected sim or rt)",
+        ),
+        (&[&COMPARE[..], &["--out"]].concat(), "--out needs a value"),
+        (
+            &[&CAPACITY[..], &["--at", "x"]].concat(),
+            "bad --at value \"x\"",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_brb-lab"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {message}\n")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

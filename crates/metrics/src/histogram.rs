@@ -250,15 +250,6 @@ impl Histogram {
         10f64.powi(-(self.significant_digits as i32))
     }
 
-    /// Iterates `(bucket_lower_value, count)` over non-empty buckets.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.value_from_index(i), c))
-    }
-
     // --- index math (HdrHistogram layout) ---
 
     fn bucket_index(&self, value: u64) -> u32 {

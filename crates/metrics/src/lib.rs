@@ -8,32 +8,23 @@
 //!   configurable significant digits, built from scratch (no external
 //!   histogram crate). Records `u64` values (we use nanoseconds) with
 //!   bounded relative error, supports merging and quantile queries.
-//! * [`summary::RunningStats`] — Welford mean/variance for streaming data.
 //! * [`summary::SeedSummary`] — aggregates a statistic across seeds into
 //!   mean ± stddev (the paper: "experiments are repeated 6 times with
 //!   different random seeds ... standard deviation is largely negligible").
 //! * [`percentile`] — exact percentiles on sorted samples, used to
 //!   cross-validate the histogram in tests.
-//! * [`timeseries::WindowedRate`] — windowed event-rate tracking, used for
-//!   utilization accounting and the credits controller's demand estimates.
-//! * [`reservoir::Reservoir`] — uniform reservoir sampling for cheap exact
-//!   quantiles over huge streams.
 //! * [`stats`] — significance statistics for paired A/B comparison:
 //!   Welch's t, deterministic paired-bootstrap CIs, order-statistic
 //!   quantile CIs, and Kendall tau for cross-backend ordering checks.
 
 pub mod histogram;
 pub mod percentile;
-pub mod reservoir;
 pub mod stats;
 pub mod summary;
-pub mod timeseries;
 
 pub use histogram::Histogram;
 pub use percentile::{exact_percentile, Percentiles};
-pub use reservoir::Reservoir;
 pub use stats::{
     benjamini_hochberg, kendall_tau, paired_bootstrap_ci, quantile_ci, welch_t, BootstrapCi, WelchT,
 };
-pub use summary::{RunningStats, SeedSummary};
-pub use timeseries::{BusyTime, WindowedRate};
+pub use summary::SeedSummary;

@@ -1,107 +1,6 @@
-//! Streaming moments and cross-seed aggregation.
+//! Cross-seed aggregation.
 
 use serde::{Deserialize, Serialize};
-
-/// Welford's online algorithm for mean and variance — numerically stable
-/// single-pass moments over a stream of samples.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator (parallel Welford / Chan et al.).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A statistic measured once per seed, reported as mean ± stddev.
 ///
@@ -137,53 +36,11 @@ impl SeedSummary {
         let m = self.mean();
         (self.values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
     }
-
-    /// Coefficient of variation (stddev / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m
-        }
-    }
-
-    /// Half-width of a ~95% normal confidence interval (1.96 · σ/√n).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        1.96 * self.stddev() / (self.values.len() as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rs = RunningStats::new();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), 8);
-        assert!((rs.mean() - 5.0).abs() < 1e-12);
-        // Naive unbiased variance = 32/7.
-        assert!((rs.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(rs.min(), 2.0);
-        assert_eq!(rs.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let rs = RunningStats::new();
-        assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
-        assert_eq!(rs.min(), 0.0);
-        assert_eq!(rs.max(), 0.0);
-    }
 
     #[test]
     fn single_seed_stddev_is_zero_not_nan() {
@@ -193,48 +50,6 @@ mod tests {
         let one = SeedSummary::new(vec![42.0]);
         assert_eq!(one.stddev(), 0.0);
         assert!(one.stddev().is_finite());
-        assert_eq!(one.cv(), 0.0);
-        assert_eq!(one.ci95_half_width(), 0.0);
-        let mut rs = RunningStats::new();
-        rs.push(42.0);
-        assert_eq!(rs.stddev(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            all.push(x);
-            if i < 37 {
-                left.push(x);
-            } else {
-                right.push(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&RunningStats::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut empty = RunningStats::new();
-        let mut b = RunningStats::new();
-        b.push(5.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 5.0);
     }
 
     #[test]
@@ -242,14 +57,16 @@ mod tests {
         let s = SeedSummary::new(vec![10.0, 12.0, 11.0, 9.0, 10.0, 11.0]);
         assert!((s.mean() - 10.5).abs() < 1e-12);
         assert!(s.stddev() > 0.0);
-        assert!(s.cv() < 0.2, "paper claims negligible stddev across seeds");
-        assert!(s.ci95_half_width() > 0.0);
+        assert!(
+            s.stddev() / s.mean() < 0.2,
+            "paper claims negligible stddev across seeds"
+        );
     }
 
     #[test]
     fn seed_summary_degenerate_cases() {
         assert_eq!(SeedSummary::new(vec![]).mean(), 0.0);
         assert_eq!(SeedSummary::new(vec![5.0]).stddev(), 0.0);
-        assert_eq!(SeedSummary::new(vec![0.0, 0.0]).cv(), 0.0);
+        assert_eq!(SeedSummary::new(vec![0.0, 0.0]).stddev(), 0.0);
     }
 }

@@ -1,13 +1,10 @@
 //! Property tests for the metrics layer beyond the histogram-accuracy
-//! suite (`histogram_props.rs`): percentile ordering, merge algebra and
-//! reservoir determinism. These are the invariants every latency number
-//! in a report rests on — the thinnest-covered crate in the workspace
-//! until this file.
+//! suite (`histogram_props.rs`): percentile ordering and merge algebra.
+//! These are the invariants every latency number in a report rests on —
+//! the thinnest-covered crate in the workspace until this file.
 
-use brb_metrics::{Histogram, Percentiles, Reservoir};
+use brb_metrics::{Histogram, Percentiles};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn hist_of(values: &[u64]) -> Histogram {
     let mut h = Histogram::new(1_000, 100_000_000_000, 3);
@@ -109,60 +106,5 @@ proptest! {
         let direct = hist_of(&union);
         prop_assert_eq!(merged.len(), direct.len());
         prop_assert_eq!(quantiles(&merged), quantiles(&direct));
-    }
-
-    /// Reservoir sampling is deterministic under a fixed seed: the same
-    /// stream and the same coin sequence reproduce the identical sample,
-    /// bit for bit — the property the engine's labelled RNG streams
-    /// rely on for common-random-numbers runs.
-    #[test]
-    fn reservoir_is_deterministic_under_fixed_seeds(
-        seed in 0u64..u64::MAX,
-        n in 1usize..2_000,
-        capacity in 1usize..128,
-    ) {
-        let fill = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut r = Reservoir::new(capacity);
-            for i in 0..n {
-                r.offer(i as f64, rng.random());
-            }
-            r
-        };
-        let a = fill(seed);
-        let b = fill(seed);
-        prop_assert_eq!(a.samples(), b.samples());
-        prop_assert_eq!(a.seen(), b.seen());
-        // A different seed is allowed to differ, but must keep the
-        // structural invariants.
-        let c = fill(seed ^ 0x9e37_79b9_7f4a_7c15);
-        prop_assert_eq!(c.seen(), n as u64);
-        prop_assert_eq!(c.samples().len(), n.min(capacity));
-        for &s in c.samples() {
-            prop_assert!(s >= 0.0 && s < n as f64);
-        }
-    }
-
-    /// Reservoir quantiles are quantiles *of the held sample*: bracketed
-    /// by the sample's extremes and monotone in q.
-    #[test]
-    fn reservoir_quantiles_are_sample_quantiles(
-        seed in 0u64..u64::MAX,
-        values in proptest::collection::vec(-1e6f64..1e6, 1..300),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut r = Reservoir::new(64);
-        for &v in &values {
-            r.offer(v, rng.random());
-        }
-        let lo = r.samples().iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = r.samples().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut prev = f64::NEG_INFINITY;
-        for i in 0..=10 {
-            let q = r.quantile(i as f64 / 10.0).expect("non-empty");
-            prop_assert!(q >= lo && q <= hi);
-            prop_assert!(q >= prev, "quantiles not monotone");
-            prev = q;
-        }
     }
 }

@@ -1,65 +1,35 @@
-//! A full-mesh fabric: per-pair latency models plus optional bandwidth.
+//! A uniform full-mesh fabric: one latency model on every link.
 //!
-//! The engine asks the fabric how long a message of `bytes` takes from
-//! node A to node B; the fabric answers with `propagation + serialization`
-//! where propagation comes from the pair's [`LatencyModel`] and
-//! serialization (optional) is `bytes / bandwidth`. The paper models only
-//! fixed 50 µs propagation, which is the default; bandwidth lets ablations
-//! explore size-dependent transfer costs.
+//! The engine asks the fabric how long a message takes from one node to
+//! another; every directed pair shares the same [`LatencyModel`], so the
+//! answer is one draw from that model. The paper models a fixed 50 µs
+//! one-way propagation, which is the default.
 
 use crate::latency::LatencyModel;
 use brb_sim::{define_id, SimDuration};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 define_id!(
     /// Identifies a node attached to the fabric (clients, servers and the
-    /// controller all get fabric node ids).
+    /// controller all get fabric node ids). Every pair shares one
+    /// latency model, so no delay depends on it; it stays in
+    /// [`crate::FabricPlan::delay`]'s signature for the perf ledger's
+    /// hop probe.
     NetNodeId
 );
 
-/// Link bandwidth in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bandwidth {
-    /// Bytes per second (> 0).
-    pub bytes_per_sec: f64,
-}
-
-impl Bandwidth {
-    /// 10 Gbit/s — a typical datacenter NIC of the paper's era.
-    pub fn ten_gbps() -> Self {
-        Bandwidth {
-            bytes_per_sec: 10e9 / 8.0,
-        }
-    }
-
-    /// Serialization delay for a message of `bytes`.
-    pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
-        debug_assert!(self.bytes_per_sec > 0.0);
-        SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-}
-
-/// A full-mesh fabric with a default latency model, optional per-pair
-/// overrides and optional bandwidth-based serialization.
+/// A full-mesh fabric whose every link follows one latency model.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    default_model: LatencyModel,
-    overrides: BTreeMap<(NetNodeId, NetNodeId), LatencyModel>,
-    bandwidth: Option<Bandwidth>,
+    pub(crate) model: LatencyModel,
 }
 
 impl Fabric {
-    /// Creates a fabric where every pair uses `default_model` and transfer
-    /// time ignores message size (the paper's model).
-    pub fn uniform(default_model: LatencyModel) -> Self {
-        default_model.validate().expect("invalid latency model");
-        Fabric {
-            default_model,
-            overrides: BTreeMap::new(),
-            bandwidth: None,
-        }
+    /// Creates a fabric where every pair uses `model` and transfer time
+    /// ignores message size (the paper's model).
+    pub fn uniform(model: LatencyModel) -> Self {
+        model.validate().expect("invalid latency model");
+        Fabric { model }
     }
 
     /// The paper's fabric: constant 50 µs one-way everywhere.
@@ -67,73 +37,9 @@ impl Fabric {
         Fabric::uniform(LatencyModel::paper_constant())
     }
 
-    /// Enables size-dependent serialization on every link.
-    pub fn with_bandwidth(mut self, bw: Bandwidth) -> Self {
-        assert!(bw.bytes_per_sec > 0.0, "bandwidth must be positive");
-        self.bandwidth = Some(bw);
-        self
-    }
-
-    /// Overrides the latency model for the directed pair `(from, to)` —
-    /// e.g. to model one degraded rack uplink.
-    pub fn set_link(&mut self, from: NetNodeId, to: NetNodeId, model: LatencyModel) {
-        model.validate().expect("invalid latency model");
-        self.overrides.insert((from, to), model);
-    }
-
-    /// The latency model used for the directed pair.
-    pub fn model_for(&self, from: NetNodeId, to: NetNodeId) -> &LatencyModel {
-        // Fast path for the (common) homogeneous fabric: skip the tree
-        // probe entirely — `delay` runs a few times per request, so the
-        // lookup is hot even though the map is almost always empty.
-        if self.overrides.is_empty() {
-            return &self.default_model;
-        }
-        self.overrides
-            .get(&(from, to))
-            .unwrap_or(&self.default_model)
-    }
-
-    /// Samples the total one-way delay for a `bytes`-sized message.
-    pub fn delay<R: Rng + ?Sized>(
-        &self,
-        from: NetNodeId,
-        to: NetNodeId,
-        bytes: u64,
-        rng: &mut R,
-    ) -> SimDuration {
-        let propagation = self.model_for(from, to).sample(rng);
-        match self.bandwidth {
-            None => propagation,
-            Some(bw) => propagation + bw.serialization_delay(bytes),
-        }
-    }
-
-    /// Mean one-way propagation delay of the default model (ns).
-    pub fn mean_propagation_ns(&self) -> f64 {
-        self.default_model.mean_ns()
-    }
-
-    // Introspection for plan compilation (`crate::plan::FabricPlan`).
-
-    /// The default (mesh-wide) latency model.
-    pub fn default_model(&self) -> &LatencyModel {
-        &self.default_model
-    }
-
-    /// The optional bandwidth term.
-    pub fn bandwidth(&self) -> Option<Bandwidth> {
-        self.bandwidth
-    }
-
-    /// Whether any per-pair override exists.
-    pub fn has_overrides(&self) -> bool {
-        !self.overrides.is_empty()
-    }
-
-    /// Iterates the per-pair latency overrides.
-    pub fn overrides(&self) -> impl Iterator<Item = (&(NetNodeId, NetNodeId), &LatencyModel)> {
-        self.overrides.iter()
+    /// Samples the one-way delay of one message.
+    pub fn delay<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+        self.model.sample(rng)
     }
 }
 
@@ -145,52 +51,12 @@ mod tests {
 
     #[test]
     fn paper_default_is_size_independent_50us() {
+        // No message size reaches the delay: every hop is the paper's
+        // 50 µs, drawn without touching the RNG.
         let f = Fabric::paper_default();
         let mut rng = StdRng::seed_from_u64(1);
-        let a = NetNodeId::new(0);
-        let b = NetNodeId::new(1);
-        assert_eq!(f.delay(a, b, 1, &mut rng), SimDuration::from_micros(50));
-        assert_eq!(
-            f.delay(a, b, 1 << 20, &mut rng),
-            SimDuration::from_micros(50)
-        );
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization() {
-        let f = Fabric::paper_default().with_bandwidth(Bandwidth {
-            bytes_per_sec: 1e9, // 1 GB/s → 1µs per KB
-        });
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = f.delay(NetNodeId::new(0), NetNodeId::new(1), 1_000, &mut rng);
-        assert_eq!(d, SimDuration::from_micros(51));
-    }
-
-    #[test]
-    fn link_override_applies_directionally() {
-        let mut f = Fabric::paper_default();
-        let a = NetNodeId::new(0);
-        let b = NetNodeId::new(1);
-        f.set_link(a, b, LatencyModel::Constant { delay_ns: 500_000 });
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(f.delay(a, b, 0, &mut rng), SimDuration::from_micros(500));
-        // Reverse direction keeps the default.
-        assert_eq!(f.delay(b, a, 0, &mut rng), SimDuration::from_micros(50));
-    }
-
-    #[test]
-    fn ten_gbps_serialization_math() {
-        let bw = Bandwidth::ten_gbps();
-        // 1250 bytes at 10 Gbit/s = 1 µs.
-        assert_eq!(bw.serialization_delay(1250), SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn mean_propagation_reports_default_model() {
-        let f = Fabric::uniform(LatencyModel::Uniform {
-            lo_ns: 0,
-            hi_ns: 100,
-        });
-        assert_eq!(f.mean_propagation_ns(), 50.0);
+        let mut untouched = rng.clone();
+        assert_eq!(f.delay(&mut rng), SimDuration::from_micros(50));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 }

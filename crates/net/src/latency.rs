@@ -85,23 +85,6 @@ impl LatencyModel {
         }
     }
 
-    /// Mean one-way delay in nanoseconds (exact where closed-form exists).
-    pub fn mean_ns(&self) -> f64 {
-        match self {
-            LatencyModel::Constant { delay_ns } => *delay_ns as f64,
-            LatencyModel::Uniform { lo_ns, hi_ns } => (*lo_ns as f64 + *hi_ns as f64) / 2.0,
-            LatencyModel::LogNormal { median_ns, sigma } => {
-                *median_ns as f64 * (sigma * sigma / 2.0).exp()
-            }
-            LatencyModel::Spiky {
-                base_ns,
-                p_spike,
-                spike_lo_ns,
-                spike_hi_ns,
-            } => *base_ns as f64 + p_spike * (*spike_lo_ns as f64 + *spike_hi_ns as f64) / 2.0,
-        }
-    }
-
     /// Draws a one-way delay.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         debug_assert!(self.validate().is_ok());
@@ -143,7 +126,6 @@ mod tests {
         let m = LatencyModel::paper_constant();
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(m.sample(&mut rng), SimDuration::from_micros(50));
-        assert_eq!(m.mean_ns(), 50_000.0);
     }
 
     #[test]
@@ -161,7 +143,7 @@ mod tests {
             sum += d;
         }
         let mean = sum as f64 / n as f64;
-        assert!((mean - m.mean_ns()).abs() / m.mean_ns() < 0.02);
+        assert!((mean - 50_000.0).abs() / 50_000.0 < 0.02);
     }
 
     #[test]
@@ -179,10 +161,9 @@ mod tests {
             "median {median}"
         );
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        assert!(
-            (mean - m.mean_ns()).abs() / m.mean_ns() < 0.03,
-            "mean {mean}"
-        );
+        // Log-normal mean: median · exp(σ²/2).
+        let expect = 50_000.0 * (0.3f64 * 0.3 / 2.0).exp();
+        assert!((mean - expect).abs() / expect < 0.03, "mean {mean}");
         assert!(mean > median, "log-normal is right-skewed");
     }
 

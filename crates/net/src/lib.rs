@@ -6,12 +6,11 @@
 //!
 //! * [`latency::LatencyModel`] — per-message one-way delay distributions
 //!   (constant, uniform, log-normal jitter, empirical mixtures).
-//! * [`fabric::Fabric`] — a full-mesh fabric mapping `(from, to)` node
-//!   pairs to latency models, with optional per-link overrides and an
-//!   optional bandwidth term that serializes large values onto the wire.
-//! * [`plan::FabricPlan`] — the fabric compiled into per-hop deltas:
-//!   constant meshes resolve a hop with one precomputed add, jittered
-//!   links fall back to the per-message model draw through the same
+//! * [`fabric::Fabric`] — a full-mesh fabric whose every link follows
+//!   one latency model.
+//! * [`plan::FabricPlan`] — the fabric compiled into one hop resolution:
+//!   a constant mesh resolves a hop with one precomputed add, a jittered
+//!   mesh falls back to the per-message model draw through the same
 //!   interface (see `README.md` for when each path is taken).
 //!
 //! The fabric computes *delays*; actually scheduling delivery events is
@@ -22,6 +21,6 @@ pub mod fabric;
 pub mod latency;
 pub mod plan;
 
-pub use fabric::{Bandwidth, Fabric, NetNodeId};
+pub use fabric::{Fabric, NetNodeId};
 pub use latency::LatencyModel;
 pub use plan::{FabricPlan, PlanMode};

@@ -1,14 +1,12 @@
 //! The compiled network fast path.
 //!
-//! [`Fabric::delay`] resolves a latency model and samples it once per
-//! message — a cost the engine pays several times per request, millions
-//! of times per run. A [`FabricPlan`] is compiled **once** from a
-//! fabric: every directed `(src, dst)` hop is resolved ahead of time,
-//! and hops whose delay is a size-independent constant (the paper's
-//! 50 µs mesh) collapse to a single precomputed delta — timestamping a
-//! message becomes one add, with no model match, no hash probe and no
-//! RNG touch. Jittered links (uniform, log-normal, spiky) and
-//! bandwidth-serialized transfers fall back to the per-message draw
+//! [`Fabric::delay`] samples the mesh's latency model once per message —
+//! a cost the engine pays several times per request, millions of times
+//! per run. A [`FabricPlan`] is compiled **once** from a fabric: when the
+//! mesh's delay is a constant (the paper's 50 µs mesh) every hop
+//! collapses to a single precomputed delta — timestamping a message
+//! becomes one add, with no model match and no RNG touch. Jittered
+//! meshes (uniform, log-normal, spiky) fall back to the per-message draw
 //! *through the same interface*, consuming the caller's RNG stream
 //! identically to the uncompiled fabric, so results are byte-identical
 //! by construction (`brb-lab`'s `net_differential` test enforces this
@@ -35,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// than a silent drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PlanMode {
-    /// Resolve hops through the precomputed delta table (the fast path).
+    /// Resolve hops through the precomputed delta (the fast path).
     #[default]
     Compiled,
     /// Draw through `Fabric::delay` per message (the reference slow
@@ -43,118 +41,34 @@ pub enum PlanMode {
     PerMessage,
 }
 
-/// One directed hop after compilation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CompiledHop {
-    /// Size-independent constant propagation: delivery is `now + delta`
-    /// and the RNG is never touched.
-    Const(SimDuration),
-    /// Constant propagation plus size-dependent serialization (still no
-    /// RNG; the bandwidth term is added per message).
-    ConstSerialized(SimDuration),
-    /// Jittered link: draw through the pair's latency model per message.
-    Sampled,
-}
-
-fn compile_hop(model: &LatencyModel, has_bandwidth: bool) -> CompiledHop {
-    match (model, has_bandwidth) {
-        (LatencyModel::Constant { delay_ns }, false) => {
-            CompiledHop::Const(SimDuration::from_nanos(*delay_ns))
-        }
-        (LatencyModel::Constant { delay_ns }, true) => {
-            CompiledHop::ConstSerialized(SimDuration::from_nanos(*delay_ns))
-        }
-        _ => CompiledHop::Sampled,
-    }
-}
-
-/// A fabric compiled into per-hop deltas.
-///
-/// Homogeneous meshes (no per-link overrides — the common case) resolve
-/// every hop through one `default_hop`; meshes with overrides build a
-/// dense `num_nodes × num_nodes` table so the per-message lookup is one
-/// indexed load instead of a hash probe.
+/// A fabric compiled into one mesh-wide hop resolution.
 #[derive(Debug, Clone)]
 pub struct FabricPlan {
     fabric: Fabric,
-    mode: PlanMode,
-    /// Resolution shared by every pair without an override.
-    default_hop: CompiledHop,
-    /// Dense per-pair resolutions (row-major `from × to`); empty when
-    /// the mesh has no overrides.
-    table: Vec<CompiledHop>,
-    num_nodes: u64,
+    /// The delta every hop takes on a compiled constant mesh; `None`
+    /// when hops draw through the fabric per message.
+    uniform: Option<SimDuration>,
 }
 
 impl FabricPlan {
-    /// Compiles `fabric` for a mesh of `num_nodes` nodes (every
-    /// [`NetNodeId`] the caller will query must be `< num_nodes`).
+    /// Compiles `fabric` into the fast path.
     ///
-    /// # Panics
-    /// Panics if an override references a node outside the mesh, or if
-    /// an override-carrying mesh is too large for a dense table.
-    pub fn compile(fabric: Fabric, num_nodes: u64) -> Self {
-        let default_hop = compile_hop(fabric.default_model(), fabric.bandwidth().is_some());
-        let table = if fabric.has_overrides() {
-            assert!(
-                num_nodes <= 4_096,
-                "dense per-pair table would need {num_nodes}² entries; \
-                 compile override-heavy meshes only for small clusters"
-            );
-            for &(from, to) in fabric.overrides().map(|(pair, _)| pair) {
-                assert!(
-                    from.raw() < num_nodes && to.raw() < num_nodes,
-                    "override ({from:?}, {to:?}) outside the {num_nodes}-node mesh"
-                );
-            }
-            let has_bw = fabric.bandwidth().is_some();
-            let n = num_nodes as usize;
-            let mut table = Vec::with_capacity(n * n);
-            for from in 0..num_nodes {
-                for to in 0..num_nodes {
-                    let model = fabric.model_for(NetNodeId::new(from), NetNodeId::new(to));
-                    table.push(compile_hop(model, has_bw));
-                }
-            }
-            table
-        } else {
-            Vec::new()
-        };
-        FabricPlan {
-            fabric,
-            mode: PlanMode::Compiled,
-            default_hop,
-            table,
-            num_nodes,
-        }
-    }
-
-    /// A plan that forces the per-message slow path — the differential
-    /// baseline. Same interface, zero precomputation: every delay call
-    /// routes straight to [`Fabric::delay`], so no per-pair table is
-    /// built (and no mesh-size limit applies).
-    pub fn per_message(fabric: Fabric, num_nodes: u64) -> Self {
-        let default_hop = compile_hop(fabric.default_model(), fabric.bandwidth().is_some());
-        FabricPlan {
-            fabric,
-            mode: PlanMode::PerMessage,
-            default_hop,
-            table: Vec::new(),
-            num_nodes,
-        }
+    /// `num_nodes` is ignored — every hop of a uniform mesh resolves the
+    /// same way — and stays in the signature for the perf ledger's hop
+    /// probe.
+    pub fn compile(fabric: Fabric, _num_nodes: u64) -> Self {
+        Self::with_mode(fabric, PlanMode::Compiled)
     }
 
     /// Builds a plan in the given mode.
-    pub fn with_mode(fabric: Fabric, num_nodes: u64, mode: PlanMode) -> Self {
-        match mode {
-            PlanMode::Compiled => Self::compile(fabric, num_nodes),
-            PlanMode::PerMessage => Self::per_message(fabric, num_nodes),
-        }
-    }
-
-    /// The mode this plan resolves in.
-    pub fn mode(&self) -> PlanMode {
-        self.mode
+    pub fn with_mode(fabric: Fabric, mode: PlanMode) -> Self {
+        let uniform = match (mode, &fabric.model) {
+            (PlanMode::Compiled, LatencyModel::Constant { delay_ns }) => {
+                Some(SimDuration::from_nanos(*delay_ns))
+            }
+            _ => None,
+        };
+        FabricPlan { fabric, uniform }
     }
 
     /// The underlying fabric.
@@ -162,63 +76,33 @@ impl FabricPlan {
         &self.fabric
     }
 
-    #[inline]
-    fn hop(&self, from: NetNodeId, to: NetNodeId) -> CompiledHop {
-        if self.table.is_empty() {
-            self.default_hop
-        } else {
-            debug_assert!(from.raw() < self.num_nodes && to.raw() < self.num_nodes);
-            self.table[(from.raw() * self.num_nodes + to.raw()) as usize]
-        }
-    }
-
-    /// The single mesh-wide constant delta, when **every** hop of a
-    /// compiled plan is the same size-independent constant (no
-    /// overrides, no bandwidth, no jitter — the paper's fabric). This is
-    /// what lets the engine batch hops into the calendar's fixed-delta
-    /// lane; `None` means at least one hop needs per-message resolution
-    /// (or the plan is a forced slow path).
+    /// The single mesh-wide constant delta, when every hop of a compiled
+    /// plan is the same constant (the paper's fabric). This is what lets
+    /// the engine batch hops into the calendar's fixed-delta lane;
+    /// `None` means hops need a per-message draw (a jittered mesh, or a
+    /// forced slow path).
     pub fn uniform_const(&self) -> Option<SimDuration> {
-        match (self.mode, self.table.is_empty(), self.default_hop) {
-            (PlanMode::Compiled, true, CompiledHop::Const(d)) => Some(d),
-            _ => None,
-        }
+        self.uniform
     }
 
-    /// The precomputed size-independent delta of one directed hop, if
-    /// that hop compiled to a constant.
-    pub fn const_hop(&self, from: NetNodeId, to: NetNodeId) -> Option<SimDuration> {
-        match (self.mode, self.hop(from, to)) {
-            (PlanMode::Compiled, CompiledHop::Const(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Samples the total one-way delay for a `bytes`-sized message —
-    /// the drop-in replacement for [`Fabric::delay`]. Constant hops
-    /// never touch `rng`; jittered hops (and the forced slow path)
-    /// consume it exactly as the uncompiled fabric would.
+    /// Samples the one-way delay of one message — the drop-in
+    /// replacement for [`Fabric::delay`]. Constant hops never touch
+    /// `rng`; jittered hops (and the forced slow path) consume it
+    /// exactly as the uncompiled fabric would.
+    ///
+    /// `from`, `to` and `bytes` are ignored — no delay depends on them —
+    /// and stay in the signature for the perf ledger's hop probe.
     #[inline]
     pub fn delay<R: Rng + ?Sized>(
         &self,
-        from: NetNodeId,
-        to: NetNodeId,
-        bytes: u64,
+        _from: NetNodeId,
+        _to: NetNodeId,
+        _bytes: u64,
         rng: &mut R,
     ) -> SimDuration {
-        if self.mode == PlanMode::PerMessage {
-            return self.fabric.delay(from, to, bytes, rng);
-        }
-        match self.hop(from, to) {
-            CompiledHop::Const(d) => d,
-            CompiledHop::ConstSerialized(propagation) => {
-                let bw = self
-                    .fabric
-                    .bandwidth()
-                    .expect("serialized hop without bandwidth");
-                propagation + bw.serialization_delay(bytes)
-            }
-            CompiledHop::Sampled => self.fabric.delay(from, to, bytes, rng),
+        match self.uniform {
+            Some(d) => d,
+            None => self.fabric.delay(rng),
         }
     }
 }
@@ -226,7 +110,6 @@ impl FabricPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Bandwidth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -238,10 +121,6 @@ mod tests {
     fn constant_mesh_compiles_to_one_delta() {
         let plan = FabricPlan::compile(Fabric::paper_default(), 28);
         assert_eq!(plan.uniform_const(), Some(SimDuration::from_micros(50)));
-        assert_eq!(
-            plan.const_hop(node(0), node(19)),
-            Some(SimDuration::from_micros(50))
-        );
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
             plan.delay(node(0), node(19), 1 << 20, &mut rng),
@@ -251,30 +130,13 @@ mod tests {
 
     #[test]
     fn per_message_mode_reports_no_constants() {
-        let plan = FabricPlan::per_message(Fabric::paper_default(), 28);
+        let plan = FabricPlan::with_mode(Fabric::paper_default(), PlanMode::PerMessage);
         assert_eq!(plan.uniform_const(), None);
-        assert_eq!(plan.const_hop(node(0), node(1)), None);
         // ... but still answers delays, through the fabric.
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(
             plan.delay(node(0), node(1), 64, &mut rng),
             SimDuration::from_micros(50)
-        );
-    }
-
-    #[test]
-    fn bandwidth_keeps_serialization_per_message() {
-        let fabric = Fabric::paper_default().with_bandwidth(Bandwidth {
-            bytes_per_sec: 1e9, // 1µs per KB
-        });
-        let plan = FabricPlan::compile(fabric, 4);
-        // Size-dependent: no mesh-wide constant, no per-hop constant.
-        assert_eq!(plan.uniform_const(), None);
-        assert_eq!(plan.const_hop(node(0), node(1)), None);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(
-            plan.delay(node(0), node(1), 1_000, &mut rng),
-            SimDuration::from_micros(51)
         );
     }
 
@@ -293,77 +155,9 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(
                 plan.delay(node(1), node(2), 100, &mut a),
-                fabric.delay(node(1), node(2), 100, &mut b)
+                fabric.delay(&mut b)
             );
         }
-    }
-
-    #[test]
-    fn overrides_build_a_dense_table() {
-        let mut fabric = Fabric::paper_default();
-        fabric.set_link(
-            node(0),
-            node(1),
-            LatencyModel::Constant { delay_ns: 500_000 },
-        );
-        fabric.set_link(
-            node(1),
-            node(0),
-            LatencyModel::LogNormal {
-                median_ns: 50_000,
-                sigma: 0.2,
-            },
-        );
-        let plan = FabricPlan::compile(fabric.clone(), 3);
-        // A heterogeneous mesh has no mesh-wide constant...
-        assert_eq!(plan.uniform_const(), None);
-        // ...but individual constant hops still resolve to deltas.
-        assert_eq!(
-            plan.const_hop(node(0), node(1)),
-            Some(SimDuration::from_micros(500))
-        );
-        assert_eq!(
-            plan.const_hop(node(2), node(0)),
-            Some(SimDuration::from_micros(50))
-        );
-        assert_eq!(plan.const_hop(node(1), node(0)), None);
-        // The jittered link consumes the RNG exactly like the fabric.
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..100 {
-            assert_eq!(
-                plan.delay(node(1), node(0), 0, &mut a),
-                fabric.delay(node(1), node(0), 0, &mut b)
-            );
-        }
-    }
-
-    #[test]
-    fn per_message_skips_table_construction() {
-        // The slow path never consults the table, so an override-heavy
-        // mesh far beyond the dense-table limit must still build (and
-        // answer) in PerMessage mode.
-        let mut fabric = Fabric::paper_default();
-        fabric.set_link(node(0), node(9_999), LatencyModel::Constant { delay_ns: 1 });
-        let plan = FabricPlan::per_message(fabric, 10_000);
-        assert_eq!(plan.mode(), PlanMode::PerMessage);
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(
-            plan.delay(node(0), node(9_999), 0, &mut rng),
-            SimDuration::from_nanos(1)
-        );
-        assert_eq!(
-            plan.delay(node(5), node(6), 0, &mut rng),
-            SimDuration::from_micros(50)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the")]
-    fn overrides_outside_the_mesh_are_rejected() {
-        let mut fabric = Fabric::paper_default();
-        fabric.set_link(node(0), node(9), LatencyModel::Constant { delay_ns: 1 });
-        FabricPlan::compile(fabric, 4);
     }
 
     #[test]

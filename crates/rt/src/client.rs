@@ -1041,7 +1041,6 @@ mod tests {
             replication: 2,
             policy: PolicyKind::UnifIncr,
             work: WorkModel::Instant,
-            store_shards: 8,
             ..Default::default()
         });
         c.populate_etc(2_000);
@@ -1099,7 +1098,6 @@ mod tests {
                 replication: 2,
                 selector,
                 work: WorkModel::Instant,
-                store_shards: 8,
                 ..Default::default()
             });
             c.populate(500, |_| 32);
@@ -1216,7 +1214,6 @@ mod tests {
             replication: 1,
             network_rtt_ns: 3_000_000, // 3ms round trip
             work: WorkModel::Instant,
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(10, |_| 8);
@@ -1285,7 +1282,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(slow_service(2_000.0)), // ~2ms
-            store_shards: 4,
             queue: Some(QueueConfig {
                 capacity: 1,
                 shed_above: None,
@@ -1323,7 +1319,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(slow_service(2_000.0)),
-            store_shards: 4,
             queue: Some(QueueConfig {
                 capacity: 100,
                 shed_above: Some(1),
@@ -1363,7 +1358,6 @@ mod tests {
                 workers_per_server: 1,
                 replication: 1,
                 work: WorkModel::SimulateService(slow_service(20_000.0)), // ~20ms
-                store_shards: 4,
                 timeout: Some(TimeoutConfig {
                     timeout_us: 500, // 0.5ms
                     max_retries,
@@ -1397,7 +1391,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(slow_service(20_000.0)),
-            store_shards: 4,
             timeout: Some(TimeoutConfig {
                 timeout_us: 500,
                 max_retries: 10,
@@ -1476,7 +1469,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::Instant,
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(8, |_| 64);
@@ -1525,8 +1517,8 @@ mod tests {
             workers_per_server: 1,
             replication: 2,
             work: WorkModel::SimulateService(slow_service(100.0)), // ~0.1ms
-            store_shards: 4,
-            hedge_delay_ns: Some(2_000_000), // 2ms
+            // 2ms
+            hedge_delay_ns: Some(2_000_000),
             spike: Some(SpikeModel {
                 p_spike: 1.0,
                 extra_lo_ns: 20_000_000,

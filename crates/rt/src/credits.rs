@@ -3,10 +3,10 @@
 //!
 //! Both halves are the shared implementation with this crate's clock.
 //! The controller ([`brb_sched::CreditController`]) runs as its own
-//! thread: clients send [`CreditMsg::Demand`] reports and servers send
-//! [`CreditMsg::Congestion`] signals over a channel; every adaptation
+//! thread: clients send `CreditMsg::Demand` reports and servers send
+//! `CreditMsg::Congestion` signals over a channel; every adaptation
 //! interval the thread runs one `allocate_into` epoch and publishes the
-//! grant table on a shared [`GrantBoard`]. Between messages it sleeps
+//! grant table on a shared `GrantBoard`. Between messages it sleeps
 //! in the channel until the next epoch is due. The client
 //! ([`brb_sched::CreditClient`]: token admission, load-weighted replica
 //! choice, demand estimation) is wrapped by `CreditSelector`, which

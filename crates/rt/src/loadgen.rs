@@ -306,7 +306,6 @@ mod tests {
             replication: 2,
             policy: PolicyKind::UnifIncr,
             work: WorkModel::Instant,
-            store_shards: 8,
             ..Default::default()
         });
         c.populate(2_000, |k| (k % 256) + 1);
@@ -384,7 +383,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(64, |_| 64);
@@ -425,7 +423,6 @@ mod tests {
             workers_per_server: 1,
             replication: 2,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             queue: Some(QueueConfig {
                 capacity: 8,
                 shed_above: None,
@@ -482,7 +479,6 @@ mod tests {
                 1.0,
                 ServiceNoise::None,
             )),
-            store_shards: 4,
             hedge_delay_ns: Some(1_000_000), // 1ms
             spike: Some(SpikeModel {
                 p_spike: 1.0,
@@ -530,7 +526,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::Instant,
-            store_shards: 4,
             panic_on_key: Some(13),
             timeout: Some(TimeoutConfig {
                 timeout_us: 5_000,

@@ -64,6 +64,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Store shards per server.
+const STORE_SHARDS: usize = 16;
+
 /// How servers spend service time.
 #[derive(Debug, Clone, Copy)]
 pub enum WorkModel {
@@ -127,8 +130,6 @@ pub struct RtClusterConfig {
     pub selector: SelectorSpec,
     /// Service-time behaviour.
     pub work: WorkModel,
-    /// Store shards per server.
-    pub store_shards: usize,
     /// Value-size model used by `populate_etc` and client cost
     /// forecasts.
     pub sizes: SizeModel,
@@ -188,7 +189,6 @@ impl Default for RtClusterConfig {
             policy: PolicyKind::UnifIncr,
             selector: SelectorSpec::LeastOutstanding,
             work: WorkModel::Instant,
-            store_shards: 16,
             sizes: SizeModel::facebook_etc(),
             forecast: ForecastQuality::Exact,
             num_clients: 1,
@@ -381,7 +381,7 @@ impl RtCluster {
             let queue = global
                 .clone()
                 .unwrap_or_else(|| QueueShared::new(&config, &ring));
-            let shared = Arc::new(ServerShared::new(s, &config, queue, credits_hub.as_ref()));
+            let shared = Arc::new(ServerShared::new(s, queue, credits_hub.as_ref()));
 
             let speed = config.speed_factors.get(s as usize).copied().unwrap_or(1.0);
             for w in 0..config.workers_per_server {
@@ -635,7 +635,6 @@ impl Drop for RtCluster {
 impl ServerShared {
     pub(crate) fn new(
         id: u32,
-        config: &RtClusterConfig,
         queue: Arc<QueueShared>,
         credits: Option<&CreditsHub>,
     ) -> ServerShared {
@@ -650,7 +649,7 @@ impl ServerShared {
                 )),
                 tx: hub.tx.clone(),
             }),
-            store: ShardedStore::new(config.store_shards),
+            store: ShardedStore::new(STORE_SHARDS),
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -908,7 +907,6 @@ mod tests {
             replication: 2,
             policy,
             work: WorkModel::Instant,
-            store_shards: 8,
             ..Default::default()
         })
     }
@@ -994,7 +992,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(20, |_| 64);
@@ -1074,7 +1071,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             speed_factors: vec![0.25],
             ..Default::default()
         });
@@ -1105,7 +1101,6 @@ mod tests {
             selector: SelectorSpec::RoundRobin,
             queue_mode: RtQueueMode::Global,
             work: WorkModel::Instant,
-            store_shards: 8,
             ..Default::default()
         });
         c.populate(300, |k| (k % 64) + 1);
@@ -1132,7 +1127,6 @@ mod tests {
             replication: 2,
             policy: PolicyKind::EqualMax,
             work: WorkModel::Instant,
-            store_shards: 8,
             num_clients: 2,
             credits: Some(RtCreditsConfig {
                 config: brb_sched::CreditsConfig {
@@ -1164,11 +1158,10 @@ mod tests {
     fn bare_server(queue: Option<QueueConfig>) -> ServerShared {
         let config = RtClusterConfig {
             queue,
-            store_shards: 1,
             ..Default::default()
         };
         let queue = QueueShared::new(&config, &Ring::new(3, 3, 2));
-        ServerShared::new(0, &config, queue, None)
+        ServerShared::new(0, queue, None)
     }
 
     fn request(req_idx: u32, attempt: u32, reply: &Sender<RtReply>) -> RtRequest {
@@ -1249,7 +1242,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             queue: Some(QueueConfig {
                 capacity: CAPACITY,
                 shed_above: None,
@@ -1320,7 +1312,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             queue: Some(QueueConfig {
                 capacity: 8,
                 shed_above: None,
@@ -1370,7 +1361,6 @@ mod tests {
             workers_per_server: 1,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(64, |_| 64);
@@ -1413,7 +1403,6 @@ mod tests {
             replication: 2,
             queue_mode: RtQueueMode::Global,
             work: WorkModel::Instant,
-            store_shards: 8,
             ..Default::default()
         });
         c.populate(300, |_| 16);
@@ -1463,7 +1452,6 @@ mod tests {
             workers_per_server: 3,
             replication: 1,
             work: WorkModel::SimulateService(service),
-            store_shards: 4,
             ..Default::default()
         });
         c.populate(8, |_| 64);
@@ -1496,7 +1484,6 @@ mod tests {
             workers_per_server: 2,
             replication: 1,
             work: WorkModel::Instant,
-            store_shards: 4,
             panic_on_key: Some(3),
             ..Default::default()
         });

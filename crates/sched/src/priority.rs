@@ -15,8 +15,6 @@ pub struct Priority(pub u64);
 impl Priority {
     /// The most urgent priority.
     pub const URGENT: Priority = Priority(0);
-    /// The least urgent priority.
-    pub const IDLE: Priority = Priority(u64::MAX);
 
     /// Builds a priority from a forecast cost in nanoseconds.
     pub const fn from_cost_ns(ns: u64) -> Self {
@@ -53,7 +51,7 @@ mod tests {
     #[test]
     fn lower_is_more_urgent() {
         assert!(Priority::from_cost_ns(100) < Priority::from_cost_ns(200));
-        assert!(Priority::URGENT < Priority::IDLE);
+        assert!(Priority::URGENT < Priority::from_cost_ns(1));
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl<E> Calendar<E> {
         self.hop_delta = Some(delta.as_nanos());
     }
 
-    /// The hop lane's fixed delta, when one was declared.
-    pub fn hop_lane_delta(&self) -> Option<SimDuration> {
-        self.hop_delta.map(SimDuration::from_nanos)
-    }
-
     /// Schedules `event` at `at = now + d`, routing delays that match
     /// the hop lane's delta into the FIFO lane and everything else
     /// through the wheel. Callers must pass `at` consistent with a
@@ -623,7 +618,6 @@ mod tests {
         let mut cal = Calendar::new();
         let d = SimDuration::from_micros(50);
         cal.set_hop_lane(d);
-        assert_eq!(cal.hop_lane_delta(), Some(d));
         let now = SimTime::from_micros(100);
         let at = SimTime::from_micros(150);
         cal.push_after(at, d, "hop-0"); // lane

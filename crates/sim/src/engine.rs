@@ -109,14 +109,6 @@ impl Default for RunLimit {
 }
 
 impl RunLimit {
-    /// A limit that stops at `horizon` with an unlimited event budget.
-    pub fn until(horizon: SimTime) -> Self {
-        RunLimit {
-            horizon,
-            ..Default::default()
-        }
-    }
-
     /// A limit of `n` events with an unlimited horizon.
     pub fn events(n: u64) -> Self {
         RunLimit {
@@ -168,16 +160,6 @@ impl<W: World> Simulation<W> {
     /// Immutable access to the model.
     pub fn world(&self) -> &W {
         &self.world
-    }
-
-    /// Mutable access to the model (e.g. to harvest metrics between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consumes the engine, returning the model.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Total events executed since construction.
@@ -240,11 +222,6 @@ impl<W: World> Simulation<W> {
     /// Runs until the calendar drains.
     pub fn run(&mut self) -> RunStats {
         self.run_with_limit(RunLimit::default())
-    }
-
-    /// Runs until `horizon` (inclusive) or the calendar drains.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunStats {
-        self.run_with_limit(RunLimit::until(horizon))
     }
 
     /// Runs until the calendar drains, the horizon passes or the event
@@ -327,7 +304,10 @@ mod tests {
         let mut sim = recorder(0);
         sim.schedule_at(SimTime::from_millis(1), 7);
         sim.schedule_at(SimTime::from_millis(10), 8);
-        let stats = sim.run_until(SimTime::from_millis(5));
+        let stats = sim.run_with_limit(RunLimit {
+            horizon: SimTime::from_millis(5),
+            ..Default::default()
+        });
         assert_eq!(stats.outcome, RunOutcome::HorizonReached);
         assert_eq!(stats.events_executed, 1);
         assert_eq!(sim.now(), SimTime::from_millis(5));

@@ -116,12 +116,6 @@ impl SimDuration {
         SimDuration(secs_to_nanos(s))
     }
 
-    /// Builds a span from fractional microseconds (common unit in the paper:
-    /// the one-way network latency is 50 µs).
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration(secs_to_nanos(us / 1_000_000.0))
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -290,7 +284,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimDuration::from_micros_f64(50.0).as_nanos(), 50_000);
     }
 
     #[test]

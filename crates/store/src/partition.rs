@@ -96,11 +96,6 @@ impl Ring {
             .collect()
     }
 
-    /// The servers holding a replica of partition `p`.
-    pub fn replicas_of_partition(&self, p: PartitionId) -> Vec<ServerId> {
-        self.replicas_of_group(self.group_of_partition(p))
-    }
-
     /// The servers holding a replica of `key`.
     pub fn replicas_of_key(&self, key: u64) -> Vec<ServerId> {
         self.replicas_of_group(self.group_of_key(key))

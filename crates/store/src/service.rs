@@ -46,31 +46,21 @@ impl ServiceNoise {
     }
 }
 
-/// A service-time model for read requests.
+/// The service-time model for read requests: a deterministic
+/// size-linear cost, `base + bytes · per_byte`, with optional
+/// multiplicative noise on the actual (not forecast) time. Built only
+/// through [`ServiceModel::calibrated_size_linear`] (or the paper's
+/// [`ServiceModel::paper_default`]), so its mean always matches a target
+/// rate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ServiceModel {
-    /// Deterministic size-linear cost with optional multiplicative noise.
-    SizeLinear {
-        /// Fixed per-request overhead in nanoseconds (parsing, lookup,
-        /// response framing).
-        base_ns: f64,
-        /// Additional cost per value byte, in nanoseconds.
-        ns_per_byte: f64,
-        /// Multiplicative noise applied to the actual (not forecast) time.
-        noise: ServiceNoise,
-    },
-    /// Exponential service times with the given mean — the classic M/M/c
-    /// abstraction, size-independent (useful as an ablation: without a
-    /// size signal, UnifIncr degenerates).
-    Exponential {
-        /// Mean service time in nanoseconds.
-        mean_ns: f64,
-    },
-    /// Constant service time (deterministic M/D/c ablation).
-    Deterministic {
-        /// The fixed service time in nanoseconds.
-        ns: f64,
-    },
+pub struct ServiceModel {
+    /// Fixed per-request overhead in nanoseconds (parsing, lookup,
+    /// response framing).
+    base_ns: f64,
+    /// Additional cost per value byte, in nanoseconds.
+    ns_per_byte: f64,
+    /// Multiplicative noise applied to the actual (not forecast) time.
+    noise: ServiceNoise,
 }
 
 impl ServiceModel {
@@ -93,7 +83,7 @@ impl ServiceModel {
             (0.0..=1.0).contains(&base_fraction),
             "base fraction must be in [0, 1]"
         );
-        ServiceModel::SizeLinear {
+        ServiceModel {
             base_ns: mean_service_ns * base_fraction,
             ns_per_byte: mean_service_ns * (1.0 - base_fraction) / mean_value_bytes,
             noise,
@@ -116,50 +106,13 @@ impl ServiceModel {
     /// can predict from the value size alone (noise-free). This is the
     /// cost BRB's priority algorithms consume.
     pub fn expected_ns(&self, bytes: u64) -> f64 {
-        match self {
-            ServiceModel::SizeLinear {
-                base_ns,
-                ns_per_byte,
-                ..
-            } => base_ns + ns_per_byte * bytes as f64,
-            ServiceModel::Exponential { mean_ns } => *mean_ns,
-            ServiceModel::Deterministic { ns } => *ns,
-        }
+        self.base_ns + self.ns_per_byte * bytes as f64
     }
 
     /// Draws the *actual* service time for a value of `bytes`.
     pub fn sample<R: Rng + ?Sized>(&self, bytes: u64, rng: &mut R) -> SimDuration {
-        let ns = match self {
-            ServiceModel::SizeLinear { noise, .. } => {
-                self.expected_ns(bytes) * noise.sample_factor(rng)
-            }
-            ServiceModel::Exponential { mean_ns } => {
-                // Ziggurat standard exponential; always finite (the old
-                // inverse CDF rode on `ln(1 − u)` staying away from 0).
-                mean_ns * brb_sim::dist::standard_exp(rng)
-            }
-            ServiceModel::Deterministic { ns } => *ns,
-        };
+        let ns = self.expected_ns(bytes) * self.noise.sample_factor(rng);
         SimDuration::from_secs_f64(ns.max(1.0) / 1e9)
-    }
-
-    /// Mean service time in nanoseconds over a workload with mean value
-    /// size `mean_value_bytes`.
-    pub fn mean_ns(&self, mean_value_bytes: f64) -> f64 {
-        match self {
-            ServiceModel::SizeLinear { .. } => {
-                self.expected_ns(0)
-                    + (self.expected_ns(1_000_000) - self.expected_ns(0)) * mean_value_bytes
-                        / 1_000_000.0
-            }
-            ServiceModel::Exponential { mean_ns } => *mean_ns,
-            ServiceModel::Deterministic { ns } => *ns,
-        }
-    }
-
-    /// Mean service *rate* (requests/second) over the given workload.
-    pub fn mean_rate(&self, mean_value_bytes: f64) -> f64 {
-        1e9 / self.mean_ns(mean_value_bytes)
     }
 }
 
@@ -177,8 +130,7 @@ mod tests {
             ServiceModel::calibrated_size_linear(285_714.0, MEAN_BYTES, 0.5, ServiceNoise::None);
         // A request of exactly mean size costs exactly the mean.
         assert!((m.expected_ns(300) - 285_714.0).abs() < 1.0);
-        assert!((m.mean_ns(MEAN_BYTES) - 285_714.0).abs() < 1.0);
-        assert!((m.mean_rate(MEAN_BYTES) - 3_500.0).abs() < 0.1);
+        assert!((1e9 / m.expected_ns(300) - 3_500.0).abs() < 0.1);
     }
 
     #[test]
@@ -228,30 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_and_cv() {
-        let m = ServiceModel::Exponential { mean_ns: 100_000.0 };
-        let mut rng = StdRng::seed_from_u64(8);
-        let xs: Vec<f64> = (0..100_000)
-            .map(|_| m.sample(0, &mut rng).as_nanos() as f64)
-            .collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 100_000.0).abs() / 100_000.0 < 0.02);
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        let cv = var.sqrt() / mean;
-        assert!((cv - 1.0).abs() < 0.05, "CV {cv}");
-        // Forecast for exponential is just the mean (size-blind).
-        assert_eq!(m.expected_ns(123), 100_000.0);
-    }
-
-    #[test]
-    fn deterministic_is_exact() {
-        let m = ServiceModel::Deterministic { ns: 5_000.0 };
-        let mut rng = StdRng::seed_from_u64(9);
-        assert_eq!(m.sample(77, &mut rng), SimDuration::from_micros(5));
-        assert_eq!(m.expected_ns(77), 5_000.0);
-    }
-
-    #[test]
     fn sample_never_returns_zero() {
         let m = ServiceModel::calibrated_size_linear(10.0, MEAN_BYTES, 0.0, ServiceNoise::None);
         let mut rng = StdRng::seed_from_u64(10);
@@ -291,26 +219,21 @@ mod tests {
             let z = bm.sample(&mut edge);
             assert!(z.is_finite(), "Box–Muller blew up: {z}");
         }
-        // And over a long honest stream: every service draw stays finite
-        // and positive for the exponential and noisy size-linear models.
-        let models = [
-            ServiceModel::Exponential { mean_ns: 50_000.0 },
-            ServiceModel::calibrated_size_linear(
-                285_714.0,
-                MEAN_BYTES,
-                0.5,
-                ServiceNoise::LogNormal { sigma: 0.4 },
-            ),
-        ];
+        // And over a long honest stream: every service draw of the noisy
+        // model stays finite and positive.
+        let m = ServiceModel::calibrated_size_linear(
+            285_714.0,
+            MEAN_BYTES,
+            0.5,
+            ServiceNoise::LogNormal { sigma: 0.4 },
+        );
         let mut rng = StdRng::seed_from_u64(13);
-        for m in models {
-            for _ in 0..200_000 {
-                let ns = m.sample(300, &mut rng).as_nanos();
-                assert!(
-                    (1..u64::MAX / 2).contains(&ns),
-                    "bad sample {ns} from {m:?}"
-                );
-            }
+        for _ in 0..200_000 {
+            let ns = m.sample(300, &mut rng).as_nanos();
+            assert!(
+                (1..u64::MAX / 2).contains(&ns),
+                "bad sample {ns} from {m:?}"
+            );
         }
     }
 

@@ -51,11 +51,6 @@ impl PoissonProcess {
         self.next_ns += self.sample_gap_ns(rng);
         self.next_ns
     }
-
-    /// Time of the most recently returned arrival (0 before the first).
-    pub fn last_arrival_ns(&self) -> u64 {
-        self.next_ns
-    }
 }
 
 #[cfg(test)]

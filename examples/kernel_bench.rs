@@ -31,7 +31,7 @@ use brb::core::experiment::{
     run_strategies_multi_seed, run_strategies_multi_seed_sequential, worker_count, StrategySummary,
 };
 use brb::lab::registry;
-use brb::net::{Fabric, FabricPlan, NetNodeId, PlanMode};
+use brb::net::{Fabric, FabricPlan, PlanMode};
 use brb::sim::dist::{standard_exp, standard_exp_inv_cdf, standard_normal};
 use brb::sim::{BoxMuller, Calendar, DetRng, HeapCalendar, SimTime};
 use brb::workload::Zipf;
@@ -258,24 +258,16 @@ macro_rules! time_calendar {
 
 /// Times the per-hop resolution paths on the paper's constant mesh.
 /// The fast path is what the engine executes per hop — reading the
-/// cached delta, no endpoint math at all — while the slow path rotates
-/// endpoints across the pair space so it cannot win by
-/// branch-predicting a single `(from, to)`.
+/// cached delta — while the slow path draws through the fabric's
+/// latency model per message.
 fn bench_hop() -> HopBench {
     const DRAWS: u64 = 8_000_000;
-    const NODES: u64 = 28; // 18 clients + 9 servers + controller
     let fabric = Fabric::paper_default();
-    let plan = FabricPlan::compile(fabric.clone(), NODES);
+    let plan = FabricPlan::with_mode(fabric.clone(), PlanMode::Compiled);
     let uniform = plan.uniform_const().expect("constant mesh compiles");
     let plan_ns = time_draws(7, DRAWS, |_| black_box(uniform).as_nanos() as f64);
-    let mut j = 0u64;
     let mut rng2 = DetRng::seed_from_u64(8);
-    let one_way_ns = time_draws(8, DRAWS, |_| {
-        j += 1;
-        let from = NetNodeId::new(j % NODES);
-        let to = NetNodeId::new((j + 7) % NODES);
-        fabric.delay(from, to, 4_096, &mut rng2).as_nanos() as f64
-    });
+    let one_way_ns = time_draws(8, DRAWS, |_| fabric.delay(&mut rng2).as_nanos() as f64);
     HopBench {
         plan_ns,
         one_way_ns,

@@ -41,7 +41,6 @@ fn run_policy(policy: PolicyKind, trace: &[TaskSpec]) -> Percentiles {
         replication: 2,
         policy,
         work: WorkModel::SimulateService(service),
-        store_shards: 32,
         ..Default::default()
     });
     cluster.populate_etc(KEYS);
